@@ -4,10 +4,11 @@
 # is a strict superset of `cargo test -q` (root package included), so
 # tier-1 failure detection is covered without running the root suites
 # twice. The rest extends coverage to every bench/example target, the
-# engine smoke experiments (each emitting a machine-readable
-# BENCH_<name>.json), a read-IO regression gate against the committed
-# BENCH_baseline.json, a formatting gate, a zero-warning rustdoc gate,
-# and a zero-warning clippy sweep.
+# end-to-end benchmark's build and unit tests, the engine smoke
+# experiments (each emitting a machine-readable BENCH_<name>.json), a
+# read-IO regression gate against the committed BENCH_baseline.json, a
+# formatting gate, a zero-warning rustdoc gate, and a zero-warning
+# clippy sweep.
 #
 # Usage:
 #   ./ci.sh                    run every gate
@@ -49,6 +50,12 @@ skip() {
 stage build            cargo build --release
 stage test             cargo test --workspace -q
 stage build-targets    cargo build --release --benches --examples --workspace
+
+# The end-to-end benchmark is its own cargo workspace under perfbench/; it
+# calls the engine API directly, so an API break must fail here, not in
+# the benchmark run.
+stage perfbench-build  cargo build --release --offline --manifest-path perfbench/Cargo.toml
+stage perfbench-test   cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Smoke-run the engine experiments end to end; each asserts its own
 # differential invariants (see the bench headers) and writes

@@ -8,9 +8,9 @@
 //! bit-identical across the in-memory original, the pread reopen, and the
 //! mmap reopen — the backend moves bytes, never the cost model. Traffic
 //! covers the repeat-heavy (zipf), sorted-sweep, and sequential page-sweep
-//! shapes (the last is the prefetch showcase: nested-prefix answer sets
-//! walk the pages front to back), plus a planner-driven mixed cell where
-//! [`IndexSet::execute_plan`] issues its per-group `PrefetchHint`s.
+//! shapes (the last is the kernel-readahead showcase: nested-prefix answer
+//! sets walk the pages front to back), plus a planner-driven mixed cell
+//! that times [`IndexSet::execute_plan`] on both backends.
 //!
 //! The wall gate — mmap total ≤ pread total over best-of-3 runs — is
 //! enforced only when `available_parallelism() ≥ 2`; on a 1-core CI
@@ -132,7 +132,7 @@ fn main() {
         3,
     ));
     let sweep = to_hp(halfplane_batch(&pts, BatchShape::SortedSweep, batch_len, 48, 4));
-    // The prefetch showcase: nested-prefix answer sets advancing a fixed
+    // The readahead showcase: nested-prefix answer sets advancing a fixed
     // record stride per query — a rank-ordered layout reads its pages
     // strictly front to back across the batch.
     let pagesweep = to_hp(halfplane_page_sweep(&pts, batch_len, n2 / batch_len, 48, 5));
@@ -162,9 +162,7 @@ fn main() {
     ];
 
     // The planner-driven mixed cell: a catalog of the three 2D structures
-    // reopened as an IndexSet per backend; execute_plan issues one
-    // PrefetchHint per plan group (madvise under mmap, warm-read under
-    // pread) before running it.
+    // reopened as an IndexSet per backend, the same plan executed on each.
     {
         let mut cat = SnapshotCatalog::create(dir.file("cat")).expect("catalog");
         for (label, index) in

@@ -1,14 +1,15 @@
-//! EXP-PARALLEL — the query engine's sharded mode (DESIGN.md §8): total
+//! EXP-PARALLEL — the query engine's chunked mode (DESIGN.md §8): total
 //! read IOs and wall-clock time of a query batch executed through the
-//! sequential [`BatchExecutor`] versus the [`ParallelExecutor`] at 1, 2, 4,
-//! and 8 workers, per structure, distribution, and batch shape.
+//! [`BatchExecutor`] on the calling thread versus cut into chunks at 1, 2,
+//! 4, and 8 workers, per structure, distribution, and batch shape.
 //!
 //! The device is frozen after construction, so workers read the page store
-//! lock-free; each worker runs a contiguous, locality-ordered shard against
-//! its own forked device-handle scope (own warm LRU). Per-cell invariants
-//! asserted on every run: per-worker IO deltas sum exactly to the
-//! aggregate, and per-query reported counts match the sequential executor
-//! (full bit-identity of answers is pinned by `tests/engine_parallel.rs`).
+//! lock-free; each chunk is a contiguous, locality-ordered piece of the
+//! schedule run against its own forked device-handle scope (own warm LRU).
+//! Per-cell invariants asserted on every run: per-chunk IO deltas sum
+//! exactly to the aggregate, and per-query reported counts match the
+//! one-thread run (full bit-identity of answers is pinned by
+//! `tests/engine_parallel.rs`).
 //!
 //! Run with `--smoke` for the CI-sized variant (assertions only — wall
 //! clock on a loaded CI box is noise).
@@ -17,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{BatchExecutor, ParallelExecutor, Query, RangeIndex};
+use lcrs_engine::{BatchExecutor, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig, IoDelta};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::hs3d::Hs3dConfig;
@@ -50,9 +51,9 @@ fn shape_name(s: &BatchShape) -> &'static str {
     }
 }
 
-/// Run one (structure, batch) cell: the sequential batched baseline, then
-/// the parallel executor at each worker count, with the report invariants
-/// asserted every time.
+/// Run one (structure, batch) cell: the one-thread batched baseline, then
+/// the executor at each worker count, with the report invariants asserted
+/// every time.
 fn run_cell(
     index: &dyn RangeIndex,
     queries: &[Query],
@@ -75,20 +76,20 @@ fn run_cell(
     let mut wall_ms = Vec::with_capacity(WORKER_COUNTS.len());
     for &workers in &WORKER_COUNTS {
         let t = Instant::now();
-        let report = ParallelExecutor::new(index, workers).run(queries);
+        let report = BatchExecutor::new(index).workers(workers).run_batched(queries);
         wall_ms.push(t.elapsed().as_secs_f64() * 1e3);
         let worker_sum: IoDelta = report.per_worker.iter().map(|w| w.io).sum();
         assert_eq!(
             worker_sum,
             report.total,
-            "{}/{workers}: per-worker deltas must sum to the aggregate",
+            "{}/{workers}: per-chunk deltas must sum to the aggregate",
             index.name()
         );
         for (o, s) in report.outcomes.iter().zip(&sequential.outcomes) {
             assert_eq!(
                 (o.query, o.reported),
                 (s.query, s.reported),
-                "{}/{workers}: parallel outcomes must match the sequential executor",
+                "{}/{workers}: chunked outcomes must match the one-thread run",
                 index.name()
             );
         }
@@ -120,7 +121,7 @@ fn main() {
     let (n2, n3, batch_len) = if smoke { (4096, 1024, 200) } else { (100_000, 16_384, 1000) };
     let shapes = [BatchShape::ZipfRepeat { distinct: 16, s: 1.1 }, BatchShape::SortedSweep];
     println!(
-        "# EXP-PARALLEL: sequential vs sharded wall-clock and reads, page={PAGE}B, \
+        "# EXP-PARALLEL: one thread vs chunked wall-clock and reads, page={PAGE}B, \
          cache={CACHE_PAGES} pages/worker, {batch_len}-query batches, workers {WORKER_COUNTS:?}{}",
         if smoke { " (smoke)" } else { "" }
     );
@@ -196,7 +197,7 @@ fn main() {
         })
         .collect();
     print_table(
-        "Sequential vs sharded execution (wall-clock ms per whole batch)",
+        "One thread vs chunked execution (wall-clock ms per whole batch)",
         &[
             "structure",
             "dist",
@@ -219,8 +220,8 @@ fn main() {
         .max_by(|a, b| a.speedup4.partial_cmp(&b.speedup4).unwrap())
         .expect("at least one cell");
     println!(
-        "\nAll {} cells: per-worker deltas sum exactly; outcomes match the sequential \
-         executor. Best 4-worker speedup: {:.2}x ({} {} {} n={}).",
+        "\nAll {} cells: per-chunk deltas sum exactly; outcomes match the one-thread \
+         run. Best 4-worker speedup: {:.2}x ({} {} {} n={}).",
         rows.len(),
         best.speedup4,
         best.structure,

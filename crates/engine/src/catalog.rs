@@ -19,8 +19,8 @@
 //! [`SnapshotCatalog::add`] serializes one frozen index;
 //! [`SnapshotCatalog::load`] reopens an entry as a fresh file-backed
 //! device plus the index over it, ready for the [`crate::BatchExecutor`]
-//! or [`crate::ParallelExecutor`] — the build-once/serve-many workflow in
-//! one call. Every file is checksummed and every failure is a typed
+//! on one thread or many — the build-once/serve-many workflow in one
+//! call. Every file is checksummed and every failure is a typed
 //! [`SnapshotError`]; the manifest is rewritten atomically after each
 //! `add`, so a crash mid-build leaves a catalog that simply lacks the
 //! unfinished entry.

@@ -17,14 +17,14 @@
 //!   structure of `lcrs_halfspace` and every baseline of `lcrs_baselines`,
 //!   with per-query [`IoDelta`](lcrs_extmem::IoDelta) attribution measured
 //!   through the device the structure was built on;
-//! * [`BatchExecutor`] — accepts a batch, reorders it for page locality
-//!   (by the query's dual point / region), executes it against a warm
-//!   shared LRU cache, and reports per-query and aggregate IO against the
-//!   one-at-a-time cold baseline;
-//! * [`ParallelExecutor`] — the same batch cut into locality-ordered
-//!   shards across N OS threads (DESIGN.md §8), each worker on its own
-//!   [`lcrs_extmem::DeviceHandle`] fork (own warm LRU, exactly-attributed
-//!   per-worker IO), answers merged back into submission order;
+//! * [`BatchExecutor`] — the one executor: accepts a batch, reorders it
+//!   for page locality (by the query's dual point / region), executes it
+//!   against a warm LRU cache, and reports per-query and aggregate IO
+//!   against the one-at-a-time cold baseline. With
+//!   [`BatchExecutor::workers`] it cuts the schedule into contiguous
+//!   chunks across OS threads (DESIGN.md §8), each chunk on its own
+//!   [`lcrs_extmem::DeviceHandle`] fork (own warm LRU, exactly attributed
+//!   per-chunk IO); a lone chunk runs on the calling thread;
 //! * [`SnapshotCatalog`] — build-once/serve-many (DESIGN.md §9): persist
 //!   a directory of frozen indexes ([`RangeIndex::save_meta`] +
 //!   [`lcrs_extmem::Device::freeze_to_path`]) and reload them read-only
@@ -56,14 +56,14 @@
 //!   loop over a deterministic tenant-tagged arrival stream that
 //!   accumulates arrivals into time/size-bounded windows
 //!   ([`WindowPolicy`]), executes each window as one planned batch
-//!   (sequentially or across [`ParallelExecutor`] forks), enforces
+//!   (on one thread or across executor chunks), enforces
 //!   per-tenant IO quotas ([`QuotaConfig`]) with typed
 //!   [`ServeStatus::Rejected`] outcomes, attributes exact per-tenant
 //!   [`IoDelta`](lcrs_extmem::IoDelta)s, and exposes a pull-style
 //!   [`MetricsSnapshot`].
 //!
 //! Answers are never affected by batching, sharding, or persistence: the
-//! executors only change *when* pages happen to be resident, and a
+//! executor only changes *when* pages happen to be resident, and a
 //! reloaded index reads exactly the pages the original froze — which the
 //! test suites pin by comparing cold, batched, parallel, and
 //! reopened-from-snapshot answers element-wise.
@@ -73,26 +73,20 @@ pub mod catalog;
 pub mod cost;
 pub mod lift;
 pub mod live;
-pub mod parallel;
 pub mod planner;
 pub mod query;
 pub mod serve;
 pub mod shard;
 
-pub use batch::{BatchExecutor, BatchReport, ExecMode, QueryOutcome, QueryStatus};
+pub use batch::{BatchExecutor, BatchReport, ExecMode, QueryOutcome, QueryStatus, WorkerReport};
 pub use catalog::{CatalogEntry, SnapshotCatalog, RESERVED_PREFIX};
 pub use cost::{calibrate_index, predicted_reads, Calibration};
 pub use lift::{LiftedIndex, LiftedKind};
 pub use live::{LiveIndex, LiveLevel, LIVE_MANIFEST};
-pub use parallel::{ParallelExecutor, ParallelReport, WorkerReport};
-pub use planner::{
-    IndexSet, Plan, PlanReport, PrefetchHint, RoutedReport, CALIBRATION_FILE, NO_PREFETCH_ENV,
-};
+pub use planner::{IndexSet, Plan, PlanReport, RoutedReport, CALIBRATION_FILE};
 pub use query::{decode_sum, encode_sum, load_index, Query, RangeIndex, Unsupported};
 pub use serve::{
     saturating_ns, Arrival, MetricsSnapshot, QueryServer, QuotaConfig, RejectReason, ServeConfig,
     ServeOutcome, ServeReport, ServeStatus, TenantId, TenantMetrics, WindowPolicy, WindowSummary,
 };
-pub use shard::{
-    cheapest_tier, ShardConfig, ShardReport, ShardedIndexSet, ShardedReport, SHARD_MANIFEST,
-};
+pub use shard::{ShardConfig, ShardReport, ShardedIndexSet, ShardedReport, SHARD_MANIFEST};

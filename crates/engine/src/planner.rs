@@ -22,9 +22,9 @@
 //!   so a reopened catalog plans identically without re-probing.
 //! * **Execution** composes with the rest of the engine: each routed
 //!   sub-batch runs through the [`crate::BatchExecutor`]'s locality
-//!   schedule on a shared warm cache ([`IndexSet::execute_plan`]) or
-//!   through the [`crate::ParallelExecutor`]'s sharded workers
-//!   ([`IndexSet::execute_parallel_plan`]), and per-query
+//!   schedule on a warm cache, on the calling thread
+//!   ([`IndexSet::execute_plan`]) or cut into chunks across worker
+//!   threads ([`IndexSet::execute_parallel_plan`]), and per-query
 //!   [`IoDelta`] attribution still sums exactly to the aggregate.
 //!
 //! Alternative routing policies — always-scan ([`IndexSet::scan_plan`]),
@@ -40,14 +40,11 @@
 
 use std::path::{Path, PathBuf};
 
-use lcrs_extmem::{
-    DeviceHandle, IoDelta, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError,
-};
+use lcrs_extmem::{IoDelta, MetaReader, MetaWriter, ReopenBackend, SnapshotError};
 
 use crate::batch::{BatchExecutor, QueryOutcome, QueryStatus};
 use crate::catalog::SnapshotCatalog;
 use crate::cost::{calibrate_index, predicted_reads, Calibration};
-use crate::parallel::ParallelExecutor;
 use crate::query::{Query, RangeIndex};
 
 /// File name of the persisted calibration constants inside a catalog
@@ -55,53 +52,6 @@ use crate::query::{Query, RangeIndex};
 /// engine-internal [`crate::catalog::RESERVED_PREFIX`], so it can never
 /// collide with entry files).
 pub const CALIBRATION_FILE: &str = "__planner.calib";
-
-/// Environment variable that disables planner prefetch hints process-wide
-/// (any value). The programmatic switch is [`IndexSet::set_prefetch`];
-/// both must leave answers and model IO counts untouched (pinned by the
-/// oracle suite) — hints only move real-hardware wall time.
-pub const NO_PREFETCH_ENV: &str = "LCRS_NO_PREFETCH";
-
-/// A planner-issued readahead hint for one routed plan group
-/// (DESIGN.md §13).
-///
-/// Before a group runs, the planner knows which structure will serve it
-/// and what the calibrated cost model predicts the group will read
-/// ([`Plan::predicted`]). Page identity inside a structure is opaque at
-/// this layer, so the hint is a budget-sized sequential window over the
-/// structure's device, anchored at the front: exact for scan-class
-/// structures (their files are read front to back in locality order) and
-/// a root/metadata cluster warm-up for tree-shaped ones. The window is
-/// issued through [`DeviceHandle::prefetch`] — `madvise(MADV_WILLNEED)`
-/// on an mmap store, a sequential warm read on a pread store, a no-op in
-/// memory — and is *purely advisory*: no model IO is charged, no cache is
-/// touched, answers are bit-identical with hints on or off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchHint {
-    /// Slot of the structure the group is routed to.
-    pub slot: usize,
-    /// First page of the predicted window.
-    pub first_page: u64,
-    /// Window length in pages: the ceiling of the group's summed
-    /// calibrated predicted reads, capped at the device's allocated pages.
-    pub pages: u64,
-}
-
-impl PrefetchHint {
-    /// The hint for a group with `predicted_reads` summed model reads on
-    /// a device of `device_pages` allocated pages.
-    pub fn new(slot: usize, predicted_reads: f64, device_pages: u64) -> PrefetchHint {
-        let want = predicted_reads.max(0.0).ceil();
-        let pages = if want >= device_pages as f64 { device_pages } else { want as u64 };
-        PrefetchHint { slot, first_page: 0, pages }
-    }
-
-    /// Issue the advisory readahead on `device`. Never panics, never
-    /// errors, never charges model IO.
-    pub fn issue(&self, device: &DeviceHandle) {
-        device.prefetch(PageId(self.first_page), self.pages);
-    }
-}
 
 struct Entry {
     index: Box<dyn RangeIndex>,
@@ -154,8 +104,8 @@ pub struct PlanReport {
     /// Per-structure sub-batch totals, ascending by slot, non-empty
     /// sub-batches only.
     pub per_index: Vec<RoutedReport>,
-    /// Aggregate IOs: the sum of the sub-batch totals (exact — sub-batches
-    /// run back to back, each measured on its own structure's scope).
+    /// Aggregate IOs: the sum of the sub-batch totals (exact — each is a
+    /// sum of the executor's measured and checked chunk totals).
     pub total: IoDelta,
     /// The answers, in submission order (kept only when requested; an
     /// unrouted query keeps an empty answer slot).
@@ -184,29 +134,12 @@ impl PlanReport {
 #[derive(Default)]
 pub struct IndexSet {
     entries: Vec<Entry>,
-    /// Prefetch hints are on by default (`false` here); flipped by
-    /// [`Self::set_prefetch`], overridden process-wide by
-    /// [`NO_PREFETCH_ENV`].
-    prefetch_disabled: bool,
 }
 
 impl IndexSet {
     /// An empty set.
     pub fn new() -> IndexSet {
         IndexSet::default()
-    }
-
-    /// Enable or disable planner prefetch hints for this set. A disabled
-    /// set executes identically (same answers, same model IO counts) —
-    /// only the advisory readahead before each routed group is skipped.
-    pub fn set_prefetch(&mut self, enabled: bool) {
-        self.prefetch_disabled = !enabled;
-    }
-
-    /// Whether executing a plan will issue [`PrefetchHint`]s: on unless
-    /// disabled by [`Self::set_prefetch`] or [`NO_PREFETCH_ENV`].
-    pub fn prefetch_enabled(&self) -> bool {
-        !self.prefetch_disabled && std::env::var_os(NO_PREFETCH_ENV).is_none()
     }
 
     /// Add a built structure; returns its slot. Uncalibrated until
@@ -269,11 +202,6 @@ impl IndexSet {
     /// The fitted calibration at `slot`.
     pub fn calibration(&self, slot: usize) -> Calibration {
         self.entries[slot].calib
-    }
-
-    /// First slot whose structure is named `kind`, if any.
-    pub fn slot_of(&self, kind: &str) -> Option<usize> {
-        self.entries.iter().position(|e| e.index.name() == kind)
     }
 
     /// Predicted (calibrated) reads of answering `q` at `slot`.
@@ -417,45 +345,26 @@ impl IndexSet {
     }
 
     /// Execute `plan`: group queries per routed structure, run each group
-    /// as one locality-ordered [`BatchExecutor`] sub-batch on a shared
-    /// warm cache (cleared per group, so reports are deterministic and
-    /// structure order does not leak state), and merge outcomes back into
-    /// submission order. Per-query [`IoDelta`]s sum exactly to the
-    /// aggregate (asserted at runtime, like the parallel executor).
+    /// as one locality-ordered [`BatchExecutor`] sub-batch on the calling
+    /// thread with a warm cache (cleared per group, so reports are
+    /// deterministic and structure order does not leak state), and merge
+    /// outcomes back into submission order. Per-query [`IoDelta`]s sum
+    /// exactly to the aggregate.
     pub fn execute_plan(&self, queries: &[Query], plan: &Plan, keep_answers: bool) -> PlanReport {
-        self.run(queries, plan, keep_answers, |index, sub, keep| {
-            let report = BatchExecutor::new(index).keep_answers(keep).run_batched(sub);
-            (report.outcomes, report.total, report.answers)
-        })
+        self.execute_parallel_plan(queries, plan, 1, keep_answers)
     }
 
-    /// [`Self::execute_plan`] with each sub-batch sharded across
-    /// `workers` threads through the [`ParallelExecutor`] (per-worker
-    /// handle forks, merged per-query attribution) — the full
-    /// plan → locality order → parallel shards composition.
+    /// [`Self::execute_plan`] with each sub-batch cut into up to `workers`
+    /// chunks of its locality schedule, each on its own thread and handle
+    /// fork ([`BatchExecutor::workers`]) — the full plan → locality order
+    /// → chunks composition. A group of one chunk runs on the calling
+    /// thread.
     pub fn execute_parallel_plan(
         &self,
         queries: &[Query],
         plan: &Plan,
         workers: usize,
         keep_answers: bool,
-    ) -> PlanReport {
-        self.run(queries, plan, keep_answers, |index, sub, keep| {
-            let report = ParallelExecutor::new(index, workers).keep_answers(keep).run(sub);
-            (report.outcomes, report.total, report.answers)
-        })
-    }
-
-    fn run(
-        &self,
-        queries: &[Query],
-        plan: &Plan,
-        keep_answers: bool,
-        exec: impl Fn(
-            &dyn RangeIndex,
-            &[Query],
-            bool,
-        ) -> (Vec<QueryOutcome>, IoDelta, Option<Vec<Vec<u64>>>),
     ) -> PlanReport {
         assert_eq!(plan.assignments.len(), queries.len(), "plan must cover the batch");
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.entries.len()];
@@ -484,34 +393,20 @@ impl IndexSet {
             if keep_answers { vec![Vec::new(); queries.len()] } else { Vec::new() };
         let mut per_index = Vec::new();
         let mut total = IoDelta::default();
-        let prefetch = self.prefetch_enabled();
         for (slot, group) in groups.iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let sub: Vec<Query> = group.iter().map(|&qi| queries[qi]).collect();
             let index = &*self.entries[slot].index;
-            if prefetch {
-                // Both execution paths (sequential BatchExecutor,
-                // sharded ParallelExecutor) and the per-shard sets of
-                // ShardedIndexSet funnel through here, so one hint per
-                // routed group covers all of them.
-                let predicted: f64 = group.iter().map(|&qi| plan.predicted[qi]).sum();
-                PrefetchHint::new(slot, predicted, index.device().pages_allocated())
-                    .issue(index.device());
-            }
-            let (sub_outcomes, sub_total, sub_answers) = exec(index, &sub, keep_answers);
-            let attributed: IoDelta = crate::batch::sum_outcome_io(&sub_outcomes);
-            assert_eq!(
-                attributed,
-                sub_total,
-                "{}: sub-batch per-query deltas must sum to its total",
-                index.name()
-            );
-            for o in sub_outcomes {
+            let report = BatchExecutor::new(index)
+                .workers(workers)
+                .keep_answers(keep_answers)
+                .run_batched(&sub);
+            for o in report.outcomes {
                 outcomes[group[o.query]] = Some(QueryOutcome { query: group[o.query], ..o });
             }
-            if let Some(sub_answers) = sub_answers {
+            if let Some(sub_answers) = report.answers {
                 for (si, ids) in sub_answers.into_iter().enumerate() {
                     answers[group[si]] = ids;
                 }
@@ -520,9 +415,9 @@ impl IndexSet {
                 slot,
                 index: index.name(),
                 queries: group.len(),
-                io: sub_total,
+                io: report.total,
             });
-            total += sub_total;
+            total += report.total;
         }
         PlanReport {
             outcomes: outcomes.into_iter().map(|o| o.expect("every query planned")).collect(),

@@ -127,7 +127,7 @@ impl std::error::Error for Unsupported {}
 /// each query gets exact [`IoDelta`] attribution — the primitive the
 /// [`crate::BatchExecutor`] builds on.
 ///
-/// The `Send + Sync` supertraits are what lets the [`crate::ParallelExecutor`]
+/// The `Send + Sync` supertraits are what lets the [`crate::BatchExecutor`]
 /// share an index across worker threads; they hold for every structure in
 /// the workspace because all device state lives behind [`DeviceHandle`]s.
 /// `fork_reader` is the other half of that story: it clones the index onto

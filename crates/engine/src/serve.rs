@@ -7,10 +7,9 @@
 //! [`Arrival`]s (virtual-time-stamped, e.g. from
 //! `lcrs_workloads::serve_trace`). Arrivals accumulate into a
 //! time/size-bounded window ([`WindowPolicy`]); when the window closes it
-//! runs as ONE planned batch through [`IndexSet::execute_plan`] (prefetch
-//! hints included) — or through [`IndexSet::execute_parallel_plan`] over
-//! the [`crate::ParallelExecutor`]'s thread-per-core forks — harvesting
-//! the locality wins the batch engine already proves on stream traffic.
+//! runs as ONE planned batch through [`IndexSet::execute_parallel_plan`]
+//! at the configured worker count — harvesting the locality wins the
+//! batch engine already proves on stream traffic.
 //!
 //! * **Admission control.** Each tenant can carry an IO quota
 //!   ([`QuotaConfig`]): a token bucket holding read-IO tokens, refilled on
@@ -22,8 +21,8 @@
 //!   Rejection changes *which* queries run, never what an admitted query
 //!   answers: answers are cache-independent by construction.
 //! * **Attribution.** Every outcome carries its exact [`IoDelta`]; the
-//!   per-tenant sums equal the per-window sums equal the aggregate
-//!   (asserted at runtime — the PR 3/PR 6 invariant one level up).
+//!   per-tenant sums equal the per-window sums equal the aggregate, which
+//!   is built from the executor's runtime-checked chunk totals.
 //! * **Metrics.** [`QueryServer::metrics`] is a pull-style snapshot:
 //!   windows and queries served, rejections, read IOs per tenant, and
 //!   p50/p99 measured window execution latency.
@@ -197,10 +196,11 @@ impl TokenBucket {
 pub struct ServeConfig {
     /// Window close policy.
     pub policy: WindowPolicy,
-    /// Worker threads per window execution: 1 runs each window through
-    /// [`IndexSet::execute_plan`]; more shards every routed group across
-    /// that many [`crate::ParallelExecutor`] forks (answers bit-identical
-    /// either way — pinned by the serve suite).
+    /// Worker threads per window execution: every routed group is cut
+    /// into up to this many executor chunks
+    /// ([`IndexSet::execute_parallel_plan`]); 1 keeps each window on the
+    /// calling thread (answers bit-identical either way — pinned by the
+    /// serve suite).
     pub workers: usize,
 }
 
@@ -309,15 +309,16 @@ pub fn saturating_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Percentile over raw u64 samples (nearest-rank on a sorted copy).
+/// Percentile over raw u64 samples: nearest-rank on a sorted copy, the
+/// sample of rank ⌈p/100 · n⌉ (at least 1).
 fn percentile_ns(samples: &[u64], p: f64) -> u64 {
     if samples.is_empty() {
         return 0;
     }
     let mut s = samples.to_vec();
     s.sort_unstable();
-    let idx = ((p / 100.0) * (s.len() - 1) as f64).round() as usize;
-    s[idx.min(s.len() - 1)]
+    let rank = ((p / 100.0) * s.len() as f64).ceil() as usize;
+    s[rank.clamp(1, s.len()) - 1]
 }
 
 /// A pending (admitted, not yet executed) arrival.
@@ -368,11 +369,6 @@ impl QueryServer {
     /// are never throttled.
     pub fn set_quota(&mut self, tenant: TenantId, quota: QuotaConfig) {
         self.quotas.insert(tenant, TokenBucket::new(quota));
-    }
-
-    /// Remove `tenant`'s quota (back to unthrottled).
-    pub fn clear_quota(&mut self, tenant: TenantId) {
-        self.quotas.remove(&tenant);
     }
 
     /// Replay a virtual-time arrival stream through the windowed serving
@@ -484,7 +480,7 @@ impl QueryServer {
         for (t, m) in &mut self.tenants {
             m.tenant = *t;
         }
-        let report = ServeReport {
+        ServeReport {
             outcomes: outcomes
                 .into_iter()
                 .map(|o| o.expect("every arrival gets exactly one outcome"))
@@ -492,15 +488,7 @@ impl QueryServer {
             windows,
             total,
             answers: keep_answers.then_some(answers),
-        };
-        // The attribution invariant, one level up: per-arrival deltas
-        // (and hence the per-tenant sums) equal the aggregate exactly.
-        assert_eq!(
-            report.attributed_total(),
-            report.total,
-            "per-arrival deltas must sum to the aggregate"
-        );
-        report
+        }
     }
 
     /// A pull-style snapshot of the cumulative counters.
@@ -542,11 +530,7 @@ impl QueryServer {
         let queries: Vec<Query> = batch.iter().map(|p| p.query).collect();
         let plan = self.set.plan(&queries);
         let t0 = Instant::now();
-        let rep = if self.cfg.workers > 1 {
-            self.set.execute_parallel_plan(&queries, &plan, self.cfg.workers, keep_answers)
-        } else {
-            self.set.execute_plan(&queries, &plan, keep_answers)
-        };
+        let rep = self.set.execute_parallel_plan(&queries, &plan, self.cfg.workers, keep_answers);
         let wall_ns = saturating_ns(t0.elapsed());
 
         for (slot, o) in rep.outcomes.iter().enumerate() {
@@ -648,5 +632,9 @@ mod tests {
         assert_eq!(percentile_ns(&s, 0.0), 10);
         assert_eq!(percentile_ns(&s, 50.0), 30);
         assert_eq!(percentile_ns(&s, 100.0), 50);
+        // Nearest-rank on an even count: the p50 of two samples is the
+        // lower one (rank ⌈0.5 · 2⌉ = 1), not the upper.
+        assert_eq!(percentile_ns(&[10, 20], 50.0), 10);
+        assert_eq!(percentile_ns(&[20, 10], 99.0), 20);
     }
 }

@@ -17,28 +17,24 @@
 //!   ([`lcrs_halfspace::ShardRegion2::may_intersect_disk`]), while
 //!   count/sum/top-k reduce to their halfplane constraint.
 //! * **Execute** — each routed sub-batch runs through the shard's own
-//!   planner ([`IndexSet::execute_plan`]), sequentially or with every
-//!   shard on its own OS thread ([`ShardedIndexSet::execute_parallel`],
-//!   which also forks [`crate::ParallelExecutor`] workers *within* each
-//!   shard) — shards live on disjoint devices, so concurrency never
-//!   changes counts.
+//!   planner ([`IndexSet::execute_parallel_plan`]), shards one after
+//!   another or, with [`ShardedIndexSet::execute_parallel`], each active
+//!   shard on its own OS thread (a lone active shard stays on the calling
+//!   thread) and the executor's chunks *within* each shard — shards live
+//!   on disjoint devices, so concurrency never changes counts.
 //! * **Merge** — per-shard answers translate back to global ids and
 //!   merge to the canonical order (sorted ids for reports; `(distance,
 //!   id)` for k-NN and `(key, id)` for top-k, recomputed exactly in
 //!   `i128` and truncated to `k`; count/sum scalars summed across the
 //!   disjoint shards — zero-synthesized when routing pruned every
 //!   shard), and per-shard [`IoDelta`]s sum *exactly* to the aggregate
-//!   (runtime assert, the same invariant the batch/parallel executors
-//!   pin).
+//!   (each is a sum of the executor's runtime-checked chunk totals).
 //!
 //! The cost model is fan-out aware: [`ShardedIndexSet::predicted_reads`]
 //! prices a query as the sum over routed shards of the cheapest capable
 //! slot inside each shard — (shards touched) × (per-shard calibrated
 //! `CostHint` cost). Broad queries fan out everywhere, so their predicted
-//! cost grows with S while a narrow query's shrinks — which is exactly
-//! the signal [`cheapest_tier`] uses to fall back to fewer/bigger shards
-//! (or S=1, the unsharded set with its scan baseline) when routing
-//! cannot prune.
+//! cost grows with S while a narrow query's shrinks.
 //!
 //! At S=1 the sharded set *is* the unsharded set: one shard, identity
 //! routing (no region pruning — so IO totals reproduce the unsharded
@@ -53,7 +49,7 @@ use lcrs_extmem::{
 use lcrs_halfspace::partition::{partition2, partition3, Partition2, Partition3};
 use lcrs_halfspace::{ShardRegion2, ShardRegion3};
 
-use crate::batch::{QueryOutcome, QueryStatus};
+use crate::batch::{fan_out, QueryOutcome, QueryStatus};
 use crate::catalog::SnapshotCatalog;
 use crate::planner::{IndexSet, PlanReport};
 use crate::query::Query;
@@ -354,18 +350,19 @@ impl ShardedIndexSet {
     }
 
     /// Scatter-gather execution with every routed shard on its own OS
-    /// thread, and `workers` [`crate::ParallelExecutor`] forks *within*
-    /// each shard (`workers <= 1` keeps the within-shard path
-    /// sequential). Shards live on disjoint devices, so answers and IO
-    /// counts are identical to [`Self::execute`] (pinned by the suite);
-    /// freeze first for lock-free reads.
+    /// thread (a lone routed shard runs on the calling thread), each
+    /// shard's groups cut into up to `workers` executor chunks
+    /// ([`IndexSet::execute_parallel_plan`]). Shards live on disjoint
+    /// devices, so answers and IO counts are identical to
+    /// [`Self::execute`] (pinned by the suite); freeze first for
+    /// lock-free reads.
     pub fn execute_parallel(
         &self,
         queries: &[Query],
         workers: usize,
         keep_answers: bool,
     ) -> ShardedReport {
-        self.run(queries, keep_answers, true, workers.max(1))
+        self.run(queries, keep_answers, true, workers)
     }
 
     fn run(
@@ -400,22 +397,13 @@ impl ShardedIndexSet {
                 0,
                 "shard {s}: routed queries must be supported by the shard set"
             );
-            if workers > 1 {
-                set.execute_parallel_plan(&sub, &plan, workers, true)
-            } else {
-                set.execute_plan(&sub, &plan, true)
-            }
+            set.execute_parallel_plan(&sub, &plan, workers, true)
         };
         let active: Vec<usize> = (0..self.shards.len()).filter(|&s| !subs[s].is_empty()).collect();
-        let exec = &exec;
-        let reports: Vec<(usize, PlanReport)> = if concurrent {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    active.iter().map(|&s| scope.spawn(move || (s, exec(s)))).collect();
-                handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
-            })
+        let reports: Vec<PlanReport> = if concurrent {
+            fan_out(active.len(), |i| exec(active[i]))
         } else {
-            active.iter().map(|&s| (s, exec(s))).collect()
+            active.iter().map(|&s| exec(s)).collect()
         };
 
         // Gather: merge per-shard outcomes and answers back into
@@ -429,16 +417,11 @@ impl ShardedIndexSet {
         let mut agg_sum: Vec<i128> = vec![0; queries.len()];
         let mut per_shard = Vec::with_capacity(reports.len());
         let mut total = IoDelta::default();
-        for (s, report) in &reports {
-            assert_eq!(
-                report.attributed_total(),
-                report.total,
-                "shard {s}: per-query deltas must sum to the shard total"
-            );
-            let shard = &self.shards[*s];
+        for (&s, report) in active.iter().zip(&reports) {
+            let shard = &self.shards[s];
             let answers = report.answers.as_ref().expect("shard answers kept");
             for outcome in &report.outcomes {
-                let qi = subs[*s][outcome.query];
+                let qi = subs[s][outcome.query];
                 assert_eq!(
                     outcome.status,
                     QueryStatus::Ok,
@@ -460,7 +443,7 @@ impl ShardedIndexSet {
                     }
                 }
             }
-            per_shard.push(ShardReport { shard: *s, queries: subs[*s].len(), io: report.total });
+            per_shard.push(ShardReport { shard: s, queries: subs[s].len(), io: report.total });
             total += report.total;
         }
 
@@ -518,19 +501,13 @@ impl ShardedIndexSet {
             }
         }
 
-        let report = ShardedReport {
+        ShardedReport {
             outcomes,
             per_shard,
             total,
             answers: keep_answers.then_some(answers),
             fanout,
-        };
-        assert_eq!(
-            report.attributed_total(),
-            report.total,
-            "per-query deltas must sum to the aggregate across shards"
-        );
-        report
+        }
     }
 
     /// The 2D coordinates of global id `gid` (k-NN merge support).
@@ -671,21 +648,4 @@ impl ShardedIndexSet {
             regions: self.shards.iter().map(|s| s.region3.clone()).collect(),
         }
     }
-}
-
-/// The tier chooser of the fan-out cost model: among sharded sets of
-/// different granularity (e.g. S ∈ {1, 2, 4, 8} over the same dataset),
-/// the index of the one predicting the fewest reads for `q` (ties to the
-/// earlier tier; `None` when no tier supports `q`). Broad queries price
-/// their fan-out and fall back to fewer/bigger shards — at S=1 that is
-/// the unsharded planner with its scan baseline.
-pub fn cheapest_tier(tiers: &[&ShardedIndexSet], q: &Query) -> Option<usize> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, tier) in tiers.iter().enumerate() {
-        let cost = tier.predicted_reads(q);
-        if cost.is_finite() && best.is_none_or(|(_, b)| cost < b) {
-            best = Some((i, cost));
-        }
-    }
-    best.map(|(i, _)| i)
 }

@@ -131,30 +131,6 @@ impl PageSource {
             PageSource::Mmap(m) => m.page_count(),
         }
     }
-
-    /// Advisory readahead over `count` pages starting at `first`: kernel
-    /// `madvise(MADV_WILLNEED)` on the mmap backend, a sequential warm
-    /// read into a scratch buffer on the pread backend (heats the OS page
-    /// cache the preads will hit), nothing on the memory backend. Clamped
-    /// to the store; never a panic, never an error.
-    fn prefetch(&self, page_bytes: usize, first: PageId, count: u64) {
-        match self {
-            PageSource::Memory(_) => {}
-            PageSource::File(sf) => {
-                let lo = first.0.min(sf.page_count());
-                let hi = first.0.saturating_add(count).min(sf.page_count());
-                if lo >= hi {
-                    return;
-                }
-                let mut buf = vec![0u8; page_bytes];
-                for i in lo..hi {
-                    sf.read_page_into(i, &mut buf);
-                }
-            }
-            #[cfg(unix)]
-            PageSource::Mmap(m) => m.advise_pages(first.0, count),
-        }
-    }
 }
 
 /// Which backend a device's pages currently live on (see `PageSource`).
@@ -394,22 +370,6 @@ impl DeviceHandle {
             Some(PageSource::File(_)) => PageBackend::File,
             #[cfg(unix)]
             Some(PageSource::Mmap(_)) => PageBackend::Mmap,
-        }
-    }
-
-    /// Advisory readahead for `count` pages starting at `first` — the
-    /// device half of a planner prefetch hint: on the mmap
-    /// backend this is `madvise(MADV_WILLNEED)` over the page range, on
-    /// the pread backend a sequential warm read that heats the OS page
-    /// cache, on the memory backend (and during the build phase) nothing.
-    ///
-    /// A pure hint: it never touches this scope's LRU or [`IoStats`] —
-    /// model IO counts and answers are bit-identical with prefetching on,
-    /// off, or unsupported (pinned by regression test). Out-of-range
-    /// ranges are clamped, never a panic.
-    pub fn prefetch(&self, first: PageId, count: u64) {
-        if let Some(src) = self.store.frozen.get() {
-            src.prefetch(self.store.cfg.page_bytes, first, count);
         }
     }
 
@@ -1253,40 +1213,5 @@ mod tests {
                 .collect()
         });
         assert_eq!(totals, vec![8, 8, 8, 8]);
-    }
-
-    #[test]
-    fn prefetch_is_invisible_to_the_cost_model() {
-        // Prefetch must not touch stats or the LRU on any backend, and
-        // must accept any range (including out of bounds) on any phase.
-        let dir = crate::snapshot::TempDir::new("lcrs-device-prefetch");
-        let dev = Device::new(DeviceConfig::new(128, 4));
-        let p = dev.alloc_pages(4);
-        for i in 0..4 {
-            dev.write_page(PageId(p.0 + i), |b| b[0] = i as u8);
-        }
-        dev.prefetch(PageId(0), 4); // build phase: no-op
-        let path = dir.file("pf.pages");
-        dev.freeze_to_path(&path).unwrap();
-
-        let mut devices = vec![Device::open_snapshot_as(&path, 4, ReopenBackend::Pread).unwrap()];
-        #[cfg(unix)]
-        devices.push(Device::open_snapshot_as(&path, 4, ReopenBackend::Mmap).unwrap());
-        devices.push(dev); // memory backend
-        for d in &devices {
-            d.reset_stats();
-            d.clear_cache();
-            d.prefetch(PageId(0), 4);
-            d.prefetch(PageId(2), u64::MAX); // clamped
-            d.prefetch(PageId(99), 7); // fully out of range
-            d.prefetch(PageId(1), 0); // empty
-            assert_eq!(d.stats(), IoStats::default(), "prefetch must never be model IO");
-            assert_eq!(d.cached_pages(), 0, "prefetch must never touch the LRU");
-            // The subsequent reads still pay full, deterministic IOs.
-            for i in 0..4u64 {
-                assert_eq!(d.read_page(PageId(i), |b| b[0]), i as u8);
-            }
-            assert_eq!(d.stats().reads, 4);
-        }
     }
 }

@@ -461,20 +461,6 @@ impl MappedSnapshot {
         let start = self.data_offset + idx as usize * self.page_bytes;
         &self.map.as_slice()[start..start + self.page_bytes]
     }
-
-    /// Advise the kernel that `count` pages starting at `first` will be
-    /// read soon (`madvise(MADV_WILLNEED)`). Out-of-range ranges are
-    /// clamped; purely advisory, never an error, never model IO.
-    pub fn advise_pages(&self, first: u64, count: u64) {
-        if first >= self.page_count || count == 0 {
-            return;
-        }
-        let n = count.min(self.page_count - first);
-        self.map.advise_willneed(
-            self.data_offset + first as usize * self.page_bytes,
-            n as usize * self.page_bytes,
-        );
-    }
 }
 
 /// Builder for a structure-metadata payload: a flat stream of *tagged*

@@ -1,11 +1,10 @@
 //! Minimal unix syscall surface for the mmap page backend (DESIGN.md §13).
 //!
 //! The build environment is offline, so instead of a `libc` dependency this
-//! module declares the three calls the mmap backend needs — `mmap`,
-//! `munmap`, `madvise` — directly as `extern "C"` items, plus `sysconf` to
-//! learn the system page size for madvise alignment. Everything here is
-//! `pub(crate)`: the public API surface is `Device::open_snapshot_as` and
-//! `DeviceHandle::prefetch`, never raw pointers.
+//! module declares the two calls the mmap backend needs — `mmap` and
+//! `munmap` — directly as `extern "C"` items. Everything here is
+//! `pub(crate)`: the public API surface is `Device::open_snapshot_as`,
+//! never raw pointers.
 //!
 //! [`Mapping`] is the one abstraction: a read-only, private, whole-file
 //! mapping that unmaps on drop. It is `Send + Sync` because the mapped
@@ -31,35 +30,12 @@ extern "C" {
         offset: i64,
     ) -> *mut c_void;
     fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
-    fn sysconf(name: c_int) -> i64;
 }
 
 const PROT_READ: c_int = 1;
 const MAP_PRIVATE: c_int = 2;
-/// `MADV_WILLNEED` — same value on Linux, macOS, and the BSDs.
-const MADV_WILLNEED: c_int = 3;
 /// `(void *)-1`, the mmap failure sentinel.
 const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
-
-#[cfg(target_os = "linux")]
-const SC_PAGESIZE: c_int = 30;
-#[cfg(target_os = "macos")]
-const SC_PAGESIZE: c_int = 29;
-
-/// System page size for madvise address alignment. A wrong answer only
-/// degrades the *hint* (madvise rejects unaligned addresses with EINVAL,
-/// which we ignore), so unknown platforms just assume 4 KiB.
-fn page_size() -> usize {
-    #[cfg(any(target_os = "linux", target_os = "macos"))]
-    {
-        let n = unsafe { sysconf(SC_PAGESIZE) };
-        if n > 0 {
-            return n as usize;
-        }
-    }
-    4096
-}
 
 /// A read-only private mapping of an entire file; unmapped on drop.
 pub(crate) struct Mapping {
@@ -94,27 +70,6 @@ impl Mapping {
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
     }
 
-    /// `madvise(MADV_WILLNEED)` over `[offset, offset + len)`, clamped to
-    /// the mapping and aligned down to the system page size. Purely
-    /// advisory: errors are ignored and no caller-observable state changes.
-    pub(crate) fn advise_willneed(&self, offset: usize, len: usize) {
-        if len == 0 || offset >= self.len {
-            return;
-        }
-        let ps = page_size();
-        let start = offset - offset % ps;
-        let end = offset.saturating_add(len).min(self.len);
-        // SAFETY: [start, end) lies inside the live mapping; madvise does
-        // not invalidate any outstanding reference.
-        unsafe {
-            let _ = madvise(
-                self.ptr.cast::<u8>().add(start).cast::<c_void>(),
-                end - start,
-                MADV_WILLNEED,
-            );
-        }
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.len
     }
@@ -145,23 +100,11 @@ mod tests {
         let map = Mapping::map_file(&f, data.len()).unwrap();
         assert_eq!(map.len(), data.len());
         assert_eq!(map.as_slice(), &data[..]);
-        // Advice over any subrange (aligned or not) is accepted silently.
-        map.advise_willneed(0, data.len());
-        map.advise_willneed(4097, 100);
-        map.advise_willneed(data.len() - 1, usize::MAX);
-        map.advise_willneed(data.len() + 5, 10); // past the end: no-op
-        map.advise_willneed(0, 0);
         drop(map);
         // The fd outlives the mapping and the mapping outlives the fd —
         // either order is fine; dropping both here must not disturb the
         // file contents.
         drop(f);
         assert_eq!(std::fs::read(&path).unwrap(), data);
-    }
-
-    #[test]
-    fn page_size_is_sane() {
-        let ps = page_size();
-        assert!(ps >= 512 && ps.is_power_of_two(), "page size {ps}");
     }
 }

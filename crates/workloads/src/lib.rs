@@ -549,8 +549,8 @@ pub fn topk_mixed(
 /// from 0 (clamped at n), emitted in submission order. Consecutive answer
 /// sets are nested prefixes growing `stride` records at a time, so an
 /// index laid out in rank order reads its pages strictly front to back
-/// across the batch — the prefetch-friendliest traffic there is (the
-/// `exp_mmap` readahead showcase), the opposite extreme from the cold
+/// across the batch — the most readahead-friendly traffic there is (the
+/// `exp_mmap` sequential showcase), the opposite extreme from the cold
 /// random access of a wide [`BatchShape::ZipfRepeat`]. Differs from
 /// [`BatchShape::SortedSweep`] in pacing: the sweep spreads `len` queries
 /// over the whole selectivity range, the page sweep advances a fixed

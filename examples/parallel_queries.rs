@@ -1,11 +1,11 @@
-//! Parallel sharded query execution: freeze the storage layer after the
-//! build, then serve a 1000-query batch across worker threads — each with
-//! its own warm LRU and exactly-attributed IO counters — and check the
-//! answers against the sequential batch executor.
+//! Parallel query execution: freeze the storage layer after the build,
+//! then serve a 1000-query batch cut into chunks across worker threads —
+//! each with its own warm LRU and exactly attributed IO counters — and
+//! check the answers against the one-thread run.
 //!
 //! Run with: `cargo run --release --example parallel_queries`
 
-use lcrs::engine::{BatchExecutor, ParallelExecutor, Query, RangeIndex};
+use lcrs::engine::{BatchExecutor, Query, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::workloads::{halfplane_batch, points2, BatchShape, Dist2};
@@ -30,15 +30,16 @@ fn main() {
             .map(|(m, c)| Query::Halfplane { m, c, inclusive: false })
             .collect();
 
-    // The sequential reference: one thread, one shared warm cache.
+    // The one-thread reference: one chunk, one shared warm cache.
     let sequential = BatchExecutor::new(&index).keep_answers(true).run_batched(&batch);
 
     println!("\n{} queries against `{}`:", batch.len(), index.name());
     println!("  sequential batch: {:>6} read IOs on 1 thread", sequential.reads());
     for workers in [2usize, 4, 8] {
-        let report = ParallelExecutor::new(&index, workers).keep_answers(true).run(&batch);
-        // Answers are bit-identical to the sequential executor, and the
-        // per-worker deltas sum exactly to the aggregate.
+        let report =
+            BatchExecutor::new(&index).workers(workers).keep_answers(true).run_batched(&batch);
+        // Answers are bit-identical to the one-thread run, and the
+        // per-chunk deltas sum exactly to the aggregate.
         assert_eq!(report.answers, sequential.answers);
         let worker_sum: IoDelta = report.per_worker.iter().map(|w| w.io).sum();
         assert_eq!(worker_sum, report.total);
@@ -51,7 +52,7 @@ fn main() {
         );
     }
     println!(
-        "\nEach worker pays for warming its own cache, so sharded totals sit between\n\
+        "\nEach worker pays for warming its own cache, so chunked totals sit between\n\
          the 1-thread batch and the cold baseline — wall-clock, not IOs, is what\n\
          parallelism buys (see the exp_parallel experiment)."
     );

@@ -6,7 +6,7 @@
 //! batch total and answers unchanged.
 
 use lcrs::baselines::ExternalKdTree;
-use lcrs::engine::{BatchExecutor, IndexSet, ParallelExecutor, Query, RangeIndex};
+use lcrs::engine::{BatchExecutor, IndexSet, Query, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3};
@@ -106,8 +106,8 @@ fn empty_batch_yields_empty_reports_with_zeroed_deltas() {
         assert_eq!(report.answers, Some(Vec::new()), "{label}: empty answer set");
     }
 
-    let par = ParallelExecutor::new(&hs, 4).keep_answers(true).run(&[]);
-    assert_eq!(par.workers, 0, "no workers spawned for an empty batch");
+    let par = BatchExecutor::new(&hs).workers(4).keep_answers(true).run_batched(&[]);
+    assert_eq!(par.per_worker.len(), 0, "no chunks for an empty batch");
     assert!(par.outcomes.is_empty() && par.per_worker.is_empty());
     assert_eq!(par.total, IoDelta::default());
     assert_eq!(par.attributed_total(), par.total);

@@ -1,14 +1,15 @@
-//! Acceptance + determinism suite for the parallel executor (ISSUE 3):
-//! for every structure that implements `RangeIndex`, the
-//! `ParallelExecutor` at 1, 2, 4, and 8 workers must produce answers
-//! bit-identical to the sequential `BatchExecutor`, per-worker IO deltas
-//! that sum exactly to the aggregate, and reports that are independent of
-//! thread scheduling (every run is executed twice and compared
-//! field-by-field). Worker IOs must never leak into the index's primary
-//! handle scope.
+//! Acceptance + determinism suite for the chunked executor: for every
+//! structure that implements `RangeIndex`, `BatchExecutor::workers(n)` at
+//! 1, 2, 4, and 8 workers must produce answers bit-identical to the
+//! one-thread `BatchExecutor`, per-chunk IO deltas that sum exactly to the
+//! aggregate, and reports that are independent of thread scheduling
+//! (every run is executed twice and compared field-by-field). A run of
+//! two or more chunks happens on forks and must never leak IOs into the
+//! index's primary handle scope; a run of one chunk happens on that scope
+//! and costs exactly what the same run on an explicit fork costs.
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{BatchExecutor, ParallelExecutor, Query, QueryStatus, RangeIndex};
+use lcrs::engine::{BatchExecutor, Query, QueryStatus, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::geom::point::PointD;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
@@ -43,24 +44,31 @@ fn halfspace_queries(pts: &[(i64, i64, i64)], len: usize, seed: u64) -> Vec<Quer
 /// The full contract for one (structure, batch) pair.
 fn check(index: &dyn RangeIndex, queries: &[Query], label: &str) {
     let sequential = BatchExecutor::new(index).keep_answers(true).run_batched(queries);
-    // Snapshot the primary scope after the sequential run: parallel workers
-    // run on forks and must leave it untouched.
-    let primary_before = index.device().stats();
     for workers in WORKER_COUNTS {
-        let ex = ParallelExecutor::new(index, workers).keep_answers(true);
-        let r1 = ex.run(queries);
-        let r2 = ex.run(queries);
-        assert_eq!(r1.workers, workers.min(queries.len()), "{label}/{workers}");
+        let chunks = workers.min(queries.len());
+        let ex = BatchExecutor::new(index).workers(workers).keep_answers(true);
+        let primary_before = index.device().stats();
+        let r1 = ex.run_batched(queries);
+        let r2 = ex.run_batched(queries);
+        if chunks >= 2 {
+            // Two or more chunks run on forks and leave the primary alone.
+            assert_eq!(
+                index.device().stats(),
+                primary_before,
+                "{label}/{workers}: chunk IOs must never land on the primary scope"
+            );
+        }
+        assert_eq!(r1.per_worker.len(), chunks, "{label}/{workers}");
         assert_eq!(
             r1.answers, sequential.answers,
-            "{label}/{workers}: parallel answers must be bit-identical to the sequential batch"
+            "{label}/{workers}: chunked answers must be bit-identical to the one-thread batch"
         );
         for (o, s) in r1.outcomes.iter().zip(&sequential.outcomes) {
             assert_eq!((o.query, o.reported), (s.query, s.reported), "{label}/{workers}");
             assert_eq!(o.status, QueryStatus::Ok, "{label}/{workers}");
         }
-        let worker_sum: IoDelta = r1.per_worker.iter().map(|w| w.io).sum();
-        assert_eq!(worker_sum, r1.total, "{label}/{workers}: worker deltas must sum exactly");
+        let chunk_sum: IoDelta = r1.per_worker.iter().map(|w| w.io).sum();
+        assert_eq!(chunk_sum, r1.total, "{label}/{workers}: chunk deltas must sum exactly");
         assert_eq!(r1.attributed_total(), r1.total, "{label}/{workers}: per-query sum");
         assert_eq!(
             r1.per_worker.iter().map(|w| w.queries).sum::<usize>(),
@@ -68,10 +76,10 @@ fn check(index: &dyn RangeIndex, queries: &[Query], label: &str) {
             "{label}/{workers}: every query runs exactly once"
         );
         if workers == 1 {
-            // One worker == the sequential executor on a fresh scope: the
-            // same schedule against the same LRU geometry, so even the IO
-            // totals coincide.
-            assert_eq!(r1.total, sequential.total, "{label}: 1-worker IO equals sequential");
+            // One worker is the one-thread executor: the same schedule
+            // against the same LRU geometry, so even the IO totals
+            // coincide.
+            assert_eq!(r1.total, sequential.total, "{label}: 1-worker IO equals one-thread");
         }
         // Scheduling independence: a second run must reproduce the report
         // exactly, field by field.
@@ -82,7 +90,7 @@ fn check(index: &dyn RangeIndex, queries: &[Query], label: &str) {
             assert_eq!(
                 (a.worker, a.queries, a.io),
                 (b.worker, b.queries, b.io),
-                "{label}/{workers}: per-worker stats must be deterministic"
+                "{label}/{workers}: per-chunk stats must be deterministic"
             );
         }
         for (a, b) in r1.outcomes.iter().zip(&r2.outcomes) {
@@ -93,11 +101,6 @@ fn check(index: &dyn RangeIndex, queries: &[Query], label: &str) {
             );
         }
     }
-    assert_eq!(
-        index.device().stats(),
-        primary_before,
-        "{label}: worker IOs must never land on the primary scope"
-    );
 }
 
 #[test]
@@ -185,21 +188,21 @@ fn parallel_reports_unsupported_outcomes() {
     let mut queries = halfplane_queries(&pts, 40, 31);
     queries.insert(7, Query::Knn { x: 0, y: 0, k: 3 });
     queries.insert(23, Query::Knn { x: 5, y: 5, k: 2 });
-    let report = ParallelExecutor::new(&hs, 4).keep_answers(true).run(&queries);
+    let report = BatchExecutor::new(&hs).workers(4).keep_answers(true).run_batched(&queries);
     assert_eq!(report.unsupported(), 2);
     for qi in [7, 23] {
         assert_eq!(report.outcomes[qi].status, QueryStatus::Unsupported);
         assert_eq!(report.outcomes[qi].reported, 0);
         assert!(report.answers.as_ref().unwrap()[qi].is_empty());
     }
-    let worker_sum: IoDelta = report.per_worker.iter().map(|w| w.io).sum();
-    assert_eq!(worker_sum, report.total);
+    let chunk_sum: IoDelta = report.per_worker.iter().map(|w| w.io).sum();
+    assert_eq!(chunk_sum, report.total);
 }
 
 #[test]
-fn shards_are_exact_and_balanced() {
+fn chunks_are_exact_and_balanced() {
     // Worker counts that do NOT divide the batch length still get exactly
-    // min(workers, len) shards, sized within one of each other, covering
+    // min(workers, len) chunks, sized within one of each other, covering
     // every query once — and the executed report agrees.
     let pts = points2(Dist2::Uniform, 500, 1 << 20, 34);
     let dev = warm_device();
@@ -207,19 +210,54 @@ fn shards_are_exact_and_balanced() {
     dev.freeze();
     for (len, workers) in [(13usize, 6usize), (6, 4), (7, 8), (100, 7), (5, 5)] {
         let queries = halfplane_queries(&pts, len, 35 + len as u64);
-        let ex = ParallelExecutor::new(&hs, workers);
-        let shards = ex.shards(&queries);
+        let ex = BatchExecutor::new(&hs).workers(workers);
+        let chunks = ex.chunks(&queries);
         let expect = workers.min(len);
-        assert_eq!(shards.len(), expect, "len={len} workers={workers}");
-        let sizes: Vec<usize> = shards.iter().map(|s| s.len()).collect();
+        assert_eq!(chunks.len(), expect, "len={len} workers={workers}");
+        let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         let (min, max) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-        assert!(max - min <= 1, "near-even shards, got {sizes:?}");
-        let mut all: Vec<usize> = shards.concat();
+        assert!(max - min <= 1, "near-even chunks, got {sizes:?}");
+        assert_eq!(chunks.concat(), ex.schedule(&queries), "chunks are the schedule, in order");
+        let mut all: Vec<usize> = chunks.concat();
         all.sort_unstable();
-        assert_eq!(all, (0..len).collect::<Vec<_>>(), "every query in exactly one shard");
-        let report = ex.run(&queries);
-        assert_eq!(report.workers, expect);
+        assert_eq!(all, (0..len).collect::<Vec<_>>(), "every query in exactly one chunk");
+        let report = ex.run_batched(&queries);
+        assert_eq!(report.per_worker.len(), expect);
         assert_eq!(report.per_worker.iter().map(|w| w.queries).sum::<usize>(), len);
+    }
+}
+
+#[test]
+fn one_chunk_runs_on_the_calling_scope_like_a_fork() {
+    // A batch cut into one chunk — one worker, or a 1-query batch at four
+    // — runs on the index's own handle with no fork, and costs exactly
+    // what the same run on an explicit fork_reader() clone costs.
+    let pts = points2(Dist2::Uniform, 700, 1 << 20, 36);
+    let dev = warm_device();
+    let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
+    dev.freeze();
+    let queries = halfplane_queries(&pts, 40, 37);
+    for (batch, workers) in [(&queries[..], 1usize), (&queries[..1], 4)] {
+        let fork = hs.fork_reader();
+        let on_fork = BatchExecutor::new(&fork).keep_answers(true).run_batched(batch);
+        let primary_before = hs.device().stats();
+        let run = BatchExecutor::new(&hs).workers(workers).keep_answers(true).run_batched(batch);
+        assert_eq!(run.per_worker.len(), 1, "{workers} workers, {} queries", batch.len());
+        assert_eq!(run.answers, on_fork.answers);
+        for (a, b) in run.outcomes.iter().zip(&on_fork.outcomes) {
+            assert_eq!(
+                (a.query, a.status, a.reported, a.io),
+                (b.query, b.status, b.reported, b.io),
+                "one chunk: per-query outcome and IO delta equal the fork's"
+            );
+        }
+        assert_eq!(run.total, on_fork.total);
+        assert!(run.total.reads > 0, "the batch must actually read pages");
+        assert_eq!(
+            hs.device().stats().since(primary_before),
+            run.total,
+            "a lone chunk runs on the index's own handle"
+        );
     }
 }
 
@@ -229,14 +267,14 @@ fn parallel_handles_tiny_and_empty_batches() {
     let dev = warm_device();
     let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
     dev.freeze();
-    let empty = ParallelExecutor::new(&hs, 8).run(&[]);
-    assert_eq!(empty.workers, 0);
+    let empty = BatchExecutor::new(&hs).workers(8).run_batched(&[]);
+    assert_eq!(empty.per_worker.len(), 0);
     assert_eq!(empty.outcomes.len(), 0);
     assert_eq!(empty.total, IoDelta::default());
     // More workers than queries: capped, every query still runs once.
     let queries = halfplane_queries(&pts, 3, 33);
-    let tiny = ParallelExecutor::new(&hs, 8).keep_answers(true).run(&queries);
-    assert_eq!(tiny.workers, 3);
+    let tiny = BatchExecutor::new(&hs).workers(8).keep_answers(true).run_batched(&queries);
+    assert_eq!(tiny.per_worker.len(), 3);
     assert_eq!(tiny.outcomes.len(), 3);
     let sequential = BatchExecutor::new(&hs).keep_answers(true).run_batched(&queries);
     assert_eq!(tiny.answers, sequential.answers);

@@ -163,7 +163,7 @@ fn parallel_plan_execution_matches_sequential() {
     let st = state();
     let (set, queries) = (&st.set, &st.queries);
     // Parallel workers need lock-free reads to be interesting, but the
-    // executors are correct either way; freeze to exercise the real path.
+    // executor is correct either way; freeze to exercise the real path.
     for dev in &st.devices {
         dev.freeze();
     }
@@ -240,9 +240,7 @@ fn oracle_is_bit_identical_across_memory_pread_and_mmap_backends() {
     // The ISSUE 8 backend-parity oracle: the full 500-query mixed workload
     // through the in-memory set and through catalog reopens on both
     // storage backends — identical routing, answers, per-query outcomes,
-    // and model read-IO totals, sequentially and in parallel; and the
-    // prefetch hints the plan runner issues are pure (turning them off
-    // changes neither answers nor IO counts).
+    // and model read-IO totals, sequentially and in parallel.
     let dir = TempDir::new("lcrs-planner-backends");
     let st = state();
     let (set, queries) = (&st.set, &st.queries);
@@ -260,7 +258,7 @@ fn oracle_is_bit_identical_across_memory_pread_and_mmap_backends() {
     let memory = set.execute_plan(queries, &plan, true);
 
     let pread = IndexSet::from_catalog(&cat, CACHE_PAGES).unwrap();
-    let mut mmap = IndexSet::from_catalog_as(&cat, CACHE_PAGES, ReopenBackend::Mmap).unwrap();
+    let mmap = IndexSet::from_catalog_as(&cat, CACHE_PAGES, ReopenBackend::Mmap).unwrap();
 
     for (name, reopened) in [("pread", &pread), ("mmap", &mmap)] {
         let re_plan = reopened.plan(queries);
@@ -284,16 +282,6 @@ fn oracle_is_bit_identical_across_memory_pread_and_mmap_backends() {
             }
         }
     }
-
-    // Prefetch purity: same plan, hints off — nothing observable changes.
-    let re_plan = mmap.plan(queries);
-    let with_hints = mmap.execute_plan(queries, &re_plan, true);
-    assert!(mmap.prefetch_enabled());
-    mmap.set_prefetch(false);
-    assert!(!mmap.prefetch_enabled());
-    let without = mmap.execute_plan(queries, &re_plan, true);
-    assert_eq!(without.answers, with_hints.answers, "prefetch off: identical answers");
-    assert_eq!(without.total, with_hints.total, "prefetch off: identical IO totals");
 }
 
 #[test]

@@ -21,15 +21,12 @@
 //! * geometric routing actually prunes: on the narrow shard-stressing
 //!   workload the mean shards-touched at S=8 is strictly below 8, while a
 //!   broad all-points query fans out to every shard;
-//! * the fan-out cost model orders tiers sensibly: `cheapest_tier`
-//!   prefers more shards for narrow traffic only when routing pays for
-//!   the fan-out.
+//! * the fan-out cost model prices every supported query finitely and a
+//!   fully pruned query at zero.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use lcrs::engine::{
-    cheapest_tier, IndexSet, Query, QueryStatus, ShardConfig, ShardedIndexSet, ShardedReport,
-};
+use lcrs::engine::{IndexSet, Query, QueryStatus, ShardConfig, ShardedIndexSet, ShardedReport};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta, TempDir};
 use lcrs::workloads::{halfplane_narrow, points2, points3, Dist2, Dist3};
 use lcrs_bench::{brute_answer, canon_answer, full_index_set, lifted_oracle, lifted_probes};
@@ -232,8 +229,6 @@ fn shards_are_near_even_and_routing_prunes() {
 #[test]
 fn fanout_cost_model_orders_tiers() {
     let st = state();
-    let tiers: Vec<&ShardedIndexSet> = st.tiers.iter().collect();
-
     for (ti, &s) in SHARD_COUNTS.iter().enumerate() {
         let sharded = &st.tiers[ti];
         for q in st.queries.iter().take(50) {
@@ -246,12 +241,4 @@ fn fanout_cost_model_orders_tiers() {
             }
         }
     }
-
-    // Every supported query picks *some* tier, and a query no tier
-    // supports picks none. (Which tier wins depends on the calibrated
-    // constants; the sign of the trade-off is pinned by exp_shard.)
-    for q in st.queries.iter().take(50) {
-        assert!(cheapest_tier(&tiers, q).is_some(), "{q:?} must route to a tier");
-    }
-    assert_eq!(cheapest_tier(&[], &st.queries[0]), None);
 }

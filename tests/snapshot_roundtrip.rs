@@ -4,7 +4,7 @@
 //! read-only (`Device::open_snapshot` + `load_index`), and run against the
 //! same pinned query batch — answers must be bit-identical and IO counts
 //! (per query and aggregate) identical to the in-memory frozen original.
-//! The `ParallelExecutor` is re-verified over reloaded indexes at 1 and 4
+//! The chunked executor is re-verified over reloaded indexes at 1 and 4
 //! workers, and a cold reopened device must start with zeroed counters
 //! until the first query (the IO-accounting bugfix riding along).
 //!
@@ -12,9 +12,7 @@
 //! them even on panic).
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{
-    load_index, BatchExecutor, ParallelExecutor, Query, RangeIndex, SnapshotCatalog,
-};
+use lcrs::engine::{load_index, BatchExecutor, Query, RangeIndex, SnapshotCatalog};
 use lcrs::extmem::{
     Device, DeviceConfig, IoDelta, IoStats, MetaReader, MetaWriter, PageBackend, ReopenBackend,
     SnapshotError, TempDir,
@@ -117,16 +115,16 @@ fn check_roundtrip(
         "{label}: all reopened IOs are attributed to the opening scope"
     );
 
-    // Parallel execution over the reloaded index: same answers, exact
-    // per-worker attribution, at 1 and 4 workers.
+    // Chunked execution over the reloaded index: same answers, exact
+    // per-chunk attribution, at 1 and 4 workers.
     for workers in [1usize, 4] {
-        let par = ParallelExecutor::new(&*re, workers).keep_answers(true).run(queries);
+        let par = BatchExecutor::new(&*re).workers(workers).keep_answers(true).run_batched(queries);
         assert_eq!(
             par.answers, mem.answers,
             "{label}/{workers}: parallel answers over the reloaded index"
         );
-        let worker_sum: IoDelta = par.per_worker.iter().map(|w| w.io).sum();
-        assert_eq!(worker_sum, par.total, "{label}/{workers}: worker deltas sum exactly");
+        let chunk_sum: IoDelta = par.per_worker.iter().map(|w| w.io).sum();
+        assert_eq!(chunk_sum, par.total, "{label}/{workers}: chunk deltas sum exactly");
         if workers == 1 {
             assert_eq!(par.total, mem.total, "{label}: one worker costs the sequential batch");
         }
@@ -157,10 +155,10 @@ fn check_roundtrip(
         );
     }
     for workers in [1usize, 4] {
-        let par = ParallelExecutor::new(&*mm, workers).keep_answers(true).run(queries);
+        let par = BatchExecutor::new(&*mm).workers(workers).keep_answers(true).run_batched(queries);
         assert_eq!(par.answers, mem.answers, "{label}/{workers}: parallel answers over mmap");
-        let worker_sum: IoDelta = par.per_worker.iter().map(|w| w.io).sum();
-        assert_eq!(worker_sum, par.total, "{label}/{workers}: mmap worker deltas sum exactly");
+        let chunk_sum: IoDelta = par.per_worker.iter().map(|w| w.io).sum();
+        assert_eq!(chunk_sum, par.total, "{label}/{workers}: mmap chunk deltas sum exactly");
     }
 }
 
