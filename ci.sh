@@ -92,10 +92,6 @@ fi
 stage doc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 stage clippy           cargo clippy --workspace --all-targets -- -D warnings
-# Redundant with the workspace sweep, but pinned separately — every crate
-# named explicitly — so none of them regresses to warnings even if the
-# workspace member list changes.
-stage clippy-pinned    cargo clippy -p lcrs-geom -p lcrs-extmem -p lcrs-halfspace -p lcrs-baselines -p lcrs-workloads -p lcrs-engine -p lcrs-bench --all-targets -- -D warnings
 
 echo
 echo "[ci] stage summary:"

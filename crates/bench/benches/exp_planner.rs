@@ -11,7 +11,9 @@
 //!   predicted-worst routing;
 //! * per-query IO attribution sums exactly to the aggregate;
 //! * calibration constants round-trip through a snapshot catalog with
-//!   identical plan decisions (no re-probing on reopen).
+//!   identical plan decisions (no re-probing on reopen), and the catalog
+//!   holds one pages file per device (its size is the ungated
+//!   `catalog/roundtrip` `catalog_kib` cell).
 //!
 //! Run with `--smoke` for the CI-sized variant (which also emits
 //! `BENCH_exp_planner.json` for the read-IO regression gate).
@@ -19,7 +21,8 @@
 use std::time::{Duration, Instant};
 
 use lcrs_bench::{
-    canon_answer, full_index_set, lifted_oracle, lifted_probes, print_table, BenchReport,
+    canon_answer, full_index_set, lifted_oracle, lifted_probes, pages_files, print_table,
+    BenchReport,
 };
 use lcrs_engine::{IndexSet, Plan, PlanReport, Query, SnapshotCatalog};
 use lcrs_extmem::{Device, DeviceConfig, TempDir};
@@ -141,6 +144,7 @@ fn main() {
     );
 
     // Calibration round trip: a catalog-reopened set plans identically.
+    // Its fifteen entries live on two devices, so it holds two pages files.
     let dir = TempDir::new("lcrs-exp-planner");
     dev2.freeze();
     dev3.freeze();
@@ -149,6 +153,11 @@ fn main() {
         cat.add(&format!("s{slot}"), set.structure(slot)).expect("catalog add");
     }
     set.save_calibration_to_catalog(&cat).expect("save calibration");
+    assert_eq!(pages_files(dir.path()).len(), 2, "the catalog writes each store's pages once");
+    let catalog_bytes: u64 = std::fs::read_dir(dir.path())
+        .expect("catalog directory")
+        .map(|e| e.expect("directory entry").metadata().expect("file metadata").len())
+        .sum();
     let reopened = IndexSet::from_catalog(&cat, CACHE_PAGES).expect("reopen");
     let re_plan = reopened.plan(&queries);
     assert_eq!(
@@ -187,6 +196,8 @@ fn main() {
             .metric("wall_s", wall)
             .report_wall(Duration::from_secs_f64(wall));
     }
+    // Ungated: the catalog's size on disk, all files included.
+    report.cell("catalog/roundtrip").metric("catalog_kib", (catalog_bytes / 1024) as f64);
     print_table(
         "Routing policies on the mixed workload (answers pinned identical)",
         &["policy", "queries", "reads", "wall_ms", "routing"],
@@ -207,11 +218,13 @@ fn main() {
     println!("\nPlanned routing: {by_class:?}");
     println!(
         "\nGates: planned {} < always-scan {} and < worst {}; answers bit-identical to the \
-         scan baseline on all {} queries; reopened catalog plans identically.",
+         scan baseline on all {} queries; reopened catalog ({} KiB, 2 pages files) plans \
+         identically.",
         planned.reads(),
         scanned.reads(),
         worst.reads(),
-        queries.len()
+        queries.len(),
+        catalog_bytes / 1024
     );
     if smoke {
         report.write_default();

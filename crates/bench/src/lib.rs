@@ -16,6 +16,18 @@ pub use mixed::{
 };
 pub use report::{BenchReport, Json};
 
+/// Names of the `.pages` files in `dir`, sorted: the page snapshots a
+/// snapshot catalog keeps there, one per store it persisted.
+pub fn pages_files(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("catalog directory is readable")
+        .map(|e| e.expect("directory entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".pages"))
+        .collect();
+    names.sort();
+    names
+}
+
 /// Render an aligned text table with a title.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");

@@ -27,9 +27,10 @@
 //!   per-chunk IO); a lone chunk runs on the calling thread;
 //! * [`SnapshotCatalog`] — build-once/serve-many (DESIGN.md §9): persist
 //!   a directory of frozen indexes ([`RangeIndex::save_meta`] +
-//!   [`lcrs_extmem::Device::freeze_to_path`]) and reload them read-only
-//!   in any later process, answers and read-IO counts bit-identical to
-//!   the in-memory originals;
+//!   [`lcrs_extmem::Device::freeze_to_path`], one pages file per store
+//!   however many indexes share it) and reload them read-only in any
+//!   later process, answers and read-IO counts bit-identical to the
+//!   in-memory originals;
 //! * [`IndexSet`] — the cost-model query planner (DESIGN.md §10): a
 //!   facade over a heterogeneous collection of built structures that
 //!   routes each query of a mixed batch to the cheapest capable one,

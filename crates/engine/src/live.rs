@@ -430,7 +430,7 @@ impl LiveIndex {
                     ),
                 });
             }
-            let device = Device::open_snapshot(cat.pages_path(&label), cache_pages)?;
+            let device = Device::open_snapshot(cat.pages_path(entry), cache_pages)?;
             let mut lr = MetaReader::open(&cat.meta_path(&label))?;
             let kind = lr.str()?;
             if kind != "live-level" {

@@ -409,6 +409,14 @@ impl DeviceHandle {
         Arc::ptr_eq(&self.store, &other.store)
     }
 
+    /// Process-unique identity of the underlying page store, equal across
+    /// every handle, clone and fork on it. Ids are never reused within a
+    /// process, so a recorded id names one store without keeping its pages
+    /// alive: once that store is dropped, no live handle reports the id.
+    pub fn store_id(&self) -> u64 {
+        self.store.id
+    }
+
     /// Allocate `count` fresh zeroed pages with consecutive ids; returns the
     /// first id. Allocation itself is free (it models formatting, not IO).
     /// Panics on a frozen store.
@@ -802,6 +810,8 @@ mod tests {
         assert_eq!(fork.stats().reads, 1);
         assert_eq!(dev.stats().reads, 1, "fork IOs must not leak into the primary scope");
         assert!(fork.same_store(&dev));
+        assert_eq!(fork.store_id(), shared.store_id());
+        assert_ne!(Device::default_device().store_id(), dev.store_id());
     }
 
     #[test]

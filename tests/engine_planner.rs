@@ -30,7 +30,9 @@ use lcrs::engine::{BatchExecutor, IndexSet, Plan, Query, QueryStatus, SnapshotCa
 use lcrs::extmem::{Device, DeviceConfig, ReopenBackend, TempDir};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::workloads::{points2, points3, Dist2, Dist3};
-use lcrs_bench::{brute_answer, canon_answer, full_index_set, lifted_oracle, lifted_probes};
+use lcrs_bench::{
+    brute_answer, canon_answer, full_index_set, lifted_oracle, lifted_probes, pages_files,
+};
 use proptest::prelude::*;
 
 const PAGE: usize = 1024;
@@ -196,6 +198,9 @@ fn calibration_roundtrips_through_the_catalog_with_identical_plans() {
         cat.add(&format!("s{slot}"), set.structure(slot)).unwrap();
     }
     set.save_calibration_to_catalog(&cat).unwrap();
+    // Fifteen entries over two devices: each device's pages are written
+    // once, whatever the number of entries on it.
+    assert_eq!(pages_files(dir.path()).len(), 2, "one pages file per store");
 
     // Reopen: calibration loads from the catalog — no re-probing.
     let reopened =

@@ -29,7 +29,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use lcrs::engine::{IndexSet, Query, QueryStatus, ShardConfig, ShardedIndexSet, ShardedReport};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta, TempDir};
 use lcrs::workloads::{halfplane_narrow, points2, points3, Dist2, Dist3};
-use lcrs_bench::{brute_answer, canon_answer, full_index_set, lifted_oracle, lifted_probes};
+use lcrs_bench::{
+    brute_answer, canon_answer, full_index_set, lifted_oracle, lifted_probes, pages_files,
+};
 
 const PAGE: usize = 1024;
 const CACHE_PAGES: usize = 12;
@@ -161,6 +163,10 @@ fn reopened_sharded_catalog_is_bit_identical() {
         let sharded = &st.tiers[ti];
         let dir = TempDir::new(&format!("lcrs-shard-catalog-{s}"));
         sharded.save_to_catalog(dir.path()).unwrap();
+        for shard in 0..s {
+            let files = pages_files(&dir.path().join(format!("shard{shard}")));
+            assert_eq!(files.len(), 2, "S={s} shard {shard}: one pages file per store");
+        }
         let reopened = ShardedIndexSet::from_catalog(dir.path(), CACHE_PAGES).unwrap();
         assert_eq!(reopened.shards(), s);
         for shard in 0..s {

@@ -25,6 +25,7 @@ use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, Shallo
 use lcrs::halfspace::{DynamicHalfspace2, KnnStructure, PartitionTree};
 use lcrs::workloads::{halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape};
 use lcrs::workloads::{Dist2, Dist3};
+use lcrs_bench::pages_files;
 
 const PAGE: usize = 1024;
 const CACHE: usize = 128;
@@ -325,17 +326,33 @@ fn catalog_persists_and_reloads_a_batch_executors_worth() {
     assert_eq!(loaded.len(), 3);
     for (orig, re) in originals.iter().zip(&loaded) {
         assert_eq!(orig.name(), re.name());
-        let mem = BatchExecutor::new(*orig).keep_answers(true).run_batched(&queries);
-        let rep = BatchExecutor::new(&**re).keep_answers(true).run_batched(&queries);
-        assert_eq!(rep.answers, mem.answers, "{}", orig.name());
-        assert_eq!(rep.total, mem.total, "{}", orig.name());
+        assert_reloaded_identical(*orig, &**re, &queries, orig.name());
+    }
+}
+
+/// `re`, reloaded from a catalog, answers `queries` exactly like the
+/// in-memory `orig`: same answers, same aggregate and per-query IO.
+fn assert_reloaded_identical(
+    orig: &dyn RangeIndex,
+    re: &dyn RangeIndex,
+    queries: &[Query],
+    tag: &str,
+) {
+    let mem = BatchExecutor::new(orig).keep_answers(true).run_batched(queries);
+    let rep = BatchExecutor::new(re).keep_answers(true).run_batched(queries);
+    assert_eq!(rep.answers, mem.answers, "{tag}: answers");
+    assert_eq!(rep.total, mem.total, "{tag}: aggregate IO");
+    for (a, b) in rep.outcomes.iter().zip(&mem.outcomes) {
+        assert_eq!((a.query, a.io), (b.query, b.io), "{tag}: per-query IO");
     }
 }
 
 #[test]
 fn snapshots_survive_indexes_sharing_one_device() {
-    // Two structures on one device snapshot that device twice — each
-    // catalog entry stays self-contained and both reload correctly.
+    // Two structures on one device: the catalog writes that device's
+    // pages once, both entries read the one file, and both reload
+    // correctly — alone, or together on one opened store with a scope
+    // each.
     let dir = TempDir::new("lcrs-catalog-shared");
     let pts = points2(Dist2::Clustered, 500, 1 << 18, 7);
     let dev = warm_device();
@@ -345,15 +362,145 @@ fn snapshots_survive_indexes_sharing_one_device() {
     let mut cat = SnapshotCatalog::create(dir.file("cat")).unwrap();
     cat.add("hs", &hs).unwrap();
     cat.add("sc", &sc).unwrap();
+    assert_eq!(pages_files(&dir.file("cat")), ["hs.pages"], "one pages file per store");
     let queries = halfplane_queries(&pts, 30, 8);
     let cat = SnapshotCatalog::open(dir.file("cat")).unwrap();
+    assert!(cat.entries().iter().all(|e| e.pages == "hs.pages"));
     for (orig, label) in [(&hs as &dyn RangeIndex, "hs"), (&sc, "sc")] {
         let re = cat.load(label, CACHE).unwrap();
-        let mem = BatchExecutor::new(orig).keep_answers(true).run_batched(&queries);
-        let rep = BatchExecutor::new(&*re).keep_answers(true).run_batched(&queries);
-        assert_eq!(rep.answers, mem.answers, "{label}");
-        assert_eq!(rep.total, mem.total, "{label}");
+        assert_reloaded_identical(orig, &*re, &queries, label);
     }
+
+    // load_all opens the shared file once: both entries read one store,
+    // each through its own cold scope.
+    let loaded = cat.load_all(CACHE).unwrap();
+    let (re_hs, re_sc) = (&loaded[0], &loaded[1]);
+    assert!(re_hs.device().same_store(re_sc.device()), "the shared file is opened once");
+    for q in &queries {
+        re_hs.execute(q);
+    }
+    assert!(re_hs.device().stats().reads > 0 && re_hs.device().cached_pages() > 0);
+    assert_eq!(re_sc.device().stats(), IoStats::default(), "a sibling's queries stay off sc");
+    assert_eq!(re_sc.device().cached_pages(), 0, "a sibling's pages never warm sc's cache");
+    for (orig, re, label) in [(&hs as &dyn RangeIndex, re_hs, "hs"), (&sc, re_sc, "sc")] {
+        assert_reloaded_identical(orig, &**re, &queries, &format!("{label} via load_all"));
+    }
+}
+
+#[test]
+fn shared_pages_outlive_their_writer_and_are_never_overwritten() {
+    let dir = TempDir::new("lcrs-catalog-shared-remove");
+    let cat_dir = dir.file("cat");
+    let pts = points2(Dist2::Uniform, 500, 1 << 18, 11);
+    let queries = halfplane_queries(&pts, 30, 12);
+    let dev = warm_device();
+    let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
+    let sc = ExternalScan::build(&dev, &pts);
+    dev.freeze();
+    let other = warm_device();
+    let kd = ExternalKdTree::build(&other, &pts);
+    other.freeze();
+
+    let mut cat = SnapshotCatalog::create(&cat_dir).unwrap();
+    // A store whose only reader was removed is written afresh when an
+    // index on it is added again.
+    cat.add("x", &hs).unwrap();
+    cat.remove("x").unwrap();
+    assert!(pages_files(&cat_dir).is_empty());
+    cat.add("a", &hs).unwrap();
+    cat.add("b", &sc).unwrap();
+    assert_eq!(pages_files(&cat_dir), ["a.pages"]);
+
+    // Removing the entry that wrote the shared file keeps the file for
+    // the entry still reading it.
+    cat.remove("a").unwrap();
+    assert!(!cat_dir.join("a.meta").exists(), "the removed entry's metadata goes");
+    assert_eq!(pages_files(&cat_dir), ["a.pages"], "b still reads a.pages");
+    assert_reloaded_identical(&sc, &*cat.load("b", CACHE).unwrap(), &queries, "b without a");
+
+    // Re-adding the removed label from another store must not overwrite
+    // the file b reads — on the catalog that wrote it, and after a reopen,
+    // where the manifest alone says which files are read.
+    cat.add("a", &kd).unwrap();
+    assert_eq!(pages_files(&cat_dir), ["a.1.pages", "a.pages"]);
+    let mut cat = SnapshotCatalog::open(&cat_dir).unwrap();
+    assert_eq!(
+        cat.entries().iter().map(|e| (e.label.as_str(), e.pages.as_str())).collect::<Vec<_>>(),
+        [("b", "a.pages"), ("a", "a.1.pages")]
+    );
+    assert_reloaded_identical(&sc, &*cat.load("b", CACHE).unwrap(), &queries, "b, a re-added");
+    assert_reloaded_identical(&kd, &*cat.load("a", CACHE).unwrap(), &queries, "re-added a");
+    cat.remove("a").unwrap();
+    assert_eq!(pages_files(&cat_dir), ["a.pages"], "an unread file is deleted");
+    cat.add("a", &kd).unwrap();
+    assert_eq!(pages_files(&cat_dir), ["a.1.pages", "a.pages"]);
+    assert_reloaded_identical(&sc, &*cat.load("b", CACHE).unwrap(), &queries, "b, reopened");
+
+    // Removing the last entry reading a file deletes it.
+    cat.remove("b").unwrap();
+    assert_eq!(pages_files(&cat_dir), ["a.1.pages"]);
+    let cat = SnapshotCatalog::open(&cat_dir).unwrap();
+    assert_reloaded_identical(&kd, &*cat.load("a", CACHE).unwrap(), &queries, "a alone");
+}
+
+#[test]
+fn old_or_malformed_manifests_are_rejected_typed() {
+    let dir = TempDir::new("lcrs-catalog-bad-manifest");
+    let open_err = |w: MetaWriter| -> String {
+        w.write_to_path(&dir.file("__catalog.meta")).unwrap();
+        match SnapshotCatalog::open(dir.path()) {
+            Err(SnapshotError::Meta { detail, .. }) => detail,
+            Err(e) => format!("{e:?}"),
+            Ok(_) => panic!("a bad manifest must not open"),
+        }
+    };
+
+    // The layout before the magic+version header: a bare sequence of
+    // (label, kind) pairs, each entry reading `<label>.pages`.
+    for entries in [vec![], vec![("hs", "hs2d"), ("sc", "scan")]] {
+        let mut w = MetaWriter::new();
+        w.seq(entries.len());
+        for (label, kind) in &entries {
+            w.str(label);
+            w.str(kind);
+        }
+        let err = open_err(w);
+        assert!(err.contains("no magic header"), "pre-versioned manifest: {err}");
+    }
+
+    // Current layout, one bad field each: a future version, a pages
+    // reference out of the directory or onto an internal file, an invalid
+    // label, a duplicate label.
+    let v2 = |version: u64, entries: &[(&str, &str)]| {
+        let mut w = MetaWriter::new();
+        w.str("lcrs-catalog");
+        w.u64(version);
+        w.seq(entries.len());
+        for &(label, pages) in entries {
+            w.str(label);
+            w.str("hs2d");
+            w.str(pages);
+        }
+        w
+    };
+    let cases: [(MetaWriter, &str); 6] = [
+        (v2(3, &[]), "version 3"),
+        (v2(2, &[("hs", "../hs.pages")]), "not a pages file name"),
+        (v2(2, &[("hs", "__catalog.meta")]), "not a pages file name"),
+        (v2(2, &[("hs", "hs.0.pages")]), "not a pages file name"),
+        (v2(2, &[("a/b", "hs.pages")]), "InvalidLabel"),
+        (v2(2, &[("hs", "hs.pages"), ("hs", "hs.pages")]), "DuplicateEntry"),
+    ];
+    for (w, want) in cases {
+        let err = open_err(w);
+        assert!(err.contains(want), "expected {want:?}, got {err}");
+    }
+    // The same writer with well-formed fields opens, so each case above
+    // fails on its one bad field.
+    v2(2, &[("hs", "hs.pages"), ("sc", "hs.pages"), ("kd", "kd.1.pages")])
+        .write_to_path(&dir.file("__catalog.meta"))
+        .unwrap();
+    assert_eq!(SnapshotCatalog::open(dir.path()).unwrap().entries().len(), 3);
 }
 
 #[test]
