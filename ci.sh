@@ -3,12 +3,12 @@
 # `cargo build --release && cargo test -q`; `cargo test --workspace -q`
 # is a strict superset of `cargo test -q` (root package included), so
 # tier-1 failure detection is covered without running the root suites
-# twice. The rest extends coverage to every bench/example target, the
-# end-to-end benchmark's build and unit tests, the engine smoke
-# experiments (each emitting a machine-readable BENCH_<name>.json), a
-# read-IO regression gate against the committed BENCH_baseline.json, a
-# formatting gate, a zero-warning rustdoc gate, and a zero-warning
-# clippy sweep.
+# twice. The rest extends coverage to every bench/example target (and
+# runs every example), the end-to-end benchmark's build and unit tests,
+# the engine smoke experiments (each emitting a machine-readable
+# BENCH_<name>.json), a read-IO regression gate against the committed
+# BENCH_baseline.json, a formatting gate, a zero-warning rustdoc gate,
+# and a zero-warning clippy sweep.
 #
 # Usage:
 #   ./ci.sh                    run every gate
@@ -50,6 +50,19 @@ skip() {
 stage build            cargo build --release
 stage test             cargo test --workspace -q
 stage build-targets    cargo build --release --benches --examples --workspace
+
+# Run every example end to end: each checks its answers against brute
+# force and exits non-zero on a mismatch (`live_updates` is the one that
+# crashes a LiveIndex mid-stream and reopens it from disk).
+run_examples() {
+    local ex
+    for ex in examples/*.rs; do
+        ex=$(basename "$ex" .rs)
+        echo "[ci] example $ex"
+        cargo run -q --release --example "$ex" || return 1
+    done
+}
+stage examples         run_examples
 
 # The end-to-end benchmark is its own cargo workspace under perfbench/; it
 # calls the engine API directly, so an API break must fail here, not in

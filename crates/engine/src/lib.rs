@@ -47,7 +47,7 @@
 //!   IO attribution and a fan-out-aware cost model;
 //! * [`LiveIndex`] — live-update serving (DESIGN.md §12): an LSM-style
 //!   mutable tier over the leveled logarithmic-method core
-//!   ([`lcrs_halfspace::leveled`]), absorbing inserts and deletes while
+//!   ([`lcrs_halfspace::dynamic`]), absorbing inserts and deletes while
 //!   answering queries, checkpointing every mutation through an atomic
 //!   `__live.meta` manifest swap over [`SnapshotCatalog`]-persisted frozen
 //!   levels (`lv<seq>` entries), merging levels on a background thread

@@ -2,7 +2,7 @@
 //! levels (DESIGN.md §12).
 //!
 //! [`LiveIndex`] is the engine face of the halfspace crate's
-//! [`LeveledHalfspace2`] core in its `PerLevel` configuration: one
+//! [`DynamicHalfspace2`] core in its `PerLevel` configuration: one
 //! in-memory delta tier absorbs inserts and tombstoned deletes, and behind
 //! it every static level is an ordinary [`HalfspaceRS2`] on its *own*
 //! frozen [`Device`] — which is exactly what the PR-4 snapshot machinery
@@ -56,9 +56,13 @@ use std::sync::Arc;
 
 use lcrs_extmem::{Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, SnapshotError};
 use lcrs_halfspace::cost::CostHint;
+use lcrs_halfspace::dynamic::{
+    load_level, load_points, load_tombstones, save_level, save_points, save_tombstones,
+};
 use lcrs_halfspace::hs2d::Hs2dConfig;
-use lcrs_halfspace::leveled::{Level, LevelBacking, LeveledHalfspace2, MergeHandle};
-use lcrs_halfspace::{DeltaTier, HalfspaceRS2};
+use lcrs_halfspace::{
+    DeltaTier, DynamicHalfspace2, HalfspaceRS2, Level, LevelBacking, MergeHandle,
+};
 
 use crate::catalog::SnapshotCatalog;
 use crate::query::{Query, RangeIndex, Unsupported};
@@ -122,16 +126,8 @@ impl LiveLevel {
 
     /// Inverse of [`RangeIndex::save_meta`], reading pages through `h`.
     pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<LiveLevel, SnapshotError> {
-        let structure = HalfspaceRS2::load(h, r)?;
-        let n = r.seq()?;
-        let mut points = Vec::with_capacity(n);
-        for _ in 0..n {
-            points.push((r.i64()?, r.i64()?, r.u64()?));
-        }
-        if points.len() != structure.len() {
-            return Err(r.error("level input length must match its structure"));
-        }
-        Ok(LiveLevel { structure, points: Arc::new(points) })
+        let (structure, points) = load_level(h, r)?;
+        Ok(LiveLevel { structure, points })
     }
 }
 
@@ -215,13 +211,7 @@ impl RangeIndex for LiveLevel {
     }
 
     fn save_meta(&self, w: &mut MetaWriter) {
-        self.structure.save(w);
-        w.seq(self.points.len());
-        for &(x, y, tag) in self.points.iter() {
-            w.i64(x);
-            w.i64(y);
-            w.u64(tag);
-        }
+        save_level(w, &self.structure, &self.points);
     }
 }
 
@@ -232,7 +222,7 @@ impl RangeIndex for LiveLevel {
 /// so batch executors, the planner's calibration, and the bench gates
 /// measure it exactly like a single-device structure.
 pub struct LiveIndex {
-    core: LeveledHalfspace2,
+    core: DynamicHalfspace2,
     geometry: DeviceConfig,
     dir: Option<PathBuf>,
     cat: Option<SnapshotCatalog>,
@@ -245,14 +235,19 @@ pub struct LiveIndex {
 impl LiveIndex {
     /// An empty, in-memory live index. `geometry` sizes every level device
     /// and the per-scope cache budget; `buffer_cap` bounds the delta tier
-    /// (default: one page worth of records, min 8).
+    /// (default: one page worth of records, min 8). Panics on a zero cap or
+    /// a page size too small for a level's records.
     pub fn new(geometry: DeviceConfig, cfg: Hs2dConfig, buffer_cap: Option<usize>) -> LiveIndex {
         // The anchor device holds no pages — it exists to own the handle
         // scope every level is accounted through.
         let anchor = Device::new(geometry);
         anchor.freeze();
-        let core =
-            LeveledHalfspace2::new(&anchor, cfg, LevelBacking::PerLevel { geometry }, buffer_cap);
+        let core = DynamicHalfspace2::with_backing(
+            &anchor,
+            cfg,
+            LevelBacking::PerLevel { geometry },
+            buffer_cap,
+        );
         LiveIndex {
             core,
             geometry,
@@ -265,7 +260,7 @@ impl LiveIndex {
 
     /// The leveled core (level set, delta tier, merge epoch) — read-only;
     /// mutation goes through this index so persistence stays in step.
-    pub fn core(&self) -> &LeveledHalfspace2 {
+    pub fn core(&self) -> &DynamicHalfspace2 {
         &self.core
     }
 
@@ -385,23 +380,10 @@ impl LiveIndex {
         let page_bytes = r.usize()?;
         let _saved_cache_pages = r.usize()?;
         let geometry = DeviceConfig::new(page_bytes, cache_pages);
-        let cfg = Hs2dConfig {
-            cluster_factor: r.usize()?,
-            final_cutoff_factor: r.usize()?,
-            beta_override: r.usize()?,
-            seed: r.u64()?,
-        };
+        let cfg = Hs2dConfig::load(&mut r)?;
         let buffer_cap = r.usize()?;
-        let n_buf = r.seq()?;
-        let mut buffer = Vec::with_capacity(n_buf);
-        for _ in 0..n_buf {
-            buffer.push((r.i64()?, r.i64()?, r.u64()?));
-        }
-        let n_dead = r.seq()?;
-        let mut dead = std::collections::HashSet::with_capacity(n_dead);
-        for _ in 0..n_dead {
-            dead.insert(r.u64()?);
-        }
+        let buffer = load_points(&mut r)?;
+        let dead = load_tombstones(&mut r)?;
         let live = r.usize()?;
         let total_slots = r.usize()?;
         let n_levels = r.seq()?;
@@ -436,23 +418,11 @@ impl LiveIndex {
             if kind != "live-level" {
                 return Err(lr.error(format!("{label:?} metadata declares kind {kind:?}")));
             }
-            let scoped = (*device).scoped_to(&anchor);
-            let structure = HalfspaceRS2::load(&scoped, &mut lr)?;
-            let n = lr.seq()?;
-            let mut points = Vec::with_capacity(n);
-            for _ in 0..n {
-                points.push((lr.i64()?, lr.i64()?, lr.u64()?));
-            }
+            let level = LiveLevel::load(&(*device).scoped_to(&anchor), &mut lr)?;
             lr.finish()?;
-            if points.len() != structure.len() {
-                return Err(SnapshotError::Meta {
-                    offset: 0,
-                    detail: format!("{label:?}: level input length must match its structure"),
-                });
-            }
-            levels.push(Level::restore(Some(device), structure, points, seq));
+            levels.push(Level::restore(Some(device), level.structure, level.points, seq));
         }
-        let core = LeveledHalfspace2::restore(
+        let core = DynamicHalfspace2::restore(
             &anchor,
             cfg,
             LevelBacking::PerLevel { geometry },
@@ -460,7 +430,7 @@ impl LiveIndex {
             levels,
             live,
             total_slots,
-        );
+        )?;
         Ok(LiveIndex {
             core,
             geometry,
@@ -506,23 +476,10 @@ impl LiveIndex {
         w.u64(VERSION);
         w.usize(self.geometry.page_bytes);
         w.usize(self.geometry.cache_pages);
-        w.usize(self.core.config().cluster_factor);
-        w.usize(self.core.config().final_cutoff_factor);
-        w.usize(self.core.config().beta_override);
-        w.u64(self.core.config().seed);
+        self.core.config().save(&mut w);
         w.usize(self.core.delta().cap());
-        w.seq(self.core.delta().len());
-        for &(x, y, tag) in self.core.delta().buffer() {
-            w.i64(x);
-            w.i64(y);
-            w.u64(tag);
-        }
-        let mut dead: Vec<u64> = self.core.delta().dead().iter().copied().collect();
-        dead.sort_unstable();
-        w.seq(dead.len());
-        for t in dead {
-            w.u64(t);
-        }
+        save_points(&mut w, self.core.delta().buffer());
+        save_tombstones(&mut w, self.core.delta().dead());
         w.usize(self.core.len());
         w.usize(self.core.total_slots());
         w.seq(current.len());
@@ -551,41 +508,21 @@ impl RangeIndex for LiveIndex {
     }
 
     fn device(&self) -> &DeviceHandle {
-        self.core.scope()
+        self.core.device()
     }
 
-    /// The live tier answers every 2D-derived class of DESIGN.md §15
-    /// (aggregates, top-k, disks for arbitrary centers): the leveled core
-    /// enumerates its live points host-side, trading the frozen tiers' IO
-    /// wins for exactness over the mutable state.
     fn supports(&self, q: &Query) -> bool {
-        matches!(
-            q,
-            Query::Halfplane { .. }
-                | Query::Count { .. }
-                | Query::Sum { .. }
-                | Query::TopK { .. }
-                | Query::Disk { .. }
-        )
+        RangeIndex::supports(&self.core, q)
     }
 
     fn cost_hint(&self) -> CostHint {
         self.core.cost_hint()
     }
 
+    /// The core's dispatch; a refusal names this index.
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
-        match *q {
-            Query::Halfplane { m, c, inclusive } => Ok(self.core.query_below(m, c, inclusive)),
-            Query::Count { m, c, inclusive } => {
-                Ok(vec![self.core.aggregate_below(m, c, inclusive).0])
-            }
-            Query::Sum { m, c, inclusive } => {
-                Ok(crate::query::encode_sum(self.core.aggregate_below(m, c, inclusive).1))
-            }
-            Query::TopK { m, c, k } => Ok(self.core.top_k(m, c, k)),
-            Query::Disk { x, y, r2, inclusive } => Ok(self.core.disk_report(x, y, r2, inclusive)),
-            _ => Err(Unsupported { index: RangeIndex::name(self), query: *q }),
-        }
+        RangeIndex::try_execute(&self.core, q)
+            .map_err(|e| Unsupported { index: RangeIndex::name(self), ..e })
     }
 
     /// A read-only clone on a fresh accounting scope over the same pages —

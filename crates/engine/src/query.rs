@@ -296,9 +296,11 @@ impl RangeIndex for DynamicHalfspace2 {
         DynamicHalfspace2::device(self)
     }
 
-    /// The live tier answers every 2D-derived class (aggregates, top-k,
-    /// disks for arbitrary centers) by exact host-side enumeration of its
-    /// catalog state — the mutable tier favors exactness over IO wins.
+    /// The one dispatch of the leveled core, which [`crate::LiveIndex`]
+    /// forwards to as well. Besides halfplanes it answers every 2D-derived
+    /// class (aggregates, top-k, disks for arbitrary centers) by exact
+    /// host-side enumeration of its catalog state — the mutable tier
+    /// favors exactness over IO wins.
     fn supports(&self, q: &Query) -> bool {
         matches!(
             q,

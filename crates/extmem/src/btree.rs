@@ -57,6 +57,15 @@ impl<K: Record + Ord + Copy, V: Record> BPlusTree<K, V> {
         c
     }
 
+    /// `true` when `page_bytes`-byte pages hold a leaf and an internal
+    /// node of at least four entries each — the one geometry check behind
+    /// [`Self::load`] and the structures that build trees of this kind.
+    pub fn page_fits(page_bytes: usize) -> bool {
+        page_bytes > HDR + 8
+            && (page_bytes - HDR) / (K::SIZE + V::SIZE) >= 4
+            && (page_bytes - HDR - 8) / (K::SIZE + 8) >= 4
+    }
+
     /// The fanout (maximum number of children of an internal node).
     pub fn fanout(dev: &DeviceHandle) -> usize {
         Self::internal_cap(dev) + 1
@@ -270,10 +279,7 @@ impl<K: Record + Ord + Copy, V: Record> BPlusTree<K, V> {
         let len = r.usize()?;
         let pages = r.usize()?;
         let pb = dev.page_bytes();
-        let caps_ok = pb > HDR + 8
-            && (pb - HDR) / (K::SIZE + V::SIZE) >= 4
-            && (pb - HDR - 8) / (K::SIZE + 8) >= 4;
-        if !caps_ok {
+        if !Self::page_fits(pb) {
             return Err(r.error(format!(
                 "{pb}-byte pages cannot hold B+-tree nodes of this key/value size"
             )));

@@ -301,6 +301,26 @@ impl Default for Hs2dConfig {
     }
 }
 
+impl Hs2dConfig {
+    /// Serialize the four parameters, in declaration order.
+    pub fn save(&self, w: &mut MetaWriter) {
+        w.usize(self.cluster_factor);
+        w.usize(self.final_cutoff_factor);
+        w.usize(self.beta_override);
+        w.u64(self.seed);
+    }
+
+    /// Inverse of [`Self::save`].
+    pub fn load(r: &mut MetaReader) -> Result<Hs2dConfig, SnapshotError> {
+        Ok(Hs2dConfig {
+            cluster_factor: r.usize()?,
+            final_cutoff_factor: r.usize()?,
+            beta_override: r.usize()?,
+            seed: r.u64()?,
+        })
+    }
+}
+
 /// Statistics of one query.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
@@ -329,6 +349,12 @@ pub struct HalfspaceRS2 {
 }
 
 impl HalfspaceRS2 {
+    /// `true` when `page_bytes`-byte pages hold every record and boundary
+    /// tree node [`Self::build`] writes.
+    pub(crate) fn page_fits(page_bytes: usize) -> bool {
+        page_bytes >= <AggRec as Record>::SIZE && BPlusTree::<RatKey, u32>::page_fits(page_bytes)
+    }
+
     /// Preprocess `points` (pairs `(x, y)`, |coord| ≤ 2^30) for
     /// linear-constraint queries on the given device.
     pub fn build(dev: &DeviceHandle, points: &[(i64, i64)], cfg: Hs2dConfig) -> HalfspaceRS2 {
@@ -974,6 +1000,16 @@ mod tests {
             let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
             check_queries(&pts, &hs, 1, 20);
         }
+    }
+
+    #[test]
+    fn builds_on_the_smallest_page_that_fits() {
+        let min = (1..4096).find(|&pb| HalfspaceRS2::page_fits(pb)).unwrap();
+        assert!((min..4096).all(HalfspaceRS2::page_fits), "the fit test must be monotone");
+        let dev = Device::new(DeviceConfig::new(min, 0));
+        let pts = pseudo_points(2000, 17, 100_000);
+        let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
+        check_queries(&pts, &hs, 3, 20);
     }
 
     #[test]

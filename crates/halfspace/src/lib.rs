@@ -9,6 +9,10 @@
 //! * [`hs3d`] — the 3D structure (Theorem 4.4): O(n log₂ n) expected blocks,
 //!   O(log_B n + t) expected IOs, via lower envelopes of geometric samples
 //!   with conflict lists;
+//! * [`dynamic`] — the leveled core of the dynamization (Remark (iii), the
+//!   logarithmic method over Theorem 3.5 levels): inserts and tombstoned
+//!   deletes through a delta tier, levels on the caller's device or each
+//!   on its own frozen device (the engine's `LiveIndex`, DESIGN.md §12);
 //! * [`knn`] — planar k-nearest-neighbor queries by lifting (Theorem 4.3);
 //! * [`ptree`] — linear-size partition trees for d dimensions
 //!   (Theorem 5.2), answering halfspace and simplex queries;
@@ -35,18 +39,16 @@ pub mod dynamic;
 pub mod hs2d;
 pub mod hs3d;
 pub mod knn;
-pub mod leveled;
 pub mod partition;
 pub mod ptree;
 pub mod tradeoff;
 
 pub use cost::{CostHint, CostShape};
 pub use delta::DeltaTier;
-pub use dynamic::DynamicHalfspace2;
+pub use dynamic::{DynamicHalfspace2, Level, LevelBacking, MergeHandle};
 pub use hs2d::HalfspaceRS2;
 pub use hs3d::HalfspaceRS3;
 pub use knn::KnnStructure;
-pub use leveled::{Level, LevelBacking, LeveledHalfspace2, MergeHandle};
 pub use partition::{partition2, partition3, Partition2, Partition3, ShardRegion2, ShardRegion3};
 pub use ptree::PartitionTree;
 pub use tradeoff::{HybridTree3, ShallowTree3};

@@ -15,14 +15,27 @@
 //!   plus a garbage `.tmp` beside the manifest — leaves a directory that
 //!   reopens to exactly the last committed state, and a later checkpoint
 //!   collects the orphan level;
-//! * a truncated manifest fails with a typed error, never a wrong answer.
+//! * a truncated manifest fails with a typed error, never a wrong answer;
+//! * the leveled core's one query dispatch answers all seven classes the
+//!   same way as a `dynamic` structure, as a `LiveIndex` and as that
+//!   index reopened, matching brute force, and every refusal names the
+//!   outer index;
+//! * the `dynamic` catalog meta, a `live-level` meta and `__live.meta` of a
+//!   fixed trace keep their exact bytes, so existing directories reopen;
+//! * a zero delta-buffer cap fails at construction.
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
-use lcrs::engine::{IndexSet, LiveIndex, LiveLevel, Query, RangeIndex, SnapshotCatalog};
+use lcrs::engine::{
+    IndexSet, LiveIndex, LiveLevel, Query, RangeIndex, SnapshotCatalog, LIVE_MANIFEST,
+};
+use lcrs::extmem::snapshot::fnv1a64;
 use lcrs::extmem::{Device, DeviceConfig, TempDir};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
+use lcrs::halfspace::DynamicHalfspace2;
 use lcrs::workloads::{live_trace, TraceMix, TraceOp};
+use lcrs_bench::{brute_answer, canon_answer};
 
 fn cfg() -> Hs2dConfig {
     Hs2dConfig { seed: 1998, ..Hs2dConfig::default() }
@@ -187,4 +200,146 @@ fn torn_merge_serves_the_old_manifest_and_collects_the_orphan() {
     let bytes = std::fs::read(&manifest).unwrap();
     std::fs::write(&manifest, &bytes[..bytes.len() / 2]).unwrap();
     assert!(LiveIndex::open_dir(dir.path(), 4).is_err());
+}
+
+/// Apply the mutations of `trace` to a `dynamic` structure and a live
+/// index alike, tracking the live set in `model`.
+fn mutate_both(
+    trace: &[TraceOp],
+    dynamic: &mut DynamicHalfspace2,
+    live: &mut LiveIndex,
+    model: &mut BTreeMap<u64, (i64, i64)>,
+) {
+    for op in trace {
+        match *op {
+            TraceOp::Insert { x, y, tag } => {
+                dynamic.insert(x, y, tag);
+                live.insert(x, y, tag).unwrap();
+                model.insert(tag, (x, y));
+            }
+            TraceOp::Delete { tag } => {
+                assert!(dynamic.remove(tag));
+                assert!(live.remove(tag).unwrap());
+                model.remove(&tag);
+            }
+            TraceOp::Query { .. } => {}
+        }
+    }
+}
+
+/// Length and FNV-1a 64 of one file.
+fn fingerprint(path: &Path) -> (usize, u64) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), fnv1a64(&bytes))
+}
+
+#[test]
+fn leveled_state_bytes_are_pinned() {
+    // The three metadata formats of the leveled core, written from one
+    // fixed trace. The constants are the bytes older builds wrote, so a
+    // change to any shared codec that would strand existing catalogs or
+    // live directories fails here.
+    let trace = live_trace(TraceMix::default(), 150, 1200, 6, 16);
+    let dev = Device::new(DeviceConfig::new(256, 0));
+    let mut dynamic = DynamicHalfspace2::new(&dev, cfg());
+    let mut live = LiveIndex::new(DeviceConfig::new(256, 0), cfg(), Some(16));
+    mutate_both(&trace, &mut dynamic, &mut live, &mut BTreeMap::new());
+    let core = live.core();
+    assert!(core.num_parts() > 1 && !core.delta().is_empty() && core.delta().dead_len() > 0);
+
+    let dir = TempDir::new("lcrs-live-bytes");
+    live.save_to_dir(dir.path().join("live")).unwrap();
+    dev.freeze();
+    let mut cat = SnapshotCatalog::create(dir.path().join("cat")).unwrap();
+    cat.add("dyn", &dynamic).unwrap();
+
+    assert_eq!(fingerprint(&dir.path().join("cat/dyn.meta")), (1744, 5253556448827689451));
+    assert_eq!(fingerprint(&dir.path().join("live/lv1.meta")), (1041, 12557420911558784200));
+    assert_eq!(
+        fingerprint(&dir.path().join("live").join(LIVE_MANIFEST)),
+        (721, 9966042216521701461)
+    );
+}
+
+/// Queries of all seven classes over the trace's coordinate range.
+fn seven_classes() -> Vec<Query> {
+    let mut qs = Vec::new();
+    for (m, c) in [(0i64, 0i64), (3, 900), (-2, -700), (6, 12_000), (1, -12_000)] {
+        for inclusive in [false, true] {
+            qs.push(Query::Halfplane { m, c, inclusive });
+            qs.push(Query::Count { m, c, inclusive });
+            qs.push(Query::Sum { m, c, inclusive });
+        }
+        for k in [1, 7, 1000] {
+            qs.push(Query::TopK { m, c, k });
+        }
+    }
+    for (x, y, r2) in [(0i64, 0i64, 360_000i64), (400, -300, 90_000), (0, 0, -1), (5000, 0, 1)] {
+        for inclusive in [false, true] {
+            qs.push(Query::Disk { x, y, r2, inclusive });
+        }
+    }
+    qs.push(Query::Knn { x: 0, y: 0, k: 3 });
+    qs.push(Query::Halfspace { u: 1, v: -1, w: 0, inclusive: false });
+    qs
+}
+
+/// Every query through `supports` and `try_execute` on each index: the
+/// indexes agree on what they support, answer it exactly like brute force
+/// over `model`, and refuse the rest under their own name.
+fn check_dispatch(indexes: &[&dyn RangeIndex], model: &BTreeMap<u64, (i64, i64)>, at: &str) {
+    let tags: Vec<u64> = model.keys().copied().collect();
+    let pts: Vec<(i64, i64)> = model.values().copied().collect();
+    for q in seven_classes() {
+        let supported = indexes[0].supports(&q);
+        assert_eq!(
+            supported,
+            !matches!(q, Query::Knn { .. } | Query::Halfspace { .. }),
+            "{at}: {q:?}"
+        );
+        let mut want = brute_answer(&q, &pts, &[]);
+        if !q.is_aggregate() {
+            want = want.into_iter().map(|i| tags[i as usize]).collect();
+        }
+        for idx in indexes {
+            assert_eq!(idx.supports(&q), supported, "{at}: {} on {q:?}", idx.name());
+            match idx.try_execute(&q) {
+                Ok(got) => {
+                    assert!(supported, "{at}: {} answered {q:?}", idx.name());
+                    assert_eq!(canon_answer(&q, got), want, "{at}: {} on {q:?}", idx.name());
+                }
+                Err(e) => {
+                    assert!(!supported, "{at}: {} refused {q:?}", idx.name());
+                    assert_eq!((e.index, e.query), (idx.name(), q), "{at}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn one_dispatch_answers_alike_for_dynamic_live_and_reopened() {
+    let trace = live_trace(TraceMix::default(), 900, 1200, 6, 606);
+    assert!(trace.iter().any(|op| matches!(op, TraceOp::Delete { .. })));
+    let dev = Device::new(DeviceConfig::new(256, 4));
+    let mut dynamic = DynamicHalfspace2::new(&dev, cfg());
+    let mut live = LiveIndex::new(DeviceConfig::new(256, 4), cfg(), Some(16));
+    let mut model = BTreeMap::new();
+    for (i, part) in trace.chunks(300).enumerate() {
+        mutate_both(part, &mut dynamic, &mut live, &mut model);
+        check_dispatch(&[&dynamic, &live], &model, &format!("after chunk {i}"));
+    }
+    assert_eq!((RangeIndex::name(&dynamic), RangeIndex::name(&live)), ("dynamic", "live"));
+
+    let dir = TempDir::new("lcrs-live-dispatch");
+    live.save_to_dir(dir.path()).unwrap();
+    let reopened = LiveIndex::open_dir(dir.path(), 4).unwrap();
+    assert_eq!(reopened.len(), model.len());
+    check_dispatch(&[&dynamic, &live, &reopened], &model, "reopened");
+}
+
+#[test]
+#[should_panic(expected = "delta buffer cap must be at least 1")]
+fn zero_buffer_cap_fails_at_construction() {
+    LiveIndex::new(DeviceConfig::new(256, 0), cfg(), Some(0));
 }

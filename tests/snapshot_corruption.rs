@@ -7,15 +7,27 @@
 //! so corruption is always an open-time error, never a read-time fault.
 //! Empty-device and single-page snapshots are pinned as working edge
 //! cases, and the structure-metadata envelope gets the same treatment
-//! (including loading one structure's metadata as another kind).
+//! (including loading one structure's metadata as another kind). Leveled
+//! state that is correctly checksummed but out of range — a zero buffer
+//! cap, pages too small for a level, slot and live counters that disagree
+//! with the levels, a tombstone with no point under it, a point outside
+//! the coordinate budget — is a typed error at open, both in a live
+//! manifest and in a `dynamic` catalog entry.
 
-use lcrs::engine::{load_index, RangeIndex};
+use std::collections::HashSet;
+use std::path::Path;
+use std::sync::Arc;
+
+use lcrs::engine::{load_index, LiveIndex, RangeIndex, SnapshotCatalog, LIVE_MANIFEST};
 use lcrs::extmem::{
     Device, DeviceConfig, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError, TempDir,
 };
+use lcrs::halfspace::dynamic::{
+    load_level, load_points, load_tombstones, save_level, save_points, save_tombstones,
+};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
+use lcrs::halfspace::DynamicHalfspace2;
 use lcrs::workloads::{points2, Dist2};
-use std::path::Path;
 
 /// Byte offsets of the page-snapshot header (DESIGN.md §9).
 const OFF_VERSION: usize = 8;
@@ -279,4 +291,205 @@ fn every_snapshot_error_displays_its_offsets() {
     assert!(msg.contains("offset"), "message {msg:?} must name the offset");
     let source: &dyn std::error::Error = &err;
     assert!(source.source().is_none());
+}
+
+/// The leveled-state fields a `__live.meta` manifest and a `dynamic`
+/// catalog entry both carry.
+#[derive(Clone)]
+struct LeveledFields {
+    cfg: Hs2dConfig,
+    cap: usize,
+    buffer: Vec<(i64, i64, u64)>,
+    dead: HashSet<u64>,
+    live: usize,
+    total_slots: usize,
+}
+
+/// Rewrites that each leave the state correctly checksummed but out of
+/// range, so that opening it must fail typed.
+const OUT_OF_RANGE: [(&str, fn(&mut LeveledFields)); 6] = [
+    ("delta cap 0", |f| f.cap = 0),
+    ("live 0 with points in levels", |f| f.live = 0),
+    ("live above the slots", |f| f.live = f.total_slots + 1),
+    ("slots not the level and buffer lengths", |f| {
+        f.total_slots += 1;
+        f.live += 1;
+    }),
+    ("a tombstone naming no level point", |f| {
+        f.dead.insert(u64::MAX);
+    }),
+    ("a buffer point outside the coordinate budget", |f| f.buffer[0].0 = i64::MIN),
+];
+
+/// A `__live.meta` manifest, decoded through the shared state codecs so
+/// one field can be rewritten under a fresh checksum.
+#[derive(Clone)]
+struct LiveManifest {
+    page_bytes: usize,
+    cache_pages: usize,
+    fields: LeveledFields,
+    levels: Vec<u64>,
+}
+
+impl LiveManifest {
+    fn read(path: &Path) -> LiveManifest {
+        let mut r = MetaReader::open(path).unwrap();
+        assert_eq!((r.str().unwrap(), r.u64().unwrap()), ("lcrs-live".to_string(), 1));
+        let (page_bytes, cache_pages) = (r.usize().unwrap(), r.usize().unwrap());
+        let fields = LeveledFields {
+            cfg: Hs2dConfig::load(&mut r).unwrap(),
+            cap: r.usize().unwrap(),
+            buffer: load_points(&mut r).unwrap(),
+            dead: load_tombstones(&mut r).unwrap(),
+            live: r.usize().unwrap(),
+            total_slots: r.usize().unwrap(),
+        };
+        let levels = (0..r.seq().unwrap()).map(|_| r.u64().unwrap()).collect();
+        r.finish().unwrap();
+        LiveManifest { page_bytes, cache_pages, fields, levels }
+    }
+
+    fn write(&self, path: &Path) {
+        let f = &self.fields;
+        let mut w = MetaWriter::new();
+        w.str("lcrs-live");
+        w.u64(1);
+        w.usize(self.page_bytes);
+        w.usize(self.cache_pages);
+        f.cfg.save(&mut w);
+        w.usize(f.cap);
+        save_points(&mut w, &f.buffer);
+        save_tombstones(&mut w, &f.dead);
+        w.usize(f.live);
+        w.usize(f.total_slots);
+        w.seq(self.levels.len());
+        for &seq in &self.levels {
+            w.u64(seq);
+        }
+        w.write_to_path(path).unwrap();
+    }
+}
+
+/// A `dynamic` catalog entry (kind, then the core's state), decoded the
+/// same way.
+struct DynamicEntry {
+    levels: Vec<(HalfspaceRS2, Arc<Vec<(i64, i64, u64)>>)>,
+    fields: LeveledFields,
+}
+
+impl DynamicEntry {
+    fn read(path: &Path, pages: &Device) -> DynamicEntry {
+        let mut r = MetaReader::open(path).unwrap();
+        assert_eq!(r.str().unwrap(), "dynamic");
+        let cfg = Hs2dConfig::load(&mut r).unwrap();
+        let levels = (0..r.seq().unwrap()).map(|_| load_level(pages, &mut r).unwrap()).collect();
+        let buffer = load_points(&mut r).unwrap();
+        let cap = r.usize().unwrap();
+        let dead = load_tombstones(&mut r).unwrap();
+        let (live, total_slots) = (r.usize().unwrap(), r.usize().unwrap());
+        r.finish().unwrap();
+        DynamicEntry { levels, fields: LeveledFields { cfg, cap, buffer, dead, live, total_slots } }
+    }
+
+    fn write(&self, path: &Path) {
+        let f = &self.fields;
+        let mut w = MetaWriter::new();
+        w.str("dynamic");
+        f.cfg.save(&mut w);
+        w.seq(self.levels.len());
+        for (structure, points) in &self.levels {
+            save_level(&mut w, structure, points);
+        }
+        save_points(&mut w, &f.buffer);
+        w.usize(f.cap);
+        save_tombstones(&mut w, &f.dead);
+        w.usize(f.live);
+        w.usize(f.total_slots);
+        w.write_to_path(path).unwrap();
+    }
+}
+
+/// Points, deletes of every seventh and a partial buffer — a state with
+/// levels, tombstones and buffered inserts.
+fn leveled_trace(mut apply: impl FnMut(Option<(i64, i64)>, u64)) {
+    for i in 0..150u64 {
+        apply(Some(((i as i64 * 37) % 401 - 200, (i as i64 * 91) % 607 - 300)), i);
+        if i % 7 == 3 {
+            apply(None, i / 2);
+        }
+    }
+}
+
+fn expect_meta_error<T>(what: &str, opened: Result<T, SnapshotError>) {
+    match opened {
+        Err(SnapshotError::Meta { .. }) => {}
+        Err(e) => panic!("{what}: expected a metadata error, got {e}"),
+        Ok(_) => panic!("{what}: out-of-range state opened"),
+    }
+}
+
+#[test]
+fn out_of_range_live_manifest_is_typed_at_open() {
+    let dir = TempDir::new("lcrs-corrupt-live");
+    let mut live = LiveIndex::new(DeviceConfig::new(256, 0), Hs2dConfig::default(), Some(16));
+    leveled_trace(|p, tag| match p {
+        Some((x, y)) => live.insert(x, y, tag).unwrap(),
+        None => assert!(live.remove(tag).unwrap()),
+    });
+    live.save_to_dir(dir.path()).unwrap();
+    drop(live);
+    let path = dir.path().join(LIVE_MANIFEST);
+    let pristine = std::fs::read(&path).unwrap();
+    let good = LiveManifest::read(&path);
+    let f = &good.fields;
+    assert!(!good.levels.is_empty() && !f.buffer.is_empty() && !f.dead.is_empty());
+    good.write(&path);
+    assert_eq!(std::fs::read(&path).unwrap(), pristine, "the decoder must see every field");
+    assert!(LiveIndex::open_dir(dir.path(), 4).is_ok());
+
+    let page_sizes: [(&str, fn(&mut LiveManifest)); 2] =
+        [("page size 0", |m| m.page_bytes = 0), ("page size 8", |m| m.page_bytes = 8)];
+    for (what, corrupt) in page_sizes {
+        let mut bad = good.clone();
+        corrupt(&mut bad);
+        bad.write(&path);
+        expect_meta_error(what, LiveIndex::open_dir(dir.path(), 4));
+    }
+    for (what, corrupt) in OUT_OF_RANGE {
+        let mut bad = good.clone();
+        corrupt(&mut bad.fields);
+        bad.write(&path);
+        expect_meta_error(what, LiveIndex::open_dir(dir.path(), 4));
+    }
+}
+
+#[test]
+fn out_of_range_dynamic_entry_is_typed_at_load() {
+    let dir = TempDir::new("lcrs-corrupt-dynamic");
+    let dev = Device::new(DeviceConfig::new(256, 0));
+    let mut dynamic = DynamicHalfspace2::new(&dev, Hs2dConfig::default());
+    leveled_trace(|p, tag| match p {
+        Some((x, y)) => dynamic.insert(x, y, tag),
+        None => assert!(dynamic.remove(tag)),
+    });
+    dev.freeze();
+    let mut cat = SnapshotCatalog::create(dir.path()).unwrap();
+    cat.add("dyn", &dynamic).unwrap();
+    let meta = cat.meta_path("dyn");
+    let pristine = std::fs::read(&meta).unwrap();
+    let pages = Device::open_snapshot(cat.pages_path(&cat.entries()[0]), 0).unwrap();
+    let good = DynamicEntry::read(&meta, &pages);
+    let f = &good.fields;
+    assert!(!good.levels.is_empty() && !f.buffer.is_empty() && !f.dead.is_empty());
+    good.write(&meta);
+    assert_eq!(std::fs::read(&meta).unwrap(), pristine, "the decoder must see every field");
+    assert!(cat.load("dyn", 0).is_ok());
+
+    for (what, corrupt) in OUT_OF_RANGE {
+        std::fs::write(&meta, &pristine).unwrap();
+        let mut bad = DynamicEntry::read(&meta, &pages);
+        corrupt(&mut bad.fields);
+        bad.write(&meta);
+        expect_meta_error(what, cat.load("dyn", 0));
+    }
 }
