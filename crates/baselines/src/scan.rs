@@ -105,10 +105,10 @@ impl ExternalScan {
 
     /// The `k` nearest neighbors of `(x, y)` by full scan: Euclidean
     /// distances sorted, ties broken by id — the same reporting order as
-    /// `lcrs_halfspace::KnnStructure`, so the two are answer-identical.
+    /// the engine's lifted `knn` structure, so the two are answer-identical.
     ///
     /// Exact for the full i64 coordinate range (the scan has no budget,
-    /// unlike the k-NN structure's lift): a coordinate delta spans up to
+    /// unlike the lift's query centers): a coordinate delta spans up to
     /// 65 bits, its square up to 128, and the squared distance up to 129 —
     /// so the sum is kept as a (carry, u128) pair and compared as such.
     pub fn k_nearest(&self, x: i64, y: i64, k: usize) -> Vec<u32> {
@@ -318,8 +318,8 @@ mod tests {
 
     #[test]
     fn k_nearest_survives_extreme_coordinates() {
-        // The scan places no budget on coordinates (unlike KnnStructure's
-        // lift), so the distance math must stay exact at the i64 corners:
+        // The scan places no budget on coordinates (unlike the lift's
+        // query centers), so the distance math must stay exact at the i64 corners:
         // the delta below spans 65 bits (subtraction would overflow i64)
         // and the squared distance spans 129 (its square overflows i128).
         let dev = Device::new(DeviceConfig::new(256, 0));

@@ -14,14 +14,13 @@
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan, StrRTree};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{BatchExecutor, Query, RangeIndex};
+use lcrs_engine::{BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig};
 use lcrs_geom::point::PointD;
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs_halfspace::ptree::{PTreeConfig, PartitionTree};
 use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs_halfspace::KnnStructure;
 use lcrs_workloads::{
     halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape, Dist2, Dist3,
 };
@@ -153,7 +152,7 @@ fn main() {
     for dist in [Dist2::Uniform, Dist2::Clustered] {
         let pts = points2(dist, n3, 1000, 44);
         let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-        let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
         for shape in shapes {
             let qs: Vec<Query> = knn_batch(&pts, shape, batch_len, 16, 9)
                 .into_iter()

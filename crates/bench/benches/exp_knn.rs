@@ -1,10 +1,10 @@
 //! EXP-KNN — Theorem 4.3: k nearest neighbors in O(log_B n + k/B) expected
-//! IOs via the lifting of Section 4.1.
+//! IOs via the lifting of Section 4.1 (the `knn` kind of `LiftedIndex`).
 
 use lcrs_bench::{mean, print_table};
+use lcrs_engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig};
-use lcrs_halfspace::hs3d::Hs3dConfig;
-use lcrs_halfspace::knn::{KnnStructure, MAX_KNN_COORD};
+use lcrs_geom::lift::MAX_LIFT_COORD;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -13,8 +13,8 @@ fn pseudo(n: usize, seed: u64) -> Vec<(i64, i64)> {
     (0..n)
         .map(|_| {
             (
-                rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
-                rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
+                rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
+                rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
             )
         })
         .collect()
@@ -29,19 +29,19 @@ fn main() {
     let n_pts = 1usize << 15;
     let pts = pseudo(n_pts, 1);
     let dev = Device::new(DeviceConfig::new(page, 0));
-    let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
+    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
     let mut rng = StdRng::seed_from_u64(9);
     let mut rows = Vec::new();
     for k in [1usize, 8, 64, b, 4 * b, 16 * b] {
         let mut ios = Vec::new();
         for _ in 0..10 {
             let (x, y) = (
-                rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
-                rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
+                rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
+                rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
             );
-            let (res, st) = knn.k_nearest_stats(x, y, k);
+            let (res, io) = knn.execute_measured(&Query::Knn { x, y, k });
             assert_eq!(res.len(), k.min(n_pts));
-            ios.push(st.ios as f64);
+            ios.push(io.total() as f64);
         }
         rows.push(vec![format!("{k}"), format!("{}", k.div_ceil(b)), format!("{:.1}", mean(&ios))]);
     }
@@ -57,20 +57,20 @@ fn main() {
         let n_pts = 1usize << e;
         let pts = pseudo(n_pts, e as u64);
         let dev = Device::new(DeviceConfig::new(page, 0));
-        let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
         let mut ios = Vec::new();
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..10 {
             let (x, y) = (
-                rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
-                rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
+                rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
+                rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
             );
-            ios.push(knn.k_nearest_stats(x, y, 32).1.ios as f64);
+            ios.push(knn.execute_measured(&Query::Knn { x, y, k: 32 }).1.total() as f64);
         }
         rows.push(vec![
             format!("{n_pts}"),
             format!("{:.1}", mean(&ios)),
-            format!("{}", knn.pages()),
+            format!("{}", dev.pages_allocated()),
         ]);
     }
     print_table(

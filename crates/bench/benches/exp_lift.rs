@@ -6,7 +6,8 @@
 //! exact host-side brute force before any IO number is reported):
 //!
 //! * **disk via lift vs 2D scan** — [`Query::Disk`] answered by the
-//!   paraboloid-lifted 3D structure (`lift-hs3d`) versus the Θ(n/B) 2D
+//!   paraboloid-lifted 3D structure (the `knn` kind of `LiftedIndex`; its
+//!   cell keeps the id `disk/lift-hs3d`) versus the Θ(n/B) 2D
 //!   scan, cold cache per query, on the bounded-radius (output-sensitive)
 //!   regime the lift targets: `disk_mixed` draws whose r² exceeds the
 //!   sweep radius report a constant fraction of the dataset, where any

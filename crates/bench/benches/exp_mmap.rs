@@ -21,13 +21,14 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{load_index, BatchExecutor, IndexSet, Query, RangeIndex, SnapshotCatalog};
+use lcrs_engine::{
+    load_index, BatchExecutor, IndexSet, LiftedIndex, LiftedKind, Query, RangeIndex,
+    SnapshotCatalog,
+};
 use lcrs_extmem::{
     Device, DeviceConfig, IoStats, MetaReader, MetaWriter, PageBackend, ReopenBackend, TempDir,
 };
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
-use lcrs_halfspace::hs3d::Hs3dConfig;
-use lcrs_halfspace::KnnStructure;
 use lcrs_workloads::{
     halfplane_batch, halfplane_page_sweep, knn_batch, points2, BatchShape, Dist2,
 };
@@ -146,7 +147,7 @@ fn main() {
 
     let kpts = points2(Dist2::Clustered, nk, 1000, 523);
     let dev_knn = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-    let knn = KnnStructure::build(&dev_knn, &kpts, Hs3dConfig::default());
+    let knn = LiftedIndex::build(&dev_knn, &kpts, LiftedKind::Hs3d);
     let kqueries: Vec<Query> = knn_batch(&kpts, BatchShape::SortedSweep, batch_len, 16, 6)
         .into_iter()
         .map(|(x, y, k)| Query::Knn { x, y, k })

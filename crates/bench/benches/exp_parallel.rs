@@ -18,12 +18,10 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{BatchExecutor, Query, RangeIndex};
+use lcrs_engine::{BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig, IoDelta};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
-use lcrs_halfspace::hs3d::Hs3dConfig;
 use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3};
-use lcrs_halfspace::KnnStructure;
 use lcrs_workloads::{
     halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape, Dist2, Dist3,
 };
@@ -168,7 +166,7 @@ fn main() {
     {
         let pts = points2(Dist2::Uniform, n3, 1000, 44);
         let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-        let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
         dev.freeze();
         for shape in shapes {
             let qs: Vec<Query> = knn_batch(&pts, shape, batch_len, 16, 9)

@@ -19,12 +19,10 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{load_index, BatchExecutor, Query, RangeIndex};
+use lcrs_engine::{load_index, BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig, IoStats, MetaReader, MetaWriter, PageBackend, TempDir};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
-use lcrs_halfspace::hs3d::Hs3dConfig;
 use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3};
-use lcrs_halfspace::KnnStructure;
 use lcrs_workloads::{
     halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape, Dist2, Dist3,
 };
@@ -180,7 +178,7 @@ fn main() {
             .collect();
         let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
         let t = Instant::now();
-        let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         rows.push(run_cell(&dir, &dev, &knn, &queries, n3, "Uniform".to_string(), ms));
     }

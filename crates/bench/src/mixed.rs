@@ -17,7 +17,7 @@ use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs_halfspace::ptree::{PTreeConfig, PartitionTree};
 use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs_halfspace::{DynamicHalfspace2, KnnStructure};
+use lcrs_halfspace::DynamicHalfspace2;
 use lcrs_workloads::{
     aggregate_mixed, disk_mixed, halfplane_mixed, halfspace3_mixed, knn_mixed, topk_mixed,
 };
@@ -139,8 +139,9 @@ pub fn mixed_probes(pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)], seed: u64) ->
 }
 
 /// Every `RangeIndex` structure in the workspace over one 2D + one 3D
-/// dataset — the canonical fifteen-slot fixture shared by the planner
-/// test suite and `exp_planner`/`exp_lift`. Slot order is load-bearing
+/// dataset — the canonical fourteen-slot fixture shared by the planner
+/// test suite and `exp_planner`/`exp_lift`; the lifted `HalfspaceRS3`
+/// (`knn`) answers both k-NN and disks. Slot order is load-bearing
 /// and must stay in one place: `IndexSet::plan` breaks predicted-cost
 /// ties toward earlier slots, so the scan-class structures sit last — a
 /// tie must never break toward a scan (`lift-scan3`, whose disk path
@@ -164,11 +165,10 @@ pub fn full_index_set(
         dynamic.insert(x, y, i as u64);
     }
     set.add(Box::new(dynamic));
-    set.add(Box::new(KnnStructure::build(h2, pts2, Hs3dConfig::default())));
+    set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Hs3d)));
     set.add(Box::new(HalfspaceRS3::build(h3, pts3, Hs3dConfig::default())));
     set.add(Box::new(HybridTree3::build(h3, pts3, HybridConfig::default())));
     set.add(Box::new(ShallowTree3::build(h3, pts3, ShallowConfig::default())));
-    set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Hs3d)));
     set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Hybrid)));
     set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Shallow)));
     set.add(Box::new(ExternalScan::build(h2, pts2)));

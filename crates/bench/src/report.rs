@@ -45,12 +45,17 @@ pub const READ_METRIC: &str = "read_ios";
 pub const WALL_METRIC: &str = "wall_ns";
 
 /// Where bench JSON lives: `$LCRS_BENCH_DIR` if set, else the repo root
-/// (two levels up from the lcrs-bench manifest).
+/// (two levels up from the lcrs-bench manifest). The manifest directory is
+/// the run-time one cargo sets for `cargo bench` / `cargo run` of this
+/// package, so a binary compiled in one checkout and run from a copy
+/// writes into the copy; the compile-time one is the fallback.
 pub fn bench_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("LCRS_BENCH_DIR") {
         return PathBuf::from(dir);
     }
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let run_time = std::env::var_os("CARGO_MANIFEST_DIR")
+        .filter(|_| std::env::var("CARGO_PKG_NAME").as_deref() == Ok(env!("CARGO_PKG_NAME")));
+    let mut p = PathBuf::from(run_time.unwrap_or_else(|| env!("CARGO_MANIFEST_DIR").into()));
     p.pop();
     p.pop();
     p

@@ -12,7 +12,9 @@
 //!   [`Query::TopK`] (ranked reporting);
 //! * [`LiftedIndex`] — disk queries answered by the existing 3D
 //!   structures over lifted 2D points, with an exact-scan tail for
-//!   points outside the lift budget;
+//!   points outside the lift budget; its [`LiftedKind::Hs3d`] kind, named
+//!   `knn`, also answers k-NN (Theorem 4.3) as the k lowest lifted planes
+//!   at the center;
 //! * [`RangeIndex`] — the unified query interface, implemented by every
 //!   structure of `lcrs_halfspace` and every baseline of `lcrs_baselines`,
 //!   with per-query [`IoDelta`](lcrs_extmem::IoDelta) attribution measured

@@ -1,5 +1,5 @@
-//! [`LiftedIndex`]: disk queries on 2D points through the 3D structures —
-//! no new index, just the paraboloid lift (DESIGN.md §15).
+//! [`LiftedIndex`]: 2D queries answered through the 3D structures on the
+//! paraboloid lift — no new index (DESIGN.md §15).
 //!
 //! At build time every in-budget 2D point `(px, py)` (within
 //! [`lcrs_geom::lift::MAX_LIFT_COORD`]) lifts to the 3D point
@@ -9,10 +9,21 @@
 //! ([`lcrs_geom::lift::disk_to_halfspace`]), which any of the four 3D
 //! backends answers: [`HalfspaceRS3`] (Theorem 4.4, logarithmic),
 //! [`HybridTree3`] / [`ShallowTree3`] (Section 6 trade-offs), or
-//! [`ExternalScan3`] (the lifted oracle). Points *outside* the lift budget
-//! go to a tail file on the same device, scanned with exact carry-aware
-//! `u128` distances ([`lcrs_geom::lift::in_disk`]) — the lift accelerates
-//! the dense in-budget mass without ever giving up exactness.
+//! [`ExternalScan3`] (the lifted oracle).
+//!
+//! The [`HalfspaceRS3`] kind, named `knn`, also answers [`Query::Knn`]
+//! (Theorem 4.3). It stores each point as the plane
+//! `z = px² + py² − 2px·x − 2py·y`, whose value at `(x, y)` is the squared
+//! distance to `(x, y)` minus `x² + y²`: the k nearest neighbors are the k
+//! lowest planes along the vertical line at the center, and a disk is the
+//! set of planes below the point `(x, y, r2 − x² − y²)`. Both classes share
+//! one center budget, [`lcrs_geom::lift::MAX_DISK_CENTER`].
+//!
+//! Points *outside* the lift budget go to a tail file on the same device,
+//! scanned with exact carry-aware `u128` distances
+//! ([`lcrs_geom::lift::dist2_carry`]); a k-NN answer merges the tail with
+//! the lifted candidates by `(distance², id)` — the lift accelerates the
+//! dense in-budget mass without ever giving up exactness.
 //!
 //! All IOs — inner-structure reads and tail pages — flow through the one
 //! [`DeviceHandle`] scope the index was built on, so the engine's
@@ -22,8 +33,9 @@
 use lcrs_baselines::ExternalScan3;
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, SnapshotError, VecFile};
 use lcrs_geom::lift;
+use lcrs_geom::plane3::Plane3;
 use lcrs_halfspace::cost::{CostHint, CostShape};
-use lcrs_halfspace::hs3d::Hs3dConfig;
+use lcrs_halfspace::hs3d::{Hs3dConfig, QueryStats3};
 use lcrs_halfspace::tradeoff::{HybridConfig, ShallowConfig};
 use lcrs_halfspace::{HalfspaceRS3, HybridTree3, ShallowTree3};
 
@@ -32,7 +44,8 @@ use crate::query::{unsupported, Query, RangeIndex, Unsupported};
 /// Which 3D backend serves the lifted points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiftedKind {
-    /// [`HalfspaceRS3`] — O(log n) search (Theorem 4.4).
+    /// [`HalfspaceRS3`] — O(log n) search (Theorem 4.4), and the one kind
+    /// that also answers k-NN (Theorem 4.3); named `knn`.
     Hs3d,
     /// [`HybridTree3`] — the n^(1/3) Section 6 trade-off.
     Hybrid,
@@ -49,10 +62,11 @@ enum Inner {
     Scan3(ExternalScan3),
 }
 
-/// A 2D point set answering [`Query::Disk`] via the paraboloid lift (see
-/// the module docs). Built from arbitrary `i64` points; only the
-/// in-budget ones ride the 3D structure, the rest live in an exact-scan
-/// tail on the same device.
+/// A 2D point set answering [`Query::Disk`] (and, for
+/// [`LiftedKind::Hs3d`], [`Query::Knn`]) via the paraboloid lift (see the
+/// module docs). Built from arbitrary `i64` points; only the in-budget
+/// ones ride the 3D structure, the rest live in an exact-scan tail on the
+/// same device.
 pub struct LiftedIndex {
     dev: DeviceHandle,
     inner: Inner,
@@ -83,7 +97,9 @@ impl LiftedIndex {
         }
         let inner = match kind {
             LiftedKind::Hs3d => {
-                Inner::Hs3d(HalfspaceRS3::build(dev, &lifted, Hs3dConfig::default()))
+                let planes: Vec<Plane3> =
+                    lifted.iter().map(|&(px, py, z)| Plane3::new(-2 * px, -2 * py, z)).collect();
+                Inner::Hs3d(HalfspaceRS3::build_dual(dev, &planes, Hs3dConfig::default()))
             }
             LiftedKind::Hybrid => {
                 Inner::Hybrid(HybridTree3::build(dev, &lifted, HybridConfig::default()))
@@ -129,15 +145,15 @@ impl LiftedIndex {
     }
 
     /// Reconstruct an index persisted through [`RangeIndex::save_meta`]
-    /// from its kind string (`"lift-hs3d"` / `"lift-hybrid"` /
-    /// `"lift-shallow"` / `"lift-scan3"`).
+    /// from its kind string (`"knn"` / `"lift-hybrid"` / `"lift-shallow"`
+    /// / `"lift-scan3"`).
     pub fn load(
         kind: &str,
         h: &DeviceHandle,
         r: &mut MetaReader,
     ) -> Result<LiftedIndex, SnapshotError> {
         let inner = match kind {
-            "lift-hs3d" => Inner::Hs3d(HalfspaceRS3::load(h, r)?),
+            "knn" => Inner::Hs3d(HalfspaceRS3::load(h, r)?),
             "lift-hybrid" => Inner::Hybrid(HybridTree3::load(h, r)?),
             "lift-shallow" => Inner::Shallow(ShallowTree3::load(h, r)?),
             "lift-scan3" => Inner::Scan3(ExternalScan3::load(h, r)?),
@@ -150,19 +166,20 @@ impl LiftedIndex {
         }
         let tail = VecFile::load(h, r)?;
         let n = r.usize()?;
+        let inner_len = match &inner {
+            Inner::Hs3d(s) => s.len(),
+            Inner::Hybrid(s) => s.len(),
+            Inner::Shallow(s) => s.len(),
+            Inner::Scan3(s) => s.len(),
+        };
+        // Every query maps the inner structure's local ids through `ids`.
+        if ids.len() != inner_len {
+            return Err(r.error("lifted id map must cover the 3D structure's points"));
+        }
         if ids.len() + tail.len() != n {
             return Err(r.error("lifted id map + tail must cover every point"));
         }
         Ok(LiftedIndex { dev: h.clone(), inner, ids, tail, n })
-    }
-
-    fn inner_query(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
-        match &self.inner {
-            Inner::Hs3d(s) => s.query_below(u, v, w, inclusive),
-            Inner::Hybrid(s) => s.query_below(u, v, w, inclusive),
-            Inner::Shallow(s) => s.query_below(u, v, w, inclusive),
-            Inner::Scan3(s) => s.query_below(u, v, w, inclusive).0,
-        }
     }
 
     /// Ids of points inside the disk: lifted halfspace over the in-budget
@@ -170,9 +187,14 @@ impl LiftedIndex {
     pub fn disk_report(&self, x: i64, y: i64, r2: i64, inclusive: bool) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();
         if let Some((u, v, w)) = lift::disk_to_halfspace(x, y, r2) {
-            for local in self.inner_query(u, v, w, inclusive) {
-                out.push(u64::from(self.ids[local as usize]));
-            }
+            let local = match &self.inner {
+                // The plane build takes the center itself as the location.
+                Inner::Hs3d(s) => s.query_below(x, y, w, inclusive),
+                Inner::Hybrid(s) => s.query_below(u, v, w, inclusive),
+                Inner::Shallow(s) => s.query_below(u, v, w, inclusive),
+                Inner::Scan3(s) => s.query_below(u, v, w, inclusive).0,
+            };
+            out.extend(local.into_iter().map(|l| u64::from(self.ids[l as usize])));
         }
         // r2 < 0 (an empty disk) skips the lift but still scans nothing
         // from the tail: in_disk rejects every point.
@@ -184,12 +206,32 @@ impl LiftedIndex {
         });
         out
     }
+
+    /// Ids of the `k` nearest points to an in-budget center `(x, y)`,
+    /// closest first, ties by id: the k lowest lifted planes at the
+    /// center, merged with the whole tail by exact `(distance², id)`.
+    fn knn_report(&self, hs: &HalfspaceRS3, x: i64, y: i64, k: usize) -> Vec<u64> {
+        // A plane's value at the center is distance² − (x² + y²).
+        let shift = i128::from(x) * i128::from(x) + i128::from(y) * i128::from(y);
+        let mut ranked: Vec<((bool, u128), u64)> = hs
+            .k_lowest(x, y, k, &mut QueryStats3::default())
+            .into_iter()
+            .map(|(l, v)| ((false, (v + shift) as u128), u64::from(self.ids[l as usize])))
+            .collect();
+        self.tail.scan_while(|_, (px, py, id)| {
+            ranked.push((lift::dist2_carry(x, y, px, py), u64::from(id)));
+            true
+        });
+        ranked.sort_unstable();
+        ranked.truncate(k);
+        ranked.into_iter().map(|(_, id)| id).collect()
+    }
 }
 
 impl RangeIndex for LiftedIndex {
     fn name(&self) -> &'static str {
         match self.inner {
-            Inner::Hs3d(_) => "lift-hs3d",
+            Inner::Hs3d(_) => "knn",
             Inner::Hybrid(_) => "lift-hybrid",
             Inner::Shallow(_) => "lift-shallow",
             Inner::Scan3(_) => "lift-scan3",
@@ -200,14 +242,14 @@ impl RangeIndex for LiftedIndex {
         &self.dev
     }
 
-    /// Disks whose center keeps the lifted plane exact
-    /// ([`lcrs_geom::lift::MAX_DISK_CENTER`]); empty disks (`r2 < 0`)
-    /// are supported and answer with nothing.
+    /// Disks, and k-NN on the `knn` kind, whose center keeps the lifted
+    /// plane exact ([`lcrs_geom::lift::MAX_DISK_CENTER`]); empty disks
+    /// (`r2 < 0`) are supported and answer with nothing.
     fn supports(&self, q: &Query) -> bool {
         match *q {
-            Query::Disk { x, y, .. } => {
-                x.unsigned_abs() <= lift::MAX_DISK_CENTER as u64
-                    && y.unsigned_abs() <= lift::MAX_DISK_CENTER as u64
+            Query::Disk { x, y, .. } => lift::center_in_budget(x, y),
+            Query::Knn { x, y, .. } => {
+                matches!(self.inner, Inner::Hs3d(_)) && lift::center_in_budget(x, y)
             }
             _ => false,
         }
@@ -222,9 +264,9 @@ impl RangeIndex for LiftedIndex {
                 CostHint::new(CostShape::Scan { data_pages: s.data_pages() }, s.len())
             }
         };
-        // Every disk query also scans the tail; a scan-shaped inner can
-        // price those pages exactly, the others absorb them into the
-        // calibrated constant.
+        // Every query also scans the tail; a scan-shaped inner can price
+        // those pages exactly, the others absorb them into the calibrated
+        // constant.
         if let CostShape::Scan { data_pages } = hint.shape {
             hint.shape = CostShape::Scan { data_pages: data_pages + self.tail.pages() as u64 };
         }
@@ -233,10 +275,12 @@ impl RangeIndex for LiftedIndex {
     }
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
-        match *q {
-            Query::Disk { x, y, r2, inclusive } if RangeIndex::supports(self, q) => {
-                Ok(self.disk_report(x, y, r2, inclusive))
-            }
+        if !RangeIndex::supports(self, q) {
+            return unsupported(RangeIndex::name(self), q);
+        }
+        match (*q, &self.inner) {
+            (Query::Disk { x, y, r2, inclusive }, _) => Ok(self.disk_report(x, y, r2, inclusive)),
+            (Query::Knn { x, y, k }, Inner::Hs3d(hs)) => Ok(self.knn_report(hs, x, y, k)),
             _ => unsupported(RangeIndex::name(self), q),
         }
     }
@@ -286,12 +330,42 @@ mod tests {
             .collect()
     }
 
+    /// Pseudo-random coordinates inside the lift budget from the LCG
+    /// `s → s·mul + inc`.
+    fn budget_coords(seed: u64, mul: u64, inc: u64) -> impl FnMut() -> i64 {
+        let mut s = seed;
+        move || {
+            s = s.wrapping_mul(mul).wrapping_add(inc);
+            ((s >> 33) as i64).rem_euclid(2 * lift::MAX_LIFT_COORD) - lift::MAX_LIFT_COORD
+        }
+    }
+
+    fn budget_points(n: usize, seed: u64) -> Vec<(i64, i64)> {
+        let mut next = budget_coords(seed, 6364136223846793005, 1442695040888963407);
+        (0..n).map(|_| (next(), next())).collect()
+    }
+
+    fn budget_centers(seed: u64) -> impl FnMut() -> i64 {
+        budget_coords(seed, 2862933555777941757, 3037000493)
+    }
+
     fn brute_disk(pts: &[(i64, i64)], x: i64, y: i64, r2: i64, inclusive: bool) -> Vec<u64> {
         pts.iter()
             .enumerate()
             .filter(|(_, &(px, py))| lift::in_disk(x, y, r2, px, py, inclusive))
             .map(|(i, _)| i as u64)
             .collect()
+    }
+
+    /// The k nearest by exact `(distance², id)`, for any `i64` points.
+    fn brute_knn(pts: &[(i64, i64)], x: i64, y: i64, k: usize) -> Vec<u64> {
+        let mut d: Vec<((bool, u128), u64)> = pts
+            .iter()
+            .enumerate()
+            .map(|(i, &(px, py))| (lift::dist2_carry(x, y, px, py), i as u64))
+            .collect();
+        d.sort_unstable();
+        d.into_iter().take(k).map(|(_, i)| i).collect()
     }
 
     #[test]
@@ -319,6 +393,73 @@ mod tests {
     }
 
     #[test]
+    fn knn_matches_brute_force() {
+        let dev = Device::new(DeviceConfig::new(512, 0));
+        let pts = budget_points(400, 77);
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        assert_eq!(knn.tail_len(), 0);
+        let mut next = budget_centers(5);
+        for _ in 0..25 {
+            let (x, y) = (next(), next());
+            for k in [1usize, 3, 10, 50] {
+                // The lift breaks distance ties by plane id = input id, as
+                // does brute force, so the ranked answers agree exactly.
+                let got = knn.execute(&Query::Knn { x, y, k });
+                assert_eq!(got, brute_knn(&pts, x, y, k), "k={k} at ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    fn knn_k_larger_than_n() {
+        let dev = Device::new(DeviceConfig::new(512, 0));
+        let pts = budget_points(20, 3);
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let got = knn.execute(&Query::Knn { x: 0, y: 0, k: 100 });
+        assert_eq!(got.len(), 20);
+        assert_eq!(got, brute_knn(&pts, 0, 0, 20));
+    }
+
+    #[test]
+    fn knn_kind_disks_match_brute_force() {
+        let dev = Device::new(DeviceConfig::new(512, 0));
+        let pts = budget_points(300, 21);
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let mut next = budget_centers(3);
+        for trial in 0..20 {
+            let (x, y) = (next(), next());
+            let r2 = (trial as i64 + 1) * 40_000;
+            for inclusive in [false, true] {
+                let mut got = knn.disk_report(x, y, r2, inclusive);
+                got.sort_unstable();
+                assert_eq!(got, brute_disk(&pts, x, y, r2, inclusive), "r2={r2} at ({x},{y})");
+            }
+        }
+    }
+
+    #[test]
+    fn knn_merges_out_of_budget_points_from_the_tail() {
+        // Points beyond the lift budget — one just past it, others at the
+        // i64 extremes — are ranked exactly alongside the lifted ones.
+        let dev = Device::new(DeviceConfig::new(512, 0));
+        let mut pts = mixed_points(300, 41);
+        pts.extend([(5000, 0), (lift::MAX_LIFT_COORD + 1, 3), (i64::MIN, i64::MAX), (0, 0)]);
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        assert!(knn.tail_len() > 2, "outliers must populate the tail");
+        for (x, y) in [(0i64, 0i64), (5000, 1), (-700, 900), (lift::MAX_DISK_CENTER, 0)] {
+            for k in [1usize, 4, 30, 400] {
+                let got = knn.execute(&Query::Knn { x, y, k });
+                assert_eq!(got, brute_knn(&pts, x, y, k), "k={k} at ({x},{y})");
+            }
+        }
+        // Near (5000, 0) the nearest point lives only in the tail.
+        assert_eq!(knn.execute(&Query::Knn { x: 5000, y: 1, k: 1 }), vec![300]);
+        // A tail point and a lifted point at one distance rank by id.
+        let tie = LiftedIndex::build(&dev, &[(3025, 0), (975, 0)], LiftedKind::Hs3d);
+        assert_eq!(tie.execute(&Query::Knn { x: 2000, y: 0, k: 2 }), vec![0, 1]);
+    }
+
+    #[test]
     fn supports_gates_on_center_budget() {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let idx = LiftedIndex::build(&dev, &[(0, 0), (3, 4)], LiftedKind::Hs3d);
@@ -333,5 +474,21 @@ mod tests {
         assert_eq!(got, vec![0, 1], "(0,0) and (3,4) both lie in the inclusive r²=25 disk");
         assert_eq!(idx.execute(&empty), Vec::<u64>::new());
         assert!(idx.try_execute(&far).is_err());
+
+        // k-NN shares the center budget, and beyond it is refused rather
+        // than handed to the 3D structure's location assertion.
+        let edge = Query::Knn { x: lift::MAX_DISK_CENTER, y: lift::MAX_DISK_CENTER, k: 1 };
+        assert!(RangeIndex::supports(&idx, &edge));
+        assert_eq!(idx.execute(&edge), vec![1]);
+        for far in [lift::MAX_DISK_CENTER + 1, 1 << 23, i64::MIN] {
+            let q = Query::Knn { x: far, y: 0, k: 3 };
+            assert!(!RangeIndex::supports(&idx, &q));
+            assert!(idx.try_execute(&q).is_err());
+        }
+        // Only the knn kind takes k-NN.
+        for kind in [LiftedKind::Hybrid, LiftedKind::Shallow, LiftedKind::Scan3] {
+            let other = LiftedIndex::build(&dev, &[(0, 0), (3, 4)], kind);
+            assert!(!RangeIndex::supports(&other, &Query::Knn { x: 0, y: 0, k: 1 }));
+        }
     }
 }

@@ -6,8 +6,7 @@ use lcrs_extmem::{DeviceHandle, IoDelta, MetaReader, MetaWriter, SnapshotError};
 use lcrs_geom::point::HyperplaneD;
 use lcrs_halfspace::cost::{CostHint, CostShape};
 use lcrs_halfspace::{
-    DynamicHalfspace2, HalfspaceRS2, HalfspaceRS3, HybridTree3, KnnStructure, PartitionTree,
-    ShallowTree3,
+    DynamicHalfspace2, HalfspaceRS2, HalfspaceRS3, HybridTree3, PartitionTree, ShallowTree3,
 };
 
 /// A structure-agnostic query.
@@ -33,8 +32,9 @@ pub enum Query {
     /// Points below the plane `z = u·x + v·y + w` (3D structures).
     /// Answer: ids.
     Halfspace { u: i64, v: i64, w: i64, inclusive: bool },
-    /// The `k` nearest neighbors of `(x, y)` ([`KnnStructure`] and the 2D
-    /// scan). Answer: ids, closest first (ties by id) — order matters.
+    /// The `k` nearest neighbors of `(x, y)` (the lifted `knn` kind of
+    /// [`crate::LiftedIndex`] and the 2D scan). Answer: ids, closest first
+    /// (ties by id) — order matters.
     Knn { x: i64, y: i64, k: usize },
     /// Points within squared distance `r2` of `(x, y)` (circular range
     /// reporting via the lift — DESIGN.md §15). `r2 < 0` is an empty
@@ -212,12 +212,11 @@ pub fn load_index(
         "hs3d" => Box::new(HalfspaceRS3::load(h, r)?),
         "tradeoff-hybrid" => Box::new(HybridTree3::load(h, r)?),
         "tradeoff-shallow" => Box::new(ShallowTree3::load(h, r)?),
-        "knn" => Box::new(KnnStructure::load(h, r)?),
         "scan" => Box::new(ExternalScan::load(h, r)?),
         "scan3" => Box::new(ExternalScan3::load(h, r)?),
         "kdtree" => Box::new(ExternalKdTree::load(h, r)?),
         "rtree" => Box::new(StrRTree::load(h, r)?),
-        "lift-hs3d" | "lift-hybrid" | "lift-shallow" | "lift-scan3" => {
+        "knn" | "lift-hybrid" | "lift-shallow" | "lift-scan3" => {
             Box::new(crate::lift::LiftedIndex::load(kind, h, r)?)
         }
         other => {
@@ -477,54 +476,6 @@ impl RangeIndex for ShallowTree3 {
 
     fn save_meta(&self, w: &mut MetaWriter) {
         ShallowTree3::save(self, w)
-    }
-}
-
-impl RangeIndex for KnnStructure {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
-    fn device(&self) -> &DeviceHandle {
-        KnnStructure::device(self)
-    }
-
-    /// The k-NN structure already lives on the paraboloid lift, so it
-    /// answers [`Query::Disk`] directly ([`KnnStructure::within_radius`])
-    /// for non-empty disks whose center keeps the lifted plane exact
-    /// (`|x|, |y| ≤ 2^21` — [`lcrs_geom::lift::MAX_DISK_CENTER`]).
-    fn supports(&self, q: &Query) -> bool {
-        match *q {
-            Query::Knn { .. } => true,
-            Query::Disk { x, y, r2, .. } => {
-                r2 >= 0
-                    && x.unsigned_abs() <= lcrs_geom::lift::MAX_DISK_CENTER as u64
-                    && y.unsigned_abs() <= lcrs_geom::lift::MAX_DISK_CENTER as u64
-            }
-            _ => false,
-        }
-    }
-
-    fn cost_hint(&self) -> CostHint {
-        KnnStructure::cost_hint(self)
-    }
-
-    fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
-        match *q {
-            Query::Knn { x, y, k } => Ok(widen(self.k_nearest(x, y, k))),
-            Query::Disk { x, y, r2, inclusive } if RangeIndex::supports(self, q) => {
-                Ok(widen(self.within_radius(x, y, r2, inclusive)))
-            }
-            _ => unsupported(RangeIndex::name(self), q),
-        }
-    }
-
-    fn fork_reader(&self) -> Box<dyn RangeIndex> {
-        Box::new(KnnStructure::fork_reader(self))
-    }
-
-    fn save_meta(&self, w: &mut MetaWriter) {
-        KnnStructure::save(self, w)
     }
 }
 

@@ -38,13 +38,13 @@
 
 /// Maximum absolute 2D coordinate a point may have and still lift exactly
 /// onto the paraboloid within the 3D coordinate budget (`px² + py²` must
-/// fit `|z| ≤ 2^21`). Identical to the k-NN structure's input budget,
-/// which rides the same lift.
+/// fit `|z| ≤ 2^21`).
 pub const MAX_LIFT_COORD: i64 = 1 << 10;
 
 /// Maximum absolute disk-center coordinate for which the lifted query
 /// plane is exact: the gradient `2x` must respect the 3D query budget
-/// (`|u| ≤ 2^22`) and `x² + y²` must fit `i64`.
+/// (`|u| ≤ 2^22`) and `x² + y²` must fit `i64`. The budget of k-NN
+/// centers too, which the lifted structure locates at `(x, y)` itself.
 pub const MAX_DISK_CENTER: i64 = 1 << 21;
 
 /// The lifted third coordinate `px² + py²`, or `None` when `(px, py)` is
@@ -56,15 +56,18 @@ pub fn lift_z(px: i64, py: i64) -> Option<i64> {
     Some(px * px + py * py)
 }
 
+/// Whether a disk or k-NN center is within [`MAX_DISK_CENTER`], the one
+/// budget under which the lifted query stays exact.
+pub fn center_in_budget(x: i64, y: i64) -> bool {
+    x.unsigned_abs() <= MAX_DISK_CENTER as u64 && y.unsigned_abs() <= MAX_DISK_CENTER as u64
+}
+
 /// The halfspace `z ≤ u·px + v·py + w` equivalent (on lifted points) to
 /// the disk of center `(x, y)` and squared radius `r2`: returns
 /// `(u, v, w) = (2x, 2y, r2 − x² − y²)`. `None` when the disk is empty
 /// (`r2 < 0`) or the center exceeds [`MAX_DISK_CENTER`].
 pub fn disk_to_halfspace(x: i64, y: i64, r2: i64) -> Option<(i64, i64, i64)> {
-    if r2 < 0
-        || x.unsigned_abs() > MAX_DISK_CENTER as u64
-        || y.unsigned_abs() > MAX_DISK_CENTER as u64
-    {
+    if r2 < 0 || !center_in_budget(x, y) {
         return None;
     }
     Some((2 * x, 2 * y, r2 - x * x - y * y))

@@ -206,7 +206,8 @@ impl HalfspaceRS3 {
     }
 
     /// Dual-space constructor: preprocess planes for "report planes below a
-    /// query point" queries (used directly by the k-NN structure).
+    /// query point" queries (used directly by the engine's lifted `knn`
+    /// structure).
     pub fn build_dual(dev: &DeviceHandle, planes: &[Plane3], cfg: Hs3dConfig) -> HalfspaceRS3 {
         assert!(cfg.copies >= 1);
         let n = planes.len();

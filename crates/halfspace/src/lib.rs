@@ -8,12 +8,12 @@
 //!   O(log_B n + t) IOs per query, via greedy 3k-clusterings of levels;
 //! * [`hs3d`] — the 3D structure (Theorem 4.4): O(n log₂ n) expected blocks,
 //!   O(log_B n + t) expected IOs, via lower envelopes of geometric samples
-//!   with conflict lists;
+//!   with conflict lists; its k-lowest-planes query is what planar k-NN by
+//!   lifting (Theorem 4.3) rides on, through the engine's `LiftedIndex`;
 //! * [`dynamic`] — the leveled core of the dynamization (Remark (iii), the
 //!   logarithmic method over Theorem 3.5 levels): inserts and tombstoned
 //!   deletes through a delta tier, levels on the caller's device or each
 //!   on its own frozen device (the engine's `LiveIndex`, DESIGN.md §12);
-//! * [`knn`] — planar k-nearest-neighbor queries by lifting (Theorem 4.3);
 //! * [`ptree`] — linear-size partition trees for d dimensions
 //!   (Theorem 5.2), answering halfspace and simplex queries;
 //! * [`tradeoff`] — the space/query trade-offs of Section 6 (hybrid
@@ -38,7 +38,6 @@ pub mod delta;
 pub mod dynamic;
 pub mod hs2d;
 pub mod hs3d;
-pub mod knn;
 pub mod partition;
 pub mod ptree;
 pub mod tradeoff;
@@ -48,7 +47,6 @@ pub use delta::DeltaTier;
 pub use dynamic::{DynamicHalfspace2, Level, LevelBacking, MergeHandle};
 pub use hs2d::HalfspaceRS2;
 pub use hs3d::HalfspaceRS3;
-pub use knn::KnnStructure;
 pub use partition::{partition2, partition3, Partition2, Partition3, ShardRegion2, ShardRegion3};
 pub use ptree::PartitionTree;
 pub use tradeoff::{HybridTree3, ShallowTree3};

@@ -34,7 +34,8 @@ fn main() {
 
     // The flat scans (answer everything in their dimension), the
     // annotated halfplane structures (count/sum without touching leaves),
-    // and the paraboloid-lifted 3D structure (output-sensitive disks).
+    // and the paraboloid-lifted 3D structure, the `knn` kind
+    // (output-sensitive disks, and k-NN by Theorem 4.3).
     let mut set = IndexSet::new();
     set.add(Box::new(HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default())));
     set.add(Box::new(ExternalKdTree::build(&dev, &pts)));

@@ -1,11 +1,12 @@
 //! k-nearest-neighbor search via the lifting of Theorem 4.3: a store
-//! locator over 2D points, answered in O(log_B n + k/B) expected IOs.
+//! locator over 2D points, answered in O(log_B n + k/B) expected IOs by the
+//! `knn` kind of `LiftedIndex`.
 //!
 //! Run with: `cargo run --release --example nearest_neighbors`
 
+use lcrs::engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig};
-use lcrs::halfspace::hs3d::Hs3dConfig;
-use lcrs::halfspace::knn::{KnnStructure, MAX_KNN_COORD};
+use lcrs::geom::lift::MAX_LIFT_COORD;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -14,8 +15,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut gen = || {
         (
-            rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
-            rng.gen_range(-MAX_KNN_COORD..=MAX_KNN_COORD),
+            rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
+            rng.gen_range(-MAX_LIFT_COORD..=MAX_LIFT_COORD),
         )
     };
     let stores: Vec<(i64, i64)> = (0..n).map(|_| gen()).collect();
@@ -23,12 +24,12 @@ fn main() {
     let dev = Device::new(DeviceConfig::new(4096, 0));
     println!("lifting {n} store locations to planes and building the 3D structure...");
     let t0 = std::time::Instant::now();
-    let knn = KnnStructure::build(&dev, &stores, Hs3dConfig::default());
-    println!("built in {:.2}s ({} pages).", t0.elapsed().as_secs_f64(), knn.pages());
+    let knn = LiftedIndex::build(&dev, &stores, LiftedKind::Hs3d);
+    println!("built in {:.2}s ({} pages).", t0.elapsed().as_secs_f64(), dev.pages_allocated());
 
     let me = (123i64, -456i64);
     for k in [1usize, 5, 25, 200] {
-        let (ids, stats) = knn.k_nearest_stats(me.0, me.1, k);
+        let (ids, io) = knn.execute_measured(&Query::Knn { x: me.0, y: me.1, k });
         let furthest = ids.last().map(|&i| {
             let (x, y) = stores[i as usize];
             (((x - me.0).pow(2) + (y - me.1).pow(2)) as f64).sqrt()
@@ -36,7 +37,7 @@ fn main() {
         println!(
             "k={k:>4}: {} neighbors in {:>4} IOs (furthest at distance {:.1})",
             ids.len(),
-            stats.ios,
+            io.total(),
             furthest.unwrap_or(0.0)
         );
         // Verify the closest one by brute force.

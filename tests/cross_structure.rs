@@ -17,7 +17,7 @@ use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs::halfspace::ptree::{PTreeConfig, PartitionTree, Partitioner};
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs::halfspace::{DynamicHalfspace2, KnnStructure};
+use lcrs::halfspace::DynamicHalfspace2;
 use lcrs::workloads::{
     aggregate_mixed, disk_mixed, halfplane_mixed, halfplane_with_selectivity,
     halfspace3_with_selectivity, points2, points3, topk_mixed, Dist2, Dist3,
@@ -254,7 +254,7 @@ fn differential_oracle_3d_and_knn_200_mixed_queries() {
 
     let ptsk = points2(Dist2::Uniform, 400, 1000, 21);
     let devk = Device::new(DeviceConfig::new(512, 0));
-    let knn = KnnStructure::build(&devk, &ptsk, Hs3dConfig::default());
+    let knn = LiftedIndex::build(&devk, &ptsk, LiftedKind::Hs3d);
     // The 2D scan answers k-NN too (same reporting order), so it rides
     // along in the ordered leg of the oracle.
     let sck = ExternalScan::build(&devk, &ptsk);
@@ -284,8 +284,8 @@ fn differential_oracle_3d_and_knn_200_mixed_queries() {
 fn differential_oracle_derived_classes_500_mixed_queries() {
     // The DESIGN.md §15 leg of the oracle: 300 disk + 100 count/sum +
     // 100 top-k queries over every capable 2D structure — the annotated
-    // hs2d/kd-tree, the scan, the dynamic tier, the k-NN structure's
-    // in-budget disk path, and all four lifted backends — in-memory and
+    // hs2d/kd-tree, the scan, the dynamic tier, and all four lifted
+    // backends (the `knn` kind among them) — in-memory and
     // reopened from a snapshot, against host-side brute force (exact
     // i128 arithmetic, `lcrs_bench::brute_answer`).
     let dir = TempDir::new("lcrs-oracle-lift");
@@ -294,17 +294,16 @@ fn differential_oracle_derived_classes_500_mixed_queries() {
     let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
     let kd = ExternalKdTree::build(&dev, &pts);
     let sc = ExternalScan::build(&dev, &pts);
-    let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
     let mut dy = DynamicHalfspace2::new(&dev, Hs2dConfig::default());
     for (i, &(x, y)) in pts.iter().enumerate() {
         dy.insert(x, y, i as u64); // tags = indices, comparable to brute
     }
-    let l_hs3d = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
     let l_hybrid = LiftedIndex::build(&dev, &pts, LiftedKind::Hybrid);
     let l_shallow = LiftedIndex::build(&dev, &pts, LiftedKind::Shallow);
     let l_scan3 = LiftedIndex::build(&dev, &pts, LiftedKind::Scan3);
     let in_memory: Vec<&dyn RangeIndex> =
-        vec![&hs, &kd, &sc, &knn, &dy, &l_hs3d, &l_hybrid, &l_shallow, &l_scan3];
+        vec![&hs, &kd, &sc, &knn, &dy, &l_hybrid, &l_shallow, &l_scan3];
     let reopened = reopen_all(&dir, "oraclelift", &dev, &in_memory);
 
     let mut queries: Vec<Query> = Vec::with_capacity(500);
@@ -337,7 +336,7 @@ fn differential_oracle_derived_classes_500_mixed_queries() {
         // compare verbatim; disk reports compare as sorted id sets.
         let ordered = q.is_ranked() || q.is_aggregate();
         check_against_reference(q, &want, &in_memory, &reopened, ordered, &format!("lift-q{qi}"));
-        if l_hs3d.supports(q) && matches!(q, Query::Disk { .. }) {
+        if knn.supports(q) && matches!(q, Query::Disk { .. }) {
             disks_on_lifted += 1;
         }
     }

@@ -9,14 +9,15 @@
 //! take k-NN queries.
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{BatchExecutor, ExecMode, IndexSet, Query, QueryStatus, RangeIndex};
+use lcrs::engine::{
+    BatchExecutor, ExecMode, IndexSet, LiftedIndex, LiftedKind, Query, QueryStatus, RangeIndex,
+};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::geom::point::PointD;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
-use lcrs::halfspace::hs3d::Hs3dConfig;
 use lcrs::halfspace::ptree::PTreeConfig;
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3};
-use lcrs::halfspace::{DynamicHalfspace2, KnnStructure, PartitionTree};
+use lcrs::halfspace::{DynamicHalfspace2, PartitionTree};
 use lcrs::workloads::{
     halfplane_batch, halfplane_with_selectivity, halfspace3_batch, points2, points3, BatchShape,
     Dist2, Dist3,
@@ -236,10 +237,9 @@ fn only_the_scan_and_the_knn_structure_take_knn() {
             idx.name()
         );
     }
-    // The k-NN structure (inside its lift coordinate budget) takes k-NN
-    // queries and no halfplanes.
+    // The lifted `knn` kind takes k-NN queries and no halfplanes.
     let small = points2(Dist2::Uniform, 300, 1000, 13);
-    let knn = KnnStructure::build(&dev, &small, Hs3dConfig::default());
+    let knn = LiftedIndex::build(&dev, &small, LiftedKind::Hs3d);
     assert!(knn.supports(&Query::Knn { x: 7, y: -3, k: 12 }));
     assert!(!knn.supports(&Query::Halfplane { m: 0, c: 0, inclusive: false }));
 }

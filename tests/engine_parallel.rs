@@ -9,14 +9,14 @@
 //! and costs exactly what the same run on an explicit fork costs.
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{BatchExecutor, Query, QueryStatus, RangeIndex};
+use lcrs::engine::{BatchExecutor, LiftedIndex, LiftedKind, Query, QueryStatus, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::geom::point::PointD;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs::halfspace::ptree::PTreeConfig;
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs::halfspace::{DynamicHalfspace2, KnnStructure, PartitionTree};
+use lcrs::halfspace::{DynamicHalfspace2, PartitionTree};
 use lcrs::workloads::{
     halfplane_batch, halfspace3_batch, points2, points3, BatchShape, Dist2, Dist3,
 };
@@ -139,7 +139,7 @@ fn parallel_matches_batched_knn() {
     // Stay inside the lift coordinate budget (|coord| <= 1024).
     let pts = points2(Dist2::Uniform, 700, 1000, 25);
     let dev = warm_device();
-    let knn = KnnStructure::build(&dev, &pts, Hs3dConfig::default());
+    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
     dev.freeze();
     let queries: Vec<Query> = (0..96i64)
         .map(|i| Query::Knn {

@@ -1,7 +1,7 @@
 //! Acceptance suite for the space-partitioned `ShardedIndexSet` (ISSUE 6).
 //!
 //! The fixture mirrors the planner suite exactly — the same 2D + 3D
-//! datasets, the canonical fifteen-structure `full_index_set` per shard,
+//! datasets, the canonical fourteen-structure `full_index_set` per shard,
 //! the same probe pass, and the same mixed six-class 500-query oracle
 //! workload (halfplane, halfspace, k-NN, plus the DESIGN.md §15 disk /
 //! count / sum / top-k classes) —
@@ -22,7 +22,9 @@
 //!   workload the mean shards-touched at S=8 is strictly below 8, while a
 //!   broad all-points query fans out to every shard;
 //! * the fan-out cost model prices every supported query finitely and a
-//!   fully pruned query at zero.
+//!   fully pruned query at zero;
+//! * a k-NN center beyond the lift's budget is refused by the lifted
+//!   `knn` slot and answered exactly by the scan, unsharded and sharded.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -85,7 +87,7 @@ fn build_state() -> State {
     State { _devices: vec![dev2, dev3], unsharded, tiers, pts2, queries, reference }
 }
 
-/// The fixture is expensive (fifteen structure builds × 16 shards) and IO
+/// The fixture is expensive (fourteen structure builds × 16 shards) and IO
 /// is measured on shared device scopes, so tests serialize on one mutex.
 fn state() -> MutexGuard<'static, State> {
     static STATE: OnceLock<Mutex<State>> = OnceLock::new();
@@ -247,4 +249,25 @@ fn fanout_cost_model_orders_tiers() {
             }
         }
     }
+}
+
+#[test]
+fn far_center_knn_is_answered_by_scan_unsharded_and_sharded() {
+    let st = state();
+    let q = Query::Knn { x: 1 << 23, y: 0, k: 3 };
+    let want = brute_answer(&q, &st.pts2, &[]);
+    let set = &st.unsharded;
+    let knn = (0..set.len()).map(|s| set.structure(s)).find(|s| s.name() == "knn").unwrap();
+    assert!(!knn.supports(&q), "the center is beyond the lift's budget");
+    assert!(knn.try_execute(&q).is_err());
+    let slot = set.plan(&[q]).assignments[0].expect("the scan takes every k-NN");
+    assert_eq!(set.structure(slot).name(), "scan");
+    let report = set.execute(&[q], true);
+    assert_eq!(report.outcomes[0].status, QueryStatus::Ok);
+    assert_eq!(report.answers.unwrap()[0], want);
+
+    let ti = SHARD_COUNTS.iter().position(|&s| s == 4).unwrap();
+    let report = st.tiers[ti].execute(&[q], true);
+    assert_eq!(report.outcomes[0].status, QueryStatus::Ok);
+    assert_eq!(report.answers.unwrap()[0], want, "S=4");
 }

@@ -6,7 +6,7 @@
 //! * the greedy clustering respects the Lemma 3.2 bounds for arbitrary k;
 //! * box classification agrees with corner enumeration in any dimension.
 
-use lcrs::engine::{LiftedIndex, LiftedKind};
+use lcrs::engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
 use lcrs::extmem::btree::BPlusTree;
 use lcrs::extmem::{Device, DeviceConfig};
 use lcrs::geom::lift::MAX_DISK_CENTER;
@@ -201,22 +201,27 @@ proptest! {
 
     #[test]
     fn knn_matches_brute_force(
-        pts in prop::collection::vec((-1000i64..1000, -1000i64..1000), 1..60),
-        q in (-1000i64..1000, -1000i64..1000),
+        base in prop::collection::vec((-3000i64..3000, -3000i64..3000), 1..60),
+        mask in prop::collection::vec(0u8..8, 1..60),
+        q in (-4000i64..4000, -4000i64..4000),
         k in 1usize..20,
     ) {
-        use lcrs::halfspace::knn::KnnStructure;
+        // Any representable points — out-of-budget ones ride the tail —
+        // ranked exactly by (distance², id) around an in-budget center.
+        let pts = with_extremes(&base, &mask);
         let dev = Device::new(DeviceConfig::new(512, 0));
-        let knn = KnnStructure::build(&dev, &pts, Hs3dConfig { copies: 1, ..Default::default() });
-        let got = knn.k_nearest(q.0, q.1, k);
-        let mut d: Vec<(i128, u32)> = pts.iter().enumerate().map(|(i, &(a, b))| {
-            let dx = (q.0 - a) as i128;
-            let dy = (q.1 - b) as i128;
-            (dx * dx + dy * dy, i as u32)
+        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let got = knn.execute(&Query::Knn { x: q.0, y: q.1, k });
+        // With |center| ≤ 2^21 each squared difference stays below 2^127,
+        // so the u128 sum is exact.
+        let mut d: Vec<(u128, u64)> = pts.iter().enumerate().map(|(i, &(a, b))| {
+            let dx = (q.0 as i128 - a as i128).unsigned_abs();
+            let dy = (q.1 as i128 - b as i128).unsigned_abs();
+            (dx * dx + dy * dy, i as u64)
         }).collect();
-        d.sort();
+        d.sort_unstable();
         d.truncate(k);
-        let want: Vec<u32> = d.into_iter().map(|(_, i)| i).collect();
+        let want: Vec<u64> = d.into_iter().map(|(_, i)| i).collect();
         prop_assert_eq!(got, want);
     }
 }

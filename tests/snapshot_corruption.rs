@@ -12,20 +12,26 @@
 //! cap, pages too small for a level, slot and live counters that disagree
 //! with the levels, a tombstone with no point under it, a point outside
 //! the coordinate budget — is a typed error at open, both in a live
-//! manifest and in a `dynamic` catalog entry.
+//! manifest and in a `dynamic` catalog entry. So are catalog entries in
+//! the retired layouts of the lifted 3D structure.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use lcrs::engine::{load_index, LiveIndex, RangeIndex, SnapshotCatalog, LIVE_MANIFEST};
+use lcrs::engine::{
+    load_index, LiftedIndex, LiftedKind, LiveIndex, RangeIndex, SnapshotCatalog, LIVE_MANIFEST,
+};
 use lcrs::extmem::{
     Device, DeviceConfig, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError, TempDir,
+    VecFile,
 };
+use lcrs::geom::plane3::Plane3;
 use lcrs::halfspace::dynamic::{
     load_level, load_points, load_tombstones, save_level, save_points, save_tombstones,
 };
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
+use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs::halfspace::DynamicHalfspace2;
 use lcrs::workloads::{points2, Dist2};
 
@@ -492,4 +498,64 @@ fn out_of_range_dynamic_entry_is_typed_at_load() {
         bad.write(&meta);
         expect_meta_error(what, cat.load("dyn", 0));
     }
+}
+
+/// Catalog entries in the layouts the lifted `HalfspaceRS3` had before it
+/// became the one `LiftedIndex` kind: `knn` as the 3D structure's metadata
+/// followed by the point count, and the `lift-hs3d` kind. No reader takes
+/// either; each must fail to load with a typed error. So must a `knn`
+/// entry whose id map is shorter than its 3D structure, even with the
+/// tail making up the point count.
+#[test]
+fn retired_lifted_layouts_are_typed_at_load() {
+    let dir = TempDir::new("lcrs-corrupt-lifted");
+    let pts = points2(Dist2::Uniform, 300, 1000, 9);
+    let dev = Device::new(DeviceConfig::new(512, 0));
+    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+    let planes: Vec<Plane3> =
+        pts.iter().map(|&(a, b)| Plane3::new(-2 * a, -2 * b, a * a + b * b)).collect();
+    let old_hs = HalfspaceRS3::build_dual(&dev, &planes, Hs3dConfig::default());
+    let one_point_tail = VecFile::from_slice(&dev, &[(5000i64, 0i64, 299u32)]);
+    dev.freeze();
+    let mut cat = SnapshotCatalog::create(dir.path()).unwrap();
+    cat.add("lifted", &knn).unwrap();
+    assert!(cat.load("lifted", 0).is_ok());
+
+    // The old `knn` layout: no id map and no tail after the 3D structure.
+    let mut w = MetaWriter::new();
+    w.str("knn");
+    old_hs.save(&mut w);
+    w.usize(pts.len());
+    w.write_to_path(&cat.meta_path("lifted")).unwrap();
+    expect_meta_error("knn in the old layout", cat.load("lifted", 0));
+
+    let mut w = MetaWriter::new();
+    w.str("knn");
+    old_hs.save(&mut w);
+    w.seq(299);
+    for id in 0..299 {
+        w.u32(id);
+    }
+    one_point_tail.save(&mut w);
+    w.usize(300);
+    w.write_to_path(&cat.meta_path("lifted")).unwrap();
+    expect_meta_error("an id map one short", cat.load("lifted", 0));
+
+    // The `lift-hs3d` kind in both the manifest and the metadata, so the
+    // load reaches the kind dispatch.
+    let mut w = MetaWriter::new();
+    w.str("lift-hs3d");
+    knn.save_meta(&mut w);
+    w.write_to_path(&cat.meta_path("lifted")).unwrap();
+    let mut w = MetaWriter::new();
+    w.str("lcrs-catalog");
+    w.u64(2);
+    w.seq(1);
+    w.str("lifted");
+    w.str("lift-hs3d");
+    w.str(&cat.entries()[0].pages);
+    w.write_to_path(&dir.path().join("__catalog.meta")).unwrap();
+    let reopened = SnapshotCatalog::open(dir.path()).unwrap();
+    assert_eq!(reopened.entries()[0].kind, "lift-hs3d");
+    expect_meta_error("the lift-hs3d kind", reopened.load("lifted", 0));
 }

@@ -12,7 +12,9 @@
 //! them even on panic).
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{load_index, BatchExecutor, Query, RangeIndex, SnapshotCatalog};
+use lcrs::engine::{
+    load_index, BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex, SnapshotCatalog,
+};
 use lcrs::extmem::{
     Device, DeviceConfig, IoDelta, IoStats, MetaReader, MetaWriter, PageBackend, ReopenBackend,
     SnapshotError, TempDir,
@@ -22,7 +24,7 @@ use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs::halfspace::ptree::PTreeConfig;
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs::halfspace::{DynamicHalfspace2, KnnStructure, PartitionTree};
+use lcrs::halfspace::{DynamicHalfspace2, PartitionTree};
 use lcrs::workloads::{halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape};
 use lcrs::workloads::{Dist2, Dist3};
 use lcrs_bench::pages_files;
@@ -248,7 +250,7 @@ fn roundtrip_knn_and_dynamic_two_distributions() {
         // k-NN (coordinates inside the lift budget).
         let kpts = points2(dist, 500, 1000, seed);
         let kdev = warm_device();
-        let knn = KnnStructure::build(&kdev, &kpts, Hs3dConfig::default());
+        let knn = LiftedIndex::build(&kdev, &kpts, LiftedKind::Hs3d);
         let kqueries = knn_queries(&kpts, 40, seed + 10);
         check_roundtrip(&dir, &kdev, &knn, &kqueries, &format!("knn-{dist:?}"));
 
