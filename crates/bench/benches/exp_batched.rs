@@ -14,7 +14,7 @@
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan, StrRTree};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs_engine::{BatchExecutor, LiftedIndex, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig};
 use lcrs_geom::point::PointD;
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
@@ -152,7 +152,7 @@ fn main() {
     for dist in [Dist2::Uniform, Dist2::Clustered] {
         let pts = points2(dist, n3, 1000, 44);
         let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         for shape in shapes {
             let qs: Vec<Query> = knn_batch(&pts, shape, batch_len, 16, 9)
                 .into_iter()

@@ -2,7 +2,7 @@
 //! IOs via the lifting of Section 4.1 (the `knn` kind of `LiftedIndex`).
 
 use lcrs_bench::{mean, print_table};
-use lcrs_engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs_engine::{LiftedIndex, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig};
 use lcrs_geom::lift::MAX_LIFT_COORD;
 use rand::rngs::StdRng;
@@ -29,7 +29,7 @@ fn main() {
     let n_pts = 1usize << 15;
     let pts = pseudo(n_pts, 1);
     let dev = Device::new(DeviceConfig::new(page, 0));
-    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev, &pts);
     let mut rng = StdRng::seed_from_u64(9);
     let mut rows = Vec::new();
     for k in [1usize, 8, 64, b, 4 * b, 16 * b] {
@@ -57,7 +57,7 @@ fn main() {
         let n_pts = 1usize << e;
         let pts = pseudo(n_pts, e as u64);
         let dev = Device::new(DeviceConfig::new(page, 0));
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         let mut ios = Vec::new();
         let mut rng = StdRng::seed_from_u64(17);
         for _ in 0..10 {

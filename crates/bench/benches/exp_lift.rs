@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{brute_answer, canon_answer, print_table, BenchReport};
-use lcrs_engine::{decode_sum, BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs_engine::{decode_sum, BatchExecutor, LiftedIndex, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_workloads::{aggregate_mixed, disk_mixed, halfplane_with_selectivity, points2, Dist2};
@@ -105,7 +105,7 @@ fn main() {
     );
     let dev_lift = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
     let dev_scan = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-    let lift = LiftedIndex::build(&dev_lift, &pts, LiftedKind::Hs3d);
+    let lift = LiftedIndex::build(&dev_lift, &pts);
     let scan = ExternalScan::build(&dev_scan, &pts);
 
     let (lift_answers, lift_reads, lift_wall) = run_cold(&lift, &disks);

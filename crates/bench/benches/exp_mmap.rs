@@ -22,8 +22,7 @@ use std::time::{Duration, Instant};
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
 use lcrs_engine::{
-    load_index, BatchExecutor, IndexSet, LiftedIndex, LiftedKind, Query, RangeIndex,
-    SnapshotCatalog,
+    load_index, BatchExecutor, IndexSet, LiftedIndex, Query, RangeIndex, SnapshotCatalog,
 };
 use lcrs_extmem::{
     Device, DeviceConfig, IoStats, MetaReader, MetaWriter, PageBackend, ReopenBackend, TempDir,
@@ -147,7 +146,7 @@ fn main() {
 
     let kpts = points2(Dist2::Clustered, nk, 1000, 523);
     let dev_knn = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-    let knn = LiftedIndex::build(&dev_knn, &kpts, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev_knn, &kpts);
     let kqueries: Vec<Query> = knn_batch(&kpts, BatchShape::SortedSweep, batch_len, 16, 6)
         .into_iter()
         .map(|(x, y, k)| Query::Knn { x, y, k })

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs_engine::{BatchExecutor, LiftedIndex, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig, IoDelta};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3};
@@ -166,7 +166,7 @@ fn main() {
     {
         let pts = points2(Dist2::Uniform, n3, 1000, 44);
         let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         dev.freeze();
         for shape in shapes {
             let qs: Vec<Query> = knn_batch(&pts, shape, batch_len, 16, 9)

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan};
 use lcrs_bench::{print_table, BenchReport};
-use lcrs_engine::{load_index, BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs_engine::{load_index, BatchExecutor, LiftedIndex, Query, RangeIndex};
 use lcrs_extmem::{Device, DeviceConfig, IoStats, MetaReader, MetaWriter, PageBackend, TempDir};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3};
@@ -178,7 +178,7 @@ fn main() {
             .collect();
         let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
         let t = Instant::now();
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         let ms = t.elapsed().as_secs_f64() * 1e3;
         rows.push(run_cell(&dir, &dev, &knn, &queries, n3, "Uniform".to_string(), ms));
     }

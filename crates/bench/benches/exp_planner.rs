@@ -68,12 +68,12 @@ fn main() {
     );
 
     // One 2D and one 3D dataset; every structure in the workspace. The 2D
-    // range stays inside the lift budget, so the lifted structures keep
-    // every point in their 3D backend and none in the exact-scan tail.
+    // range stays inside the lift budget, so the lifted structure keeps
+    // every point in its 3D structure and none in the exact-scan tail.
     let pts2 = points2(Dist2::Clustered, n2, 1000, 61);
     let pts3 = points3(Dist3::Uniform, n3, 1 << 16, 62);
 
-    // The canonical fourteen-structure fixture, shared with the planner
+    // The canonical eleven-structure fixture, shared with the planner
     // test suite (slot order is load-bearing for tie-breaking).
     let dev2 = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
     let dev3 = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
@@ -144,7 +144,7 @@ fn main() {
     );
 
     // Calibration round trip: a catalog-reopened set plans identically.
-    // Its fourteen entries live on two devices, so it holds two pages files.
+    // Its eleven entries live on two devices, so it holds two pages files.
     let dir = TempDir::new("lcrs-exp-planner");
     dev2.freeze();
     dev3.freeze();

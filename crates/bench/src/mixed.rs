@@ -10,8 +10,9 @@
 //! order live here once and cannot drift apart (DESIGN.md §10).
 
 use lcrs_baselines::{ExternalKdTree, ExternalScan, ExternalScan3, StrRTree};
-use lcrs_engine::{encode_sum, IndexSet, LiftedIndex, LiftedKind, Query};
+use lcrs_engine::{encode_sum, IndexSet, LiftedIndex, Query};
 use lcrs_extmem::DeviceHandle;
+use lcrs_geom::lift;
 use lcrs_geom::point::PointD;
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs_halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
@@ -139,15 +140,14 @@ pub fn mixed_probes(pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)], seed: u64) ->
 }
 
 /// Every `RangeIndex` structure in the workspace over one 2D + one 3D
-/// dataset — the canonical fourteen-slot fixture shared by the planner
-/// test suite and `exp_planner`/`exp_lift`; the lifted `HalfspaceRS3`
-/// (`knn`) answers both k-NN and disks. Slot order is load-bearing
-/// and must stay in one place: `IndexSet::plan` breaks predicted-cost
-/// ties toward earlier slots, so the scan-class structures sit last — a
-/// tie must never break toward a scan (`lift-scan3`, whose disk path
-/// scans its lifted file, sits after even the plain scans). The dynamic
-/// structure inserts with tag = input index, keeping its answers
-/// comparable to a brute-force reference.
+/// dataset — the canonical eleven-slot fixture shared by the planner,
+/// shard and serve test suites, `exp_planner`/`exp_shard` and the
+/// benchmark; the lifted `HalfspaceRS3` (`knn`) answers both k-NN and
+/// disks. Slot order is load-bearing and must stay in one place:
+/// `IndexSet::plan` breaks predicted-cost ties toward earlier slots, so
+/// the scan-class structures sit last — a tie must never break toward a
+/// scan. The dynamic structure inserts with tag = input index, keeping
+/// its answers comparable to a brute-force reference.
 pub fn full_index_set(
     h2: &DeviceHandle,
     h3: &DeviceHandle,
@@ -165,15 +165,12 @@ pub fn full_index_set(
         dynamic.insert(x, y, i as u64);
     }
     set.add(Box::new(dynamic));
-    set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Hs3d)));
+    set.add(Box::new(LiftedIndex::build(h2, pts2)));
     set.add(Box::new(HalfspaceRS3::build(h3, pts3, Hs3dConfig::default())));
     set.add(Box::new(HybridTree3::build(h3, pts3, HybridConfig::default())));
     set.add(Box::new(ShallowTree3::build(h3, pts3, ShallowConfig::default())));
-    set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Hybrid)));
-    set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Shallow)));
     set.add(Box::new(ExternalScan::build(h2, pts2)));
     set.add(Box::new(ExternalScan3::build(h3, pts3)));
-    set.add(Box::new(LiftedIndex::build(h2, pts2, LiftedKind::Scan3)));
     set
 }
 
@@ -190,77 +187,46 @@ pub fn canon_answer(q: &Query, mut ids: Vec<u64>) -> Vec<u64> {
     ids
 }
 
-/// Host-side brute force in canonical form (sorted ids for reports,
-/// `(distance, id)` order for k-NN), with `i128` widening so no
-/// coefficient range overflows — ONE reference implementation shared by
-/// the planner and sharding differential suites. Ids are input indices
-/// (2D for halfplane/k-NN, 3D for halfspace).
+/// Host-side brute force in canonical form (ids ascending for reports,
+/// `(distance, id)` order for k-NN), exact for every `i64` input: `i128`
+/// widening for the linear predicates and the structures' own carry-aware
+/// distance predicates ([`lift::dist2_carry`], [`lift::in_disk`]) for
+/// k-NN and disks — ONE reference implementation shared by the planner
+/// and sharding differential suites. Ids are input indices (2D for every
+/// class but halfspace, 3D for halfspace).
 pub fn brute_answer(q: &Query, pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)]) -> Vec<u64> {
     match *q {
         Query::Halfplane { m, c, inclusive } => {
-            let mut ids: Vec<u64> = pts2
-                .iter()
-                .enumerate()
-                .filter(|(_, &(x, y))| {
-                    let rhs = m as i128 * x as i128 + c as i128;
-                    if inclusive {
-                        y as i128 <= rhs
-                    } else {
-                        (y as i128) < rhs
-                    }
-                })
-                .map(|(i, _)| i as u64)
-                .collect();
-            ids.sort_unstable();
-            ids
+            below2(pts2, m, c, inclusive).map(|(i, _)| i as u64).collect()
         }
-        Query::Halfspace { u, v, w, inclusive } => {
-            let mut ids: Vec<u64> = pts3
-                .iter()
-                .enumerate()
-                .filter(|(_, &(x, y, z))| {
-                    let rhs = u as i128 * x as i128 + v as i128 * y as i128 + w as i128;
-                    if inclusive {
-                        z as i128 <= rhs
-                    } else {
-                        (z as i128) < rhs
-                    }
-                })
-                .map(|(i, _)| i as u64)
-                .collect();
-            ids.sort_unstable();
-            ids
-        }
+        Query::Halfspace { u, v, w, inclusive } => pts3
+            .iter()
+            .enumerate()
+            .filter(|(_, &(x, y, z))| {
+                let rhs = u as i128 * x as i128 + v as i128 * y as i128 + w as i128;
+                if inclusive {
+                    z as i128 <= rhs
+                } else {
+                    (z as i128) < rhs
+                }
+            })
+            .map(|(i, _)| i as u64)
+            .collect(),
         Query::Knn { x, y, k } => {
-            let mut d: Vec<(i128, u64)> = pts2
+            let mut d: Vec<((bool, u128), u64)> = pts2
                 .iter()
                 .enumerate()
-                .map(|(i, &(a, b))| {
-                    let (dx, dy) = (x as i128 - a as i128, y as i128 - b as i128);
-                    (dx * dx + dy * dy, i as u64)
-                })
+                .map(|(i, &(px, py))| (lift::dist2_carry(x, y, px, py), i as u64))
                 .collect();
             d.sort_unstable();
             d.into_iter().take(k).map(|(_, i)| i).collect()
         }
-        Query::Disk { x, y, r2, inclusive } => {
-            let mut ids: Vec<u64> = pts2
-                .iter()
-                .enumerate()
-                .filter(|(_, &(px, py))| {
-                    let (dx, dy) = (x as i128 - px as i128, y as i128 - py as i128);
-                    let d2 = dx * dx + dy * dy;
-                    if inclusive {
-                        d2 <= r2 as i128
-                    } else {
-                        d2 < r2 as i128
-                    }
-                })
-                .map(|(i, _)| i as u64)
-                .collect();
-            ids.sort_unstable();
-            ids
-        }
+        Query::Disk { x, y, r2, inclusive } => pts2
+            .iter()
+            .enumerate()
+            .filter(|(_, &(px, py))| lift::in_disk(x, y, r2, px, py, inclusive))
+            .map(|(i, _)| i as u64)
+            .collect(),
         Query::Count { m, c, inclusive } => {
             vec![below2(pts2, m, c, inclusive).count() as u64]
         }
@@ -280,8 +246,8 @@ pub fn brute_answer(q: &Query, pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)]) ->
     }
 }
 
-/// The 2D points below `y = m·x + c` with their input indices — the one
-/// membership predicate the halfplane-derived brute arms share.
+/// The 2D points below `y = m·x + c` with their input indices, in input
+/// order — the one membership predicate the halfplane arms share.
 fn below2(
     pts2: &[(i64, i64)],
     m: i64,
@@ -374,5 +340,16 @@ mod tests {
         // Top-k by key y − 0·x ≤ 5, two lowest: (-2,-2) key −4, (0,0) key 0.
         let topk = Query::TopK { m: 0, c: 5, k: 2 };
         assert_eq!(brute_answer(&topk, &pts2, &[]), vec![3, 0]);
+    }
+
+    #[test]
+    fn brute_is_exact_at_the_i64_extremes() {
+        // A difference of 2^64 − 1 squares past i128: the farther point
+        // must not rank first, and a disk of r² = i64::MAX must not admit
+        // a point (2^64 − 1)·√2 away.
+        let knn = Query::Knn { x: i64::MAX, y: 0, k: 1 };
+        assert_eq!(brute_answer(&knn, &[(i64::MIN, 0), (0, 0)], &[]), vec![1]);
+        let disk = Query::Disk { x: i64::MAX, y: i64::MAX, r2: i64::MAX, inclusive: true };
+        assert_eq!(brute_answer(&disk, &[(i64::MIN, i64::MIN)], &[]), Vec::<u64>::new());
     }
 }

@@ -454,7 +454,8 @@ fn read_result(dir: &Path, bench: &str) -> Result<ResultCells, String> {
 /// so an unexpectedly fast run is never an error. `None` leaves wall
 /// recorded but ungated (the CI default).
 ///
-/// Returns a printable summary, or a printable failure report.
+/// Returns a printable summary, which names every read-IO cell that
+/// differs from its baseline at all, or a printable failure report.
 pub fn check_baseline(
     dir: &Path,
     tolerance: f64,
@@ -471,6 +472,7 @@ pub fn check_baseline(
     };
     let mut failures = Vec::new();
     let mut summary = Vec::new();
+    let mut moved = Vec::new();
     for bench in GATED_BENCHES {
         let base = match benches.get(bench) {
             Some(Json::Obj(m)) => m,
@@ -494,6 +496,9 @@ pub fn check_baseline(
             let want = want.as_f64().unwrap_or(f64::NAN);
             match current.reads.get(id) {
                 Some(&got) if got <= want * (1.0 + tolerance) => {
+                    if got != want {
+                        moved.push(format!("  {bench}/{id}: {want} → {got}"));
+                    }
                     // An improvement beyond tolerance also fails: left
                     // unrefreshed, the stale-high baseline would let a
                     // later regression ride back up to it unnoticed.
@@ -565,6 +570,10 @@ pub fn check_baseline(
                 String::new()
             }
         ));
+    }
+    if !moved.is_empty() {
+        summary.push("read-IO cells off baseline (baseline → current):".to_string());
+        summary.append(&mut moved);
     }
     if failures.is_empty() {
         Ok(format!("[bench-gate] PASS\n{}", summary.join("\n")))
@@ -702,11 +711,15 @@ mod tests {
             write_result(&dir, bench, &[("cell/a", 100.0), ("cell/b", 50.0)], true);
         }
         update_baseline(&dir).unwrap();
-        assert!(check_baseline(&dir, 0.02, None).is_ok());
+        let pass = check_baseline(&dir, 0.02, None).unwrap();
+        assert!(!pass.contains("→"), "identical cells are not named: {pass}");
 
-        // +1% on one cell: within the 2% tolerance.
+        // +1% on one cell: within the 2% tolerance, and named in the
+        // summary; the identical cell is not.
         write_result(&dir, "exp_batched", &[("cell/a", 101.0), ("cell/b", 50.0)], true);
-        assert!(check_baseline(&dir, 0.02, None).is_ok());
+        let pass = check_baseline(&dir, 0.02, None).unwrap();
+        assert!(pass.contains("exp_batched/cell/a: 100 → 101"), "{pass}");
+        assert!(!pass.contains("cell/b"), "{pass}");
 
         // +5%: gate fails and names the offender.
         write_result(&dir, "exp_batched", &[("cell/a", 105.0), ("cell/b", 50.0)], true);

@@ -10,11 +10,12 @@
 //!   [`Query::Disk`] (circular ranges via the paraboloid lift),
 //!   [`Query::Count`] / [`Query::Sum`] (annotated aggregates), and
 //!   [`Query::TopK`] (ranked reporting);
-//! * [`LiftedIndex`] — disk queries answered by the existing 3D
-//!   structures over lifted 2D points, with an exact-scan tail for
-//!   points outside the lift budget; its [`LiftedKind::Hs3d`] kind, named
-//!   `knn`, also answers k-NN (Theorem 4.3) as the k lowest lifted planes
-//!   at the center;
+//! * [`LiftedIndex`] (kind `knn`) — disks and k-NN (Theorem 4.3)
+//!   answered by the existing 3D halfspace structure over lifted 2D
+//!   points, with an exact-scan tail for points outside the lift budget:
+//!   the k nearest neighbors are the k lowest lifted planes at the
+//!   center, and a disk's points are the planes below one point on the
+//!   center's vertical line;
 //! * [`RangeIndex`] — the unified query interface, implemented by every
 //!   structure of `lcrs_halfspace` and every baseline of `lcrs_baselines`,
 //!   with per-query [`IoDelta`](lcrs_extmem::IoDelta) attribution measured
@@ -84,7 +85,7 @@ pub mod shard;
 pub use batch::{BatchExecutor, BatchReport, ExecMode, QueryOutcome, QueryStatus, WorkerReport};
 pub use catalog::{CatalogEntry, SnapshotCatalog, RESERVED_PREFIX};
 pub use cost::{calibrate_index, predicted_reads, Calibration};
-pub use lift::{LiftedIndex, LiftedKind};
+pub use lift::LiftedIndex;
 pub use live::{LiveIndex, LiveLevel, LIVE_MANIFEST};
 pub use planner::{IndexSet, Plan, PlanReport, RoutedReport, CALIBRATION_FILE};
 pub use query::{decode_sum, encode_sum, load_index, Query, RangeIndex, Unsupported};

@@ -1,23 +1,17 @@
-//! [`LiftedIndex`]: 2D queries answered through the 3D structures on the
-//! paraboloid lift — no new index (DESIGN.md §15).
+//! [`LiftedIndex`]: disks and k-NN answered through the 3D halfspace
+//! structure on the paraboloid lift — no new index (DESIGN.md §15).
 //!
 //! At build time every in-budget 2D point `(px, py)` (within
-//! [`lcrs_geom::lift::MAX_LIFT_COORD`]) lifts to the 3D point
-//! `(px, py, px² + py²)`; a [`Query::Disk`] of center `(x, y)` and squared
-//! radius `r2` translates to the halfspace
-//! `z ≤ 2x·px + 2y·py + (r2 − x² − y²)`
-//! ([`lcrs_geom::lift::disk_to_halfspace`]), which any of the four 3D
-//! backends answers: [`HalfspaceRS3`] (Theorem 4.4, logarithmic),
-//! [`HybridTree3`] / [`ShallowTree3`] (Section 6 trade-offs), or
-//! [`ExternalScan3`] (the lifted oracle).
-//!
-//! The [`HalfspaceRS3`] kind, named `knn`, also answers [`Query::Knn`]
-//! (Theorem 4.3). It stores each point as the plane
-//! `z = px² + py² − 2px·x − 2py·y`, whose value at `(x, y)` is the squared
-//! distance to `(x, y)` minus `x² + y²`: the k nearest neighbors are the k
-//! lowest planes along the vertical line at the center, and a disk is the
-//! set of planes below the point `(x, y, r2 − x² − y²)`. Both classes share
-//! one center budget, [`lcrs_geom::lift::MAX_DISK_CENTER`].
+//! [`lcrs_geom::lift::MAX_LIFT_COORD`]) becomes the plane
+//! `z = px² + py² − 2px·x − 2py·y` of one [`HalfspaceRS3`] (Theorem 4.4),
+//! whose value at `(x, y)` is the squared distance to `(x, y)` minus
+//! `x² + y²`. The k nearest neighbors of a center ([`Query::Knn`],
+//! Theorem 4.3) are the k lowest planes along the vertical line there. A
+//! [`Query::Disk`] of center `(x, y)` and squared radius `r2` — on lifted
+//! points the halfspace `z ≤ 2x·px + 2y·py + (r2 − x² − y²)`
+//! ([`lcrs_geom::lift::disk_to_halfspace`]) — is the set of planes below
+//! the point `(x, y, r2 − x² − y²)`. Both classes share one center
+//! budget, [`lcrs_geom::lift::MAX_DISK_CENTER`].
 //!
 //! Points *outside* the lift budget go to a tail file on the same device,
 //! scanned with exact carry-aware `u128` distances
@@ -25,53 +19,29 @@
 //! the lifted candidates by `(distance², id)` — the lift accelerates the
 //! dense in-budget mass without ever giving up exactness.
 //!
-//! All IOs — inner-structure reads and tail pages — flow through the one
+//! All IOs — 3D-structure reads and tail pages — flow through the one
 //! [`DeviceHandle`] scope the index was built on, so the engine's
 //! per-query [`lcrs_extmem::IoDelta`] attribution sees the composite as a
 //! single structure.
 
-use lcrs_baselines::ExternalScan3;
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, SnapshotError, VecFile};
 use lcrs_geom::lift;
 use lcrs_geom::plane3::Plane3;
-use lcrs_halfspace::cost::{CostHint, CostShape};
+use lcrs_halfspace::cost::CostHint;
 use lcrs_halfspace::hs3d::{Hs3dConfig, QueryStats3};
-use lcrs_halfspace::tradeoff::{HybridConfig, ShallowConfig};
-use lcrs_halfspace::{HalfspaceRS3, HybridTree3, ShallowTree3};
+use lcrs_halfspace::HalfspaceRS3;
 
 use crate::query::{unsupported, Query, RangeIndex, Unsupported};
 
-/// Which 3D backend serves the lifted points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiftedKind {
-    /// [`HalfspaceRS3`] — O(log n) search (Theorem 4.4), and the one kind
-    /// that also answers k-NN (Theorem 4.3); named `knn`.
-    Hs3d,
-    /// [`HybridTree3`] — the n^(1/3) Section 6 trade-off.
-    Hybrid,
-    /// [`ShallowTree3`] — the n^(2/3) Section 6 trade-off.
-    Shallow,
-    /// [`ExternalScan3`] — the lifted scan oracle.
-    Scan3,
-}
-
-enum Inner {
-    Hs3d(HalfspaceRS3),
-    Hybrid(HybridTree3),
-    Shallow(ShallowTree3),
-    Scan3(ExternalScan3),
-}
-
-/// A 2D point set answering [`Query::Disk`] (and, for
-/// [`LiftedKind::Hs3d`], [`Query::Knn`]) via the paraboloid lift (see the
-/// module docs). Built from arbitrary `i64` points; only the in-budget
-/// ones ride the 3D structure, the rest live in an exact-scan tail on the
-/// same device.
+/// A 2D point set answering [`Query::Disk`] and [`Query::Knn`] via the
+/// paraboloid lift (see the module docs); named `knn`. Built from
+/// arbitrary `i64` points; only the in-budget ones ride the 3D structure,
+/// the rest live in an exact-scan tail on the same device.
 pub struct LiftedIndex {
     dev: DeviceHandle,
-    inner: Inner,
-    /// Inner-structure local id → original input id (in-budget points
-    /// keep their build order inside the inner structure).
+    hs: HalfspaceRS3,
+    /// 3D-structure local id → original input id (in-budget points keep
+    /// their build order inside the 3D structure).
     ids: Vec<u32>,
     /// Out-of-budget points `(x, y, original id)`.
     tail: VecFile<(i64, i64, u32)>,
@@ -79,38 +49,25 @@ pub struct LiftedIndex {
 }
 
 impl LiftedIndex {
-    /// Lift `points` and build the `kind` backend over the in-budget
-    /// subset; the rest go to the tail file. Pays the inner structure's
-    /// build IOs plus one sequential write of the tail.
-    pub fn build(dev: &DeviceHandle, points: &[(i64, i64)], kind: LiftedKind) -> LiftedIndex {
-        let mut lifted: Vec<(i64, i64, i64)> = Vec::new();
+    /// Lift `points` and build the 3D structure over the planes of the
+    /// in-budget subset; the rest go to the tail file. Pays the 3D
+    /// structure's build IOs plus one sequential write of the tail.
+    pub fn build(dev: &DeviceHandle, points: &[(i64, i64)]) -> LiftedIndex {
+        let mut planes: Vec<Plane3> = Vec::new();
         let mut ids: Vec<u32> = Vec::new();
         let mut tail_items: Vec<(i64, i64, u32)> = Vec::new();
         for (i, &(px, py)) in points.iter().enumerate() {
             match lift::lift_z(px, py) {
                 Some(z) => {
-                    lifted.push((px, py, z));
+                    planes.push(Plane3::new(-2 * px, -2 * py, z));
                     ids.push(i as u32);
                 }
                 None => tail_items.push((px, py, i as u32)),
             }
         }
-        let inner = match kind {
-            LiftedKind::Hs3d => {
-                let planes: Vec<Plane3> =
-                    lifted.iter().map(|&(px, py, z)| Plane3::new(-2 * px, -2 * py, z)).collect();
-                Inner::Hs3d(HalfspaceRS3::build_dual(dev, &planes, Hs3dConfig::default()))
-            }
-            LiftedKind::Hybrid => {
-                Inner::Hybrid(HybridTree3::build(dev, &lifted, HybridConfig::default()))
-            }
-            LiftedKind::Shallow => {
-                Inner::Shallow(ShallowTree3::build(dev, &lifted, ShallowConfig::default()))
-            }
-            LiftedKind::Scan3 => Inner::Scan3(ExternalScan3::build(dev, &lifted)),
-        };
+        let hs = HalfspaceRS3::build_dual(dev, &planes, Hs3dConfig::default());
         let tail = VecFile::from_slice(dev, &tail_items);
-        LiftedIndex { dev: dev.clone(), inner, ids, tail, n: points.len() }
+        LiftedIndex { dev: dev.clone(), hs, ids, tail, n: points.len() }
     }
 
     /// Total points (in-budget plus tail).
@@ -129,15 +86,9 @@ impl LiftedIndex {
 
     /// The same index viewed through `h` (own cache + stats, same pages).
     pub fn with_handle(&self, h: &DeviceHandle) -> LiftedIndex {
-        let inner = match &self.inner {
-            Inner::Hs3d(s) => Inner::Hs3d(s.with_handle(h)),
-            Inner::Hybrid(s) => Inner::Hybrid(s.with_handle(h)),
-            Inner::Shallow(s) => Inner::Shallow(s.with_handle(h)),
-            Inner::Scan3(s) => Inner::Scan3(s.with_handle(h)),
-        };
         LiftedIndex {
             dev: h.clone(),
-            inner,
+            hs: self.hs.with_handle(h),
             ids: self.ids.clone(),
             tail: self.tail.with_handle(h),
             n: self.n,
@@ -145,20 +96,9 @@ impl LiftedIndex {
     }
 
     /// Reconstruct an index persisted through [`RangeIndex::save_meta`]
-    /// from its kind string (`"knn"` / `"lift-hybrid"` / `"lift-shallow"`
-    /// / `"lift-scan3"`).
-    pub fn load(
-        kind: &str,
-        h: &DeviceHandle,
-        r: &mut MetaReader,
-    ) -> Result<LiftedIndex, SnapshotError> {
-        let inner = match kind {
-            "knn" => Inner::Hs3d(HalfspaceRS3::load(h, r)?),
-            "lift-hybrid" => Inner::Hybrid(HybridTree3::load(h, r)?),
-            "lift-shallow" => Inner::Shallow(ShallowTree3::load(h, r)?),
-            "lift-scan3" => Inner::Scan3(ExternalScan3::load(h, r)?),
-            other => return Err(r.error(format!("unknown lifted kind {other:?}"))),
-        };
+    /// (catalog kind `"knn"`).
+    pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<LiftedIndex, SnapshotError> {
+        let hs = HalfspaceRS3::load(h, r)?;
         let n_ids = r.seq()?;
         let mut ids = Vec::with_capacity(n_ids);
         for _ in 0..n_ids {
@@ -166,34 +106,32 @@ impl LiftedIndex {
         }
         let tail = VecFile::load(h, r)?;
         let n = r.usize()?;
-        let inner_len = match &inner {
-            Inner::Hs3d(s) => s.len(),
-            Inner::Hybrid(s) => s.len(),
-            Inner::Shallow(s) => s.len(),
-            Inner::Scan3(s) => s.len(),
-        };
-        // Every query maps the inner structure's local ids through `ids`.
-        if ids.len() != inner_len {
+        // Every query maps the 3D structure's local ids through `ids`.
+        if ids.len() != hs.len() {
             return Err(r.error("lifted id map must cover the 3D structure's points"));
         }
         if ids.len() + tail.len() != n {
             return Err(r.error("lifted id map + tail must cover every point"));
         }
-        Ok(LiftedIndex { dev: h.clone(), inner, ids, tail, n })
+        // Each mapped id must name its own point: a sharded gather indexes
+        // its global-id table with them.
+        let mut seen = vec![false; n];
+        for &id in &ids {
+            match seen.get_mut(id as usize) {
+                Some(s) if !*s => *s = true,
+                _ => return Err(r.error(format!("lifted id {id} is repeated or not below {n}"))),
+            }
+        }
+        Ok(LiftedIndex { dev: h.clone(), hs, ids, tail, n })
     }
 
     /// Ids of points inside the disk: lifted halfspace over the in-budget
     /// mass, exact scan over the tail.
     pub fn disk_report(&self, x: i64, y: i64, r2: i64, inclusive: bool) -> Vec<u64> {
         let mut out: Vec<u64> = Vec::new();
-        if let Some((u, v, w)) = lift::disk_to_halfspace(x, y, r2) {
-            let local = match &self.inner {
-                // The plane build takes the center itself as the location.
-                Inner::Hs3d(s) => s.query_below(x, y, w, inclusive),
-                Inner::Hybrid(s) => s.query_below(u, v, w, inclusive),
-                Inner::Shallow(s) => s.query_below(u, v, w, inclusive),
-                Inner::Scan3(s) => s.query_below(u, v, w, inclusive).0,
-            };
+        if let Some((_, _, w)) = lift::disk_to_halfspace(x, y, r2) {
+            // The plane build takes the center itself as the location.
+            let local = self.hs.query_below(x, y, w, inclusive);
             out.extend(local.into_iter().map(|l| u64::from(self.ids[l as usize])));
         }
         // r2 < 0 (an empty disk) skips the lift but still scans nothing
@@ -210,10 +148,11 @@ impl LiftedIndex {
     /// Ids of the `k` nearest points to an in-budget center `(x, y)`,
     /// closest first, ties by id: the k lowest lifted planes at the
     /// center, merged with the whole tail by exact `(distance², id)`.
-    fn knn_report(&self, hs: &HalfspaceRS3, x: i64, y: i64, k: usize) -> Vec<u64> {
+    fn knn_report(&self, x: i64, y: i64, k: usize) -> Vec<u64> {
         // A plane's value at the center is distance² − (x² + y²).
         let shift = i128::from(x) * i128::from(x) + i128::from(y) * i128::from(y);
-        let mut ranked: Vec<((bool, u128), u64)> = hs
+        let mut ranked: Vec<((bool, u128), u64)> = self
+            .hs
             .k_lowest(x, y, k, &mut QueryStats3::default())
             .into_iter()
             .map(|(l, v)| ((false, (v + shift) as u128), u64::from(self.ids[l as usize])))
@@ -230,46 +169,27 @@ impl LiftedIndex {
 
 impl RangeIndex for LiftedIndex {
     fn name(&self) -> &'static str {
-        match self.inner {
-            Inner::Hs3d(_) => "knn",
-            Inner::Hybrid(_) => "lift-hybrid",
-            Inner::Shallow(_) => "lift-shallow",
-            Inner::Scan3(_) => "lift-scan3",
-        }
+        "knn"
     }
 
     fn device(&self) -> &DeviceHandle {
         &self.dev
     }
 
-    /// Disks, and k-NN on the `knn` kind, whose center keeps the lifted
-    /// plane exact ([`lcrs_geom::lift::MAX_DISK_CENTER`]); empty disks
-    /// (`r2 < 0`) are supported and answer with nothing.
+    /// Disks and k-NN whose center keeps the lifted plane exact
+    /// ([`lcrs_geom::lift::MAX_DISK_CENTER`]); empty disks (`r2 < 0`)
+    /// are supported and answer with nothing.
     fn supports(&self, q: &Query) -> bool {
         match *q {
-            Query::Disk { x, y, .. } => lift::center_in_budget(x, y),
-            Query::Knn { x, y, .. } => {
-                matches!(self.inner, Inner::Hs3d(_)) && lift::center_in_budget(x, y)
-            }
+            Query::Disk { x, y, .. } | Query::Knn { x, y, .. } => lift::center_in_budget(x, y),
             _ => false,
         }
     }
 
+    /// The 3D structure's shape; every query also scans the tail, whose
+    /// pages the calibrated constant absorbs.
     fn cost_hint(&self) -> CostHint {
-        let mut hint = match &self.inner {
-            Inner::Hs3d(s) => s.cost_hint(),
-            Inner::Hybrid(s) => s.cost_hint(),
-            Inner::Shallow(s) => s.cost_hint(),
-            Inner::Scan3(s) => {
-                CostHint::new(CostShape::Scan { data_pages: s.data_pages() }, s.len())
-            }
-        };
-        // Every query also scans the tail; a scan-shaped inner can price
-        // those pages exactly, the others absorb them into the calibrated
-        // constant.
-        if let CostShape::Scan { data_pages } = hint.shape {
-            hint.shape = CostShape::Scan { data_pages: data_pages + self.tail.pages() as u64 };
-        }
+        let mut hint = self.hs.cost_hint();
         hint.n = self.n as u64;
         hint
     }
@@ -278,9 +198,9 @@ impl RangeIndex for LiftedIndex {
         if !RangeIndex::supports(self, q) {
             return unsupported(RangeIndex::name(self), q);
         }
-        match (*q, &self.inner) {
-            (Query::Disk { x, y, r2, inclusive }, _) => Ok(self.disk_report(x, y, r2, inclusive)),
-            (Query::Knn { x, y, k }, Inner::Hs3d(hs)) => Ok(self.knn_report(hs, x, y, k)),
+        match *q {
+            Query::Disk { x, y, r2, inclusive } => Ok(self.disk_report(x, y, r2, inclusive)),
+            Query::Knn { x, y, k } => Ok(self.knn_report(x, y, k)),
             _ => unsupported(RangeIndex::name(self), q),
         }
     }
@@ -290,12 +210,7 @@ impl RangeIndex for LiftedIndex {
     }
 
     fn save_meta(&self, w: &mut MetaWriter) {
-        match &self.inner {
-            Inner::Hs3d(s) => s.save(w),
-            Inner::Hybrid(s) => s.save(w),
-            Inner::Shallow(s) => s.save(w),
-            Inner::Scan3(s) => s.save(w),
-        }
+        self.hs.save(w);
         w.seq(self.ids.len());
         for &id in &self.ids {
             w.u32(id);
@@ -369,25 +284,23 @@ mod tests {
     }
 
     #[test]
-    fn every_backend_matches_brute_force() {
+    fn disks_with_a_tail_match_brute_force() {
         let pts = mixed_points(500, 9);
-        for kind in [LiftedKind::Hs3d, LiftedKind::Hybrid, LiftedKind::Shallow, LiftedKind::Scan3] {
-            let dev = Device::new(DeviceConfig::new(512, 0));
-            let idx = LiftedIndex::build(&dev, &pts, kind);
-            assert!(idx.tail_len() > 0, "outliers must populate the tail");
-            for (x, y, r2) in [
-                (0i64, 0i64, 400_000i64),
-                (-500, 500, 90_000),
-                (lift::MAX_DISK_CENTER, 0, 1 << 50),
-                (3, -4, 0),
-                (7, 7, -5),
-            ] {
-                for inclusive in [false, true] {
-                    let mut got = idx.disk_report(x, y, r2, inclusive);
-                    got.sort_unstable();
-                    let want = brute_disk(&pts, x, y, r2, inclusive);
-                    assert_eq!(got, want, "{kind:?} disk=({x},{y},{r2}) inclusive={inclusive}");
-                }
+        let dev = Device::new(DeviceConfig::new(512, 0));
+        let idx = LiftedIndex::build(&dev, &pts);
+        assert!(idx.tail_len() > 0, "outliers must populate the tail");
+        for (x, y, r2) in [
+            (0i64, 0i64, 400_000i64),
+            (-500, 500, 90_000),
+            (lift::MAX_DISK_CENTER, 0, 1 << 50),
+            (3, -4, 0),
+            (7, 7, -5),
+        ] {
+            for inclusive in [false, true] {
+                let mut got = idx.disk_report(x, y, r2, inclusive);
+                got.sort_unstable();
+                let want = brute_disk(&pts, x, y, r2, inclusive);
+                assert_eq!(got, want, "disk=({x},{y},{r2}) inclusive={inclusive}");
             }
         }
     }
@@ -396,7 +309,7 @@ mod tests {
     fn knn_matches_brute_force() {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let pts = budget_points(400, 77);
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         assert_eq!(knn.tail_len(), 0);
         let mut next = budget_centers(5);
         for _ in 0..25 {
@@ -414,7 +327,7 @@ mod tests {
     fn knn_k_larger_than_n() {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let pts = budget_points(20, 3);
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         let got = knn.execute(&Query::Knn { x: 0, y: 0, k: 100 });
         assert_eq!(got.len(), 20);
         assert_eq!(got, brute_knn(&pts, 0, 0, 20));
@@ -424,7 +337,7 @@ mod tests {
     fn knn_kind_disks_match_brute_force() {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let pts = budget_points(300, 21);
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         let mut next = budget_centers(3);
         for trial in 0..20 {
             let (x, y) = (next(), next());
@@ -444,7 +357,7 @@ mod tests {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let mut pts = mixed_points(300, 41);
         pts.extend([(5000, 0), (lift::MAX_LIFT_COORD + 1, 3), (i64::MIN, i64::MAX), (0, 0)]);
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         assert!(knn.tail_len() > 2, "outliers must populate the tail");
         for (x, y) in [(0i64, 0i64), (5000, 1), (-700, 900), (lift::MAX_DISK_CENTER, 0)] {
             for k in [1usize, 4, 30, 400] {
@@ -455,14 +368,14 @@ mod tests {
         // Near (5000, 0) the nearest point lives only in the tail.
         assert_eq!(knn.execute(&Query::Knn { x: 5000, y: 1, k: 1 }), vec![300]);
         // A tail point and a lifted point at one distance rank by id.
-        let tie = LiftedIndex::build(&dev, &[(3025, 0), (975, 0)], LiftedKind::Hs3d);
+        let tie = LiftedIndex::build(&dev, &[(3025, 0), (975, 0)]);
         assert_eq!(tie.execute(&Query::Knn { x: 2000, y: 0, k: 2 }), vec![0, 1]);
     }
 
     #[test]
     fn supports_gates_on_center_budget() {
         let dev = Device::new(DeviceConfig::new(512, 0));
-        let idx = LiftedIndex::build(&dev, &[(0, 0), (3, 4)], LiftedKind::Hs3d);
+        let idx = LiftedIndex::build(&dev, &[(0, 0), (3, 4)]);
         let ok = Query::Disk { x: 0, y: 0, r2: 25, inclusive: true };
         let empty = Query::Disk { x: 0, y: 0, r2: -1, inclusive: true };
         let far = Query::Disk { x: lift::MAX_DISK_CENTER + 1, y: 0, r2: 25, inclusive: true };
@@ -484,11 +397,6 @@ mod tests {
             let q = Query::Knn { x: far, y: 0, k: 3 };
             assert!(!RangeIndex::supports(&idx, &q));
             assert!(idx.try_execute(&q).is_err());
-        }
-        // Only the knn kind takes k-NN.
-        for kind in [LiftedKind::Hybrid, LiftedKind::Shallow, LiftedKind::Scan3] {
-            let other = LiftedIndex::build(&dev, &[(0, 0), (3, 4)], kind);
-            assert!(!RangeIndex::supports(&other, &Query::Knn { x: 0, y: 0, k: 1 }));
         }
     }
 }

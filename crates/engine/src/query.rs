@@ -216,9 +216,7 @@ pub fn load_index(
         "scan3" => Box::new(ExternalScan3::load(h, r)?),
         "kdtree" => Box::new(ExternalKdTree::load(h, r)?),
         "rtree" => Box::new(StrRTree::load(h, r)?),
-        "knn" | "lift-hybrid" | "lift-shallow" | "lift-scan3" => {
-            Box::new(crate::lift::LiftedIndex::load(kind, h, r)?)
-        }
+        "knn" => Box::new(crate::lift::LiftedIndex::load(h, r)?),
         other => {
             return Err(SnapshotError::Meta {
                 offset: 0,

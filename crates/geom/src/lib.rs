@@ -27,7 +27,7 @@
 //! * 2D points and query lines: `|coordinate| <= 2^30` ([`MAX_COORD_2D`]);
 //! * 3D plane coefficients: `|a|,|b| <= 2^20`, `|c| <= 2^21`, and query
 //!   points `|x|,|y| <= 2^22` ([`MAX_COORD_3D`]);
-//! * paraboloid-lift inputs (k-NN and lifted disk structures):
+//! * paraboloid-lift inputs (the lifted k-NN and disk structure):
 //!   `|x|,|y| <= 1024` ([`lift::MAX_LIFT_COORD`] — squares must fit the
 //!   3D budget), disk centers `|x|,|y| <= 2^21`
 //!   ([`lift::MAX_DISK_CENTER`]). Points and disks outside these budgets

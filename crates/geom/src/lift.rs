@@ -12,7 +12,7 @@
 //!
 //! so `p` lies in the disk (distance² ≤ r2) exactly when the lifted point
 //! lies below the plane `z = 2x·px + 2y·py + (r2 − x² − y²)` — a 3D
-//! halfspace query the Section 4/6 structures already answer, strictness
+//! halfspace query the Section 4 structure already answers, strictness
 //! preserved. This module holds the lift algebra and its overflow
 //! analysis; the engine's `LiftedIndex` applies it to whole point sets.
 //!

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example lifted_queries`
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, ExternalScan3};
-use lcrs::engine::{decode_sum, IndexSet, LiftedIndex, LiftedKind, Query};
+use lcrs::engine::{decode_sum, IndexSet, LiftedIndex, Query};
 use lcrs::extmem::{Device, DeviceConfig};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::workloads::{disk_mixed, points2, points3, Dist2, Dist3};
@@ -39,7 +39,7 @@ fn main() {
     let mut set = IndexSet::new();
     set.add(Box::new(HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default())));
     set.add(Box::new(ExternalKdTree::build(&dev, &pts)));
-    set.add(Box::new(LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d)));
+    set.add(Box::new(LiftedIndex::build(&dev, &pts)));
     set.add(Box::new(ExternalScan::build(&dev, &pts)));
     set.add(Box::new(ExternalScan3::build(&dev, &pts3)));
     println!("built {} structures over {} 2D + {} 3D points", set.len(), pts.len(), pts3.len());

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example nearest_neighbors`
 
-use lcrs::engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs::engine::{LiftedIndex, Query, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig};
 use lcrs::geom::lift::MAX_LIFT_COORD;
 use rand::rngs::StdRng;
@@ -24,7 +24,7 @@ fn main() {
     let dev = Device::new(DeviceConfig::new(4096, 0));
     println!("lifting {n} store locations to planes and building the 3D structure...");
     let t0 = std::time::Instant::now();
-    let knn = LiftedIndex::build(&dev, &stores, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev, &stores);
     println!("built in {:.2}s ({} pages).", t0.elapsed().as_secs_f64(), dev.pages_allocated());
 
     let me = (123i64, -456i64);

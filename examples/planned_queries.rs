@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example planned_queries`
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, ExternalScan3};
-use lcrs::engine::{IndexSet, LiftedIndex, LiftedKind, Query, SnapshotCatalog};
+use lcrs::engine::{IndexSet, LiftedIndex, Query, SnapshotCatalog};
 use lcrs::extmem::{Device, DeviceConfig, TempDir};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
@@ -27,7 +27,7 @@ fn main() {
     let mut set = IndexSet::new();
     set.add(Box::new(HalfspaceRS2::build(&dev2, &pts2, Hs2dConfig::default())));
     set.add(Box::new(ExternalKdTree::build(&dev2, &pts2)));
-    set.add(Box::new(LiftedIndex::build(&dev2, &pts2, LiftedKind::Hs3d)));
+    set.add(Box::new(LiftedIndex::build(&dev2, &pts2)));
     set.add(Box::new(HalfspaceRS3::build(&dev3, &pts3, Hs3dConfig::default())));
     set.add(Box::new(ExternalScan::build(&dev2, &pts2)));
     set.add(Box::new(ExternalScan3::build(&dev3, &pts3)));

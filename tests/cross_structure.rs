@@ -10,8 +10,9 @@
 //! change can't silently corrupt answers.
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, ExternalScan3, StrRTree};
-use lcrs::engine::{load_index, LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs::engine::{load_index, LiftedIndex, Query, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig, MetaReader, MetaWriter, TempDir};
+use lcrs::geom::lift;
 use lcrs::geom::point::{HyperplaneD, PointD};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
@@ -215,7 +216,8 @@ fn differential_oracle_2d_500_mixed_queries() {
 fn differential_oracle_3d_and_knn_200_mixed_queries() {
     // 3D + k-NN legs of the 500-query oracle: 120 mixed halfspace queries
     // and 80 k-NN queries, each structure in-memory and reopened, against
-    // a host-side linear scan (there is no external 3D scan baseline).
+    // a host-side linear scan (there is no external 3D scan baseline),
+    // plus 80 disk halfspaces over 3D points in convex position.
     let dir = TempDir::new("lcrs-oracle-3d");
     let pts3 = points3(Dist3::Uniform, 500, 1 << 16, 19);
     let dev3 = Device::new(DeviceConfig::new(512, 0));
@@ -252,9 +254,33 @@ fn differential_oracle_3d_and_knn_200_mixed_queries() {
         check_against_reference(&q, &want, &in_memory3, &reopened3, false, &format!("3d-q{qi}"));
     }
 
+    // The same 3D structures over points in convex position: the lifted
+    // points `(px, py, px² + py²)` of an in-budget 2D set, asked the
+    // halfspaces `(2x, 2y, r2 − x² − y²)` the lift turns disks into, so
+    // each answer is also the disk's.
+    let pts2l = points2(Dist2::Uniform, 400, lift::MAX_LIFT_COORD, 27);
+    let ptsl: Vec<(i64, i64, i64)> =
+        pts2l.iter().map(|&(px, py)| (px, py, lift::lift_z(px, py).unwrap())).collect();
+    let devl = Device::new(DeviceConfig::new(512, 0));
+    let hsl = HalfspaceRS3::build(&devl, &ptsl, Hs3dConfig::default());
+    let hyl = HybridTree3::build(&devl, &ptsl, HybridConfig::default());
+    let shl = ShallowTree3::build(&devl, &ptsl, ShallowConfig::default());
+    let s3l = ExternalScan3::build(&devl, &ptsl);
+    let in_memory_l: Vec<&dyn RangeIndex> = vec![&hsl, &hyl, &shl, &s3l];
+    let reopened_l = reopen_all(&dir, "oraclelifted", &devl, &in_memory_l);
+    for (qi, (x, y, r2, inclusive)) in disk_mixed(&pts2l, 80, 300, 28).into_iter().enumerate() {
+        let (u, v, w) = lift::disk_to_halfspace(x, y, r2).expect("an in-budget, non-empty disk");
+        let q = Query::Halfspace { u, v, w, inclusive };
+        let want = brute_answer(&q, &[], &ptsl);
+        let disk = Query::Disk { x, y, r2, inclusive };
+        assert_eq!(want, brute_answer(&disk, &pts2l, &[]), "lifted-q{qi}: the lift keeps the disk");
+        let ctx = format!("lifted-q{qi}");
+        check_against_reference(&q, &want, &in_memory_l, &reopened_l, false, &ctx);
+    }
+
     let ptsk = points2(Dist2::Uniform, 400, 1000, 21);
     let devk = Device::new(DeviceConfig::new(512, 0));
-    let knn = LiftedIndex::build(&devk, &ptsk, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&devk, &ptsk);
     // The 2D scan answers k-NN too (same reporting order), so it rides
     // along in the ordered leg of the oracle.
     let sck = ExternalScan::build(&devk, &ptsk);
@@ -284,10 +310,10 @@ fn differential_oracle_3d_and_knn_200_mixed_queries() {
 fn differential_oracle_derived_classes_500_mixed_queries() {
     // The DESIGN.md §15 leg of the oracle: 300 disk + 100 count/sum +
     // 100 top-k queries over every capable 2D structure — the annotated
-    // hs2d/kd-tree, the scan, the dynamic tier, and all four lifted
-    // backends (the `knn` kind among them) — in-memory and
-    // reopened from a snapshot, against host-side brute force (exact
-    // i128 arithmetic, `lcrs_bench::brute_answer`).
+    // hs2d/kd-tree, the scan, the dynamic tier, and the lifted `knn`
+    // structure — in-memory and reopened from a snapshot, against
+    // host-side brute force (exact for every `i64` input,
+    // `lcrs_bench::brute_answer`).
     let dir = TempDir::new("lcrs-oracle-lift");
     let pts = points2(Dist2::Clustered, 900, 1000, 23);
     let dev = Device::new(DeviceConfig::new(512, 0));
@@ -298,12 +324,8 @@ fn differential_oracle_derived_classes_500_mixed_queries() {
     for (i, &(x, y)) in pts.iter().enumerate() {
         dy.insert(x, y, i as u64); // tags = indices, comparable to brute
     }
-    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
-    let l_hybrid = LiftedIndex::build(&dev, &pts, LiftedKind::Hybrid);
-    let l_shallow = LiftedIndex::build(&dev, &pts, LiftedKind::Shallow);
-    let l_scan3 = LiftedIndex::build(&dev, &pts, LiftedKind::Scan3);
-    let in_memory: Vec<&dyn RangeIndex> =
-        vec![&hs, &kd, &sc, &knn, &dy, &l_hybrid, &l_shallow, &l_scan3];
+    let knn = LiftedIndex::build(&dev, &pts);
+    let in_memory: Vec<&dyn RangeIndex> = vec![&hs, &kd, &sc, &knn, &dy];
     let reopened = reopen_all(&dir, "oraclelift", &dev, &in_memory);
 
     let mut queries: Vec<Query> = Vec::with_capacity(500);
@@ -340,8 +362,9 @@ fn differential_oracle_derived_classes_500_mixed_queries() {
             disks_on_lifted += 1;
         }
     }
-    // The lifted backends must actually participate: every disk query here
-    // has an in-budget center, so none may fall back to scan-only support.
+    // The lifted structure must actually participate: every disk query
+    // here has an in-budget center, so none may fall back to scan-only
+    // support.
     assert_eq!(disks_on_lifted, 300, "lifted index must cover the whole disk leg");
 }
 

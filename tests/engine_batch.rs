@@ -10,7 +10,7 @@
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
 use lcrs::engine::{
-    BatchExecutor, ExecMode, IndexSet, LiftedIndex, LiftedKind, Query, QueryStatus, RangeIndex,
+    BatchExecutor, ExecMode, IndexSet, LiftedIndex, Query, QueryStatus, RangeIndex,
 };
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::geom::point::PointD;
@@ -239,7 +239,7 @@ fn only_the_scan_and_the_knn_structure_take_knn() {
     }
     // The lifted `knn` kind takes k-NN queries and no halfplanes.
     let small = points2(Dist2::Uniform, 300, 1000, 13);
-    let knn = LiftedIndex::build(&dev, &small, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev, &small);
     assert!(knn.supports(&Query::Knn { x: 7, y: -3, k: 12 }));
     assert!(!knn.supports(&Query::Halfplane { m: 0, c: 0, inclusive: false }));
 }

@@ -9,7 +9,7 @@
 //! and costs exactly what the same run on an explicit fork costs.
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{BatchExecutor, LiftedIndex, LiftedKind, Query, QueryStatus, RangeIndex};
+use lcrs::engine::{BatchExecutor, LiftedIndex, Query, QueryStatus, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig, IoDelta};
 use lcrs::geom::point::PointD;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
@@ -139,7 +139,7 @@ fn parallel_matches_batched_knn() {
     // Stay inside the lift coordinate budget (|coord| <= 1024).
     let pts = points2(Dist2::Uniform, 700, 1000, 25);
     let dev = warm_device();
-    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev, &pts);
     dev.freeze();
     let queries: Vec<Query> = (0..96i64)
         .map(|i| Query::Knn {

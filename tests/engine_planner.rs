@@ -1,10 +1,10 @@
 //! Acceptance + property suite for the cost-model query planner (ISSUE 5;
 //! derived query classes per DESIGN.md §15).
 //!
-//! The shared fixture is a fourteen-structure [`IndexSet`] over one 2D and
+//! The shared fixture is an eleven-structure [`IndexSet`] over one 2D and
 //! one 3D dataset — every `RangeIndex` structure in the workspace (the
-//! four lifted backends among them, `knn` the one that also takes k-NN)
-//! plus the scan baselines
+//! lifted `knn` structure among them, answering k-NN and disks) plus the
+//! scan baselines
 //! covering all six query classes — calibrated by a measured probe pass,
 //! and a mixed 500-query oracle workload (180 halfplane + 80 halfspace +
 //! 60 k-NN + 72 disk + 72 count/sum + 36 top-k, interleaved).
@@ -56,7 +56,7 @@ fn build_state() -> State {
     let pts2 = points2(Dist2::Clustered, N2, 1000, 61);
     let pts3 = points3(Dist3::Uniform, N3, 1 << 16, 62);
 
-    // The canonical fourteen-structure fixture, shared with exp_planner
+    // The canonical eleven-structure fixture, shared with exp_planner
     // (slot order is load-bearing for tie-breaking — scans sit last).
     let dev2 = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
     let dev3 = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
@@ -76,7 +76,7 @@ fn build_state() -> State {
     State { devices: vec![dev2, dev3], set, queries, reference }
 }
 
-/// The fixture is expensive (fourteen structure builds) and the executors
+/// The fixture is expensive (eleven structure builds) and the executors
 /// measure IO on shared device scopes, so tests serialize on one mutex.
 fn state() -> MutexGuard<'static, State> {
     static STATE: OnceLock<Mutex<State>> = OnceLock::new();
@@ -199,7 +199,7 @@ fn calibration_roundtrips_through_the_catalog_with_identical_plans() {
         cat.add(&format!("s{slot}"), set.structure(slot)).unwrap();
     }
     set.save_calibration_to_catalog(&cat).unwrap();
-    // Fifteen entries over two devices: each device's pages are written
+    // Eleven entries over two devices: each device's pages are written
     // once, whatever the number of entries on it.
     assert_eq!(pages_files(dir.path()).len(), 2, "one pages file per store");
 

@@ -1,7 +1,7 @@
 //! Acceptance suite for the space-partitioned `ShardedIndexSet` (ISSUE 6).
 //!
 //! The fixture mirrors the planner suite exactly — the same 2D + 3D
-//! datasets, the canonical fourteen-structure `full_index_set` per shard,
+//! datasets, the canonical eleven-structure `full_index_set` per shard,
 //! the same probe pass, and the same mixed six-class 500-query oracle
 //! workload (halfplane, halfspace, k-NN, plus the DESIGN.md §15 disk /
 //! count / sum / top-k classes) —
@@ -87,7 +87,7 @@ fn build_state() -> State {
     State { _devices: vec![dev2, dev3], unsharded, tiers, pts2, queries, reference }
 }
 
-/// The fixture is expensive (fourteen structure builds × 16 shards) and IO
+/// The fixture is expensive (eleven structure builds × 16 shards) and IO
 /// is measured on shared device scopes, so tests serialize on one mutex.
 fn state() -> MutexGuard<'static, State> {
     static STATE: OnceLock<Mutex<State>> = OnceLock::new();

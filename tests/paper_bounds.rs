@@ -3,7 +3,7 @@
 //! benchmark harness and EXPERIMENTS.md).
 
 use lcrs::baselines::ExternalKdTree;
-use lcrs::engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs::engine::{LiftedIndex, Query, RangeIndex};
 use lcrs::extmem::{Device, DeviceConfig};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
@@ -89,7 +89,7 @@ fn lifted_knn_space_and_small_queries() {
         let n_pts = 1usize << e;
         let pts = points2(Dist2::Uniform, n_pts, 1000, e as u64);
         let dev = Device::new(DeviceConfig::new(page, 0));
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         let ratio = n_log_n_ratio(dev.pages_allocated(), n_pts, page);
         assert!(ratio < 36.0, "pages / (n log₂ n) = {ratio:.2} at N = {n_pts}");
         let queries = knn_mixed(&pts, 48, 8, 7);

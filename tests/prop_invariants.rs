@@ -6,7 +6,7 @@
 //! * the greedy clustering respects the Lemma 3.2 bounds for arbitrary k;
 //! * box classification agrees with corner enumeration in any dimension.
 
-use lcrs::engine::{LiftedIndex, LiftedKind, Query, RangeIndex};
+use lcrs::engine::{LiftedIndex, Query, RangeIndex};
 use lcrs::extmem::btree::BPlusTree;
 use lcrs::extmem::{Device, DeviceConfig};
 use lcrs::geom::lift::MAX_DISK_CENTER;
@@ -87,16 +87,12 @@ proptest! {
             1..6,
         ),
     ) {
-        // Every lifted backend must agree with exact i128 membership for
-        // any representable points — out-of-budget ones ride the tail —
-        // and any in-budget center, including negative and huge r².
+        // The lifted index must agree with exact i128 membership for any
+        // representable points — out-of-budget ones ride the tail — and
+        // any in-budget center, including negative and huge r².
         let pts = with_extremes(&base, &mask);
         let dev = Device::new(DeviceConfig::new(512, 0));
-        let lifted: Vec<LiftedIndex> =
-            [LiftedKind::Hs3d, LiftedKind::Hybrid, LiftedKind::Shallow, LiftedKind::Scan3]
-                .into_iter()
-                .map(|kind| LiftedIndex::build(&dev, &pts, kind))
-                .collect();
+        let lifted = LiftedIndex::build(&dev, &pts);
         for &(x, y, r2_raw, r2_sel, inclusive) in &queries {
             let r2 = match r2_sel {
                 6 => i64::MAX,
@@ -109,12 +105,9 @@ proptest! {
                 if inclusive { d2 <= r2 as i128 } else { d2 < r2 as i128 }
             }).map(|(i, _)| i as u64).collect();
             want.sort_unstable();
-            for index in &lifted {
-                let mut got = index.disk_report(x, y, r2, inclusive);
-                got.sort_unstable();
-                prop_assert_eq!(&got, &want, "{} on ({}, {}, r2={}, inc={})",
-                    lcrs::engine::RangeIndex::name(index), x, y, r2, inclusive);
-            }
+            let mut got = lifted.disk_report(x, y, r2, inclusive);
+            got.sort_unstable();
+            prop_assert_eq!(&got, &want, "({}, {}, r2={}, inc={})", x, y, r2, inclusive);
         }
     }
 
@@ -210,7 +203,7 @@ proptest! {
         // ranked exactly by (distance², id) around an in-budget center.
         let pts = with_extremes(&base, &mask);
         let dev = Device::new(DeviceConfig::new(512, 0));
-        let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&dev, &pts);
         let got = knn.execute(&Query::Knn { x: q.0, y: q.1, k });
         // With |center| ≤ 2^21 each squared difference stays below 2^127,
         // so the u128 sum is exact.

@@ -13,14 +13,16 @@
 //! with the levels, a tombstone with no point under it, a point outside
 //! the coordinate budget — is a typed error at open, both in a live
 //! manifest and in a `dynamic` catalog entry. So are catalog entries in
-//! the retired layouts of the lifted 3D structure.
+//! the retired kinds and layouts of the lifted 3D structure, and a lifted
+//! id map that repeats an id or names one past the point count.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
+use lcrs::baselines::ExternalScan3;
 use lcrs::engine::{
-    load_index, LiftedIndex, LiftedKind, LiveIndex, RangeIndex, SnapshotCatalog, LIVE_MANIFEST,
+    load_index, LiftedIndex, LiveIndex, RangeIndex, SnapshotCatalog, LIVE_MANIFEST,
 };
 use lcrs::extmem::{
     Device, DeviceConfig, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError, TempDir,
@@ -32,6 +34,7 @@ use lcrs::halfspace::dynamic::{
 };
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
+use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
 use lcrs::halfspace::DynamicHalfspace2;
 use lcrs::workloads::{points2, Dist2};
 
@@ -500,62 +503,100 @@ fn out_of_range_dynamic_entry_is_typed_at_load() {
     }
 }
 
+/// Write a catalog metadata file of `kind` in the lifted layout: the 3D
+/// structure, then the id map, the tail and the point count.
+fn write_lifted_meta(
+    path: &Path,
+    kind: &str,
+    inner: &dyn RangeIndex,
+    ids: &[u32],
+    tail: &VecFile<(i64, i64, u32)>,
+    n: usize,
+) {
+    let mut w = MetaWriter::new();
+    w.str(kind);
+    inner.save_meta(&mut w);
+    w.seq(ids.len());
+    for &id in ids {
+        w.u32(id);
+    }
+    tail.save(&mut w);
+    w.usize(n);
+    w.write_to_path(path).unwrap();
+}
+
 /// Catalog entries in the layouts the lifted `HalfspaceRS3` had before it
-/// became the one `LiftedIndex` kind: `knn` as the 3D structure's metadata
-/// followed by the point count, and the `lift-hs3d` kind. No reader takes
-/// either; each must fail to load with a typed error. So must a `knn`
-/// entry whose id map is shorter than its 3D structure, even with the
-/// tail making up the point count.
+/// became the one `LiftedIndex`: `knn` as the 3D structure's metadata
+/// followed by the point count, and the `lift-hs3d` kind; and entries of
+/// the retired `lift-hybrid`, `lift-shallow` and `lift-scan3` kinds, each
+/// in the layout it was written in. No reader takes any of them; each
+/// must fail to load with a typed error. So must a `knn` entry whose id
+/// map is shorter than its 3D structure (even with the tail making up the
+/// point count), repeats an id, or names an id past the point count.
 #[test]
 fn retired_lifted_layouts_are_typed_at_load() {
     let dir = TempDir::new("lcrs-corrupt-lifted");
     let pts = points2(Dist2::Uniform, 300, 1000, 9);
     let dev = Device::new(DeviceConfig::new(512, 0));
-    let knn = LiftedIndex::build(&dev, &pts, LiftedKind::Hs3d);
+    let knn = LiftedIndex::build(&dev, &pts);
     let planes: Vec<Plane3> =
         pts.iter().map(|&(a, b)| Plane3::new(-2 * a, -2 * b, a * a + b * b)).collect();
     let old_hs = HalfspaceRS3::build_dual(&dev, &planes, Hs3dConfig::default());
     let one_point_tail = VecFile::from_slice(&dev, &[(5000i64, 0i64, 299u32)]);
+    let empty_tail = VecFile::from_slice(&dev, &[]);
+    let lifted: Vec<(i64, i64, i64)> = pts.iter().map(|&(a, b)| (a, b, a * a + b * b)).collect();
+    let hybrid = HybridTree3::build(&dev, &lifted, HybridConfig::default());
+    let shallow = ShallowTree3::build(&dev, &lifted, ShallowConfig::default());
+    let scan3 = ExternalScan3::build(&dev, &lifted);
     dev.freeze();
     let mut cat = SnapshotCatalog::create(dir.path()).unwrap();
     cat.add("lifted", &knn).unwrap();
     assert!(cat.load("lifted", 0).is_ok());
+    let meta = cat.meta_path("lifted");
 
     // The old `knn` layout: no id map and no tail after the 3D structure.
     let mut w = MetaWriter::new();
     w.str("knn");
     old_hs.save(&mut w);
     w.usize(pts.len());
-    w.write_to_path(&cat.meta_path("lifted")).unwrap();
+    w.write_to_path(&meta).unwrap();
     expect_meta_error("knn in the old layout", cat.load("lifted", 0));
 
-    let mut w = MetaWriter::new();
-    w.str("knn");
-    old_hs.save(&mut w);
-    w.seq(299);
-    for id in 0..299 {
-        w.u32(id);
-    }
-    one_point_tail.save(&mut w);
-    w.usize(300);
-    w.write_to_path(&cat.meta_path("lifted")).unwrap();
+    let all: Vec<u32> = (0..300).collect();
+    write_lifted_meta(&meta, "knn", &old_hs, &all[..299], &one_point_tail, 300);
     expect_meta_error("an id map one short", cat.load("lifted", 0));
 
-    // The `lift-hs3d` kind in both the manifest and the metadata, so the
+    // Id maps of the right length whose first id runs past n or repeats
+    // the second. The index would answer with them, and a sharded gather
+    // would index its global-id table with them.
+    for (what, first) in [("an id past n", 300u32), ("a repeated id", 1)] {
+        let mut ids = all.clone();
+        ids[0] = first;
+        write_lifted_meta(&meta, "knn", &old_hs, &ids, &empty_tail, 300);
+        expect_meta_error(what, cat.load("lifted", 0));
+    }
+
+    // The retired kinds in both the manifest and the metadata, so the
     // load reaches the kind dispatch.
-    let mut w = MetaWriter::new();
-    w.str("lift-hs3d");
-    knn.save_meta(&mut w);
-    w.write_to_path(&cat.meta_path("lifted")).unwrap();
-    let mut w = MetaWriter::new();
-    w.str("lcrs-catalog");
-    w.u64(2);
-    w.seq(1);
-    w.str("lifted");
-    w.str("lift-hs3d");
-    w.str(&cat.entries()[0].pages);
-    w.write_to_path(&dir.path().join("__catalog.meta")).unwrap();
-    let reopened = SnapshotCatalog::open(dir.path()).unwrap();
-    assert_eq!(reopened.entries()[0].kind, "lift-hs3d");
-    expect_meta_error("the lift-hs3d kind", reopened.load("lifted", 0));
+    let pages = cat.entries()[0].pages.clone();
+    let retired: [(&str, &dyn RangeIndex); 4] = [
+        ("lift-hs3d", &old_hs),
+        ("lift-hybrid", &hybrid),
+        ("lift-shallow", &shallow),
+        ("lift-scan3", &scan3),
+    ];
+    for (kind, inner) in retired {
+        write_lifted_meta(&meta, kind, inner, &all, &empty_tail, 300);
+        let mut w = MetaWriter::new();
+        w.str("lcrs-catalog");
+        w.u64(2);
+        w.seq(1);
+        w.str("lifted");
+        w.str(kind);
+        w.str(&pages);
+        w.write_to_path(&dir.path().join("__catalog.meta")).unwrap();
+        let reopened = SnapshotCatalog::open(dir.path()).unwrap();
+        assert_eq!(reopened.entries()[0].kind, kind);
+        expect_meta_error(kind, reopened.load("lifted", 0));
+    }
 }

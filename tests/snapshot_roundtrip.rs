@@ -12,9 +12,7 @@
 //! them even on panic).
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
-use lcrs::engine::{
-    load_index, BatchExecutor, LiftedIndex, LiftedKind, Query, RangeIndex, SnapshotCatalog,
-};
+use lcrs::engine::{load_index, BatchExecutor, LiftedIndex, Query, RangeIndex, SnapshotCatalog};
 use lcrs::extmem::{
     Device, DeviceConfig, IoDelta, IoStats, MetaReader, MetaWriter, PageBackend, ReopenBackend,
     SnapshotError, TempDir,
@@ -250,7 +248,7 @@ fn roundtrip_knn_and_dynamic_two_distributions() {
         // k-NN (coordinates inside the lift budget).
         let kpts = points2(dist, 500, 1000, seed);
         let kdev = warm_device();
-        let knn = LiftedIndex::build(&kdev, &kpts, LiftedKind::Hs3d);
+        let knn = LiftedIndex::build(&kdev, &kpts);
         let kqueries = knn_queries(&kpts, 40, seed + 10);
         check_roundtrip(&dir, &kdev, &knn, &kqueries, &format!("knn-{dist:?}"));
 
