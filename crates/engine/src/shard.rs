@@ -22,13 +22,17 @@
 //!   shard on its own OS thread (a lone active shard stays on the calling
 //!   thread) and the executor's chunks *within* each shard — shards live
 //!   on disjoint devices, so concurrency never changes counts.
-//! * **Merge** — per-shard answers translate back to global ids and
-//!   merge to the canonical order (sorted ids for reports; `(distance,
-//!   id)` for k-NN and `(key, id)` for top-k, recomputed exactly in
-//!   `i128` and truncated to `k`; count/sum scalars summed across the
-//!   disjoint shards — zero-synthesized when routing pruned every
-//!   shard), and per-shard [`IoDelta`]s sum *exactly* to the aggregate
-//!   (each is a sum of the executor's runtime-checked chunk totals).
+//! * **Merge** — query by query, per-shard answers translate back to
+//!   global ids in the canonical order. Global ids are dense in `[0, N)`
+//!   and shards disjoint, so a report answer (halfplane, halfspace, disk)
+//!   sets its ids in one N-bit map and drains it in ascending order:
+//!   O(t + N/64), no sort. k-NN ranks by exact carry-aware `(distance²,
+//!   id)` ([`lcrs_geom::lift::dist2_carry`]) and top-k by exact `i128`
+//!   `(key, id)`, both keyed from the shard's own copy of each point and
+//!   truncated to `k`; count/sum scalars sum across the disjoint shards
+//!   (zero-synthesized when routing pruned every shard). Per-shard
+//!   [`IoDelta`]s sum *exactly* to the aggregate (each is a sum of the
+//!   executor's runtime-checked chunk totals).
 //!
 //! The cost model is fan-out aware: [`ShardedIndexSet::predicted_reads`]
 //! prices a query as the sum over routed shards of the cheapest capable
@@ -46,13 +50,14 @@ use lcrs_extmem::{
     Device, DeviceConfig, DeviceHandle, IoDelta, MetaReader, MetaWriter, ReopenBackend,
     SnapshotError,
 };
+use lcrs_geom::lift::dist2_carry;
 use lcrs_halfspace::partition::{partition2, partition3, Partition2, Partition3};
 use lcrs_halfspace::{ShardRegion2, ShardRegion3};
 
 use crate::batch::{fan_out, QueryOutcome, QueryStatus};
 use crate::catalog::SnapshotCatalog;
 use crate::planner::{IndexSet, PlanReport};
-use crate::query::Query;
+use crate::query::{decode_sum, encode_sum, Query};
 
 /// File name of the shard manifest inside a sharded-catalog directory
 /// (next to the `shard<i>/` sub-catalogs). Uses the engine-internal
@@ -80,8 +85,8 @@ struct Shard {
     region3: ShardRegion3,
     /// Local id → global id for the 2D structures (ascending input order).
     ids2: Vec<u32>,
-    /// The shard's 2D points in local-id order (the k-NN merge recomputes
-    /// exact distances from these).
+    /// The shard's 2D points in local-id order (the k-NN and top-k merges
+    /// recompute exact keys from these).
     pts2: Vec<(i64, i64)>,
     /// Local id → global id for the 3D structures.
     ids3: Vec<u32>,
@@ -112,8 +117,9 @@ pub struct ShardedReport {
     /// Aggregate IOs: the sum of the per-shard totals (exact — shards
     /// live on disjoint devices).
     pub total: IoDelta,
-    /// Merged answers in submission order, already canonical: sorted
-    /// global ids for reports, `(distance, id)` order for k-NN.
+    /// Merged answers in submission order, already canonical: ascending
+    /// global ids for reports, `(distance, id)` order for k-NN, `(key, id)`
+    /// order for top-k, and the summed scalar for count/sum.
     pub answers: Option<Vec<Vec<u64>>>,
     /// Shards touched per query (submission order) — the fan-out the
     /// cost model prices.
@@ -372,15 +378,13 @@ impl ShardedIndexSet {
         concurrent: bool,
         workers: usize,
     ) -> ShardedReport {
-        // Route. Unsupported query classes never reach a shard.
-        let routes: Vec<Vec<usize>> = queries
-            .iter()
-            .map(|q| if self.supports(q) { self.shards_intersecting(q) } else { Vec::new() })
-            .collect();
-        let fanout: Vec<usize> = routes.iter().map(Vec::len).collect();
+        // Route. Unsupported query classes (`None`) never reach a shard.
+        let routes: Vec<Option<Vec<usize>>> =
+            queries.iter().map(|q| self.supports(q).then(|| self.shards_intersecting(q))).collect();
+        let fanout: Vec<usize> = routes.iter().map(|r| r.as_ref().map_or(0, Vec::len)).collect();
         let mut subs: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (qi, route) in routes.iter().enumerate() {
-            for &s in route {
+            for &s in route.iter().flatten() {
                 subs[s].push(qi);
             }
         }
@@ -406,98 +410,91 @@ impl ShardedIndexSet {
             active.iter().map(|&s| exec(s)).collect()
         };
 
-        // Gather: merge per-shard outcomes and answers back into
-        // submission order, summing a query's deltas across its shards.
-        // Report classes accumulate id candidates for the canonical
-        // merge; aggregate classes (count/sum) merge by *summing* the
-        // per-shard scalars — shards are disjoint, so the sums are exact.
-        let mut io: Vec<IoDelta> = vec![IoDelta::default(); queries.len()];
-        let mut candidates: Vec<Vec<u64>> = vec![Vec::new(); queries.len()];
-        let mut agg_count: Vec<u64> = vec![0; queries.len()];
-        let mut agg_sum: Vec<i128> = vec![0; queries.len()];
+        // Per-shard totals, and each active shard's report by shard index.
+        let mut by_shard: Vec<Option<&PlanReport>> = vec![None; self.shards.len()];
         let mut per_shard = Vec::with_capacity(reports.len());
         let mut total = IoDelta::default();
         for (&s, report) in active.iter().zip(&reports) {
-            let shard = &self.shards[s];
-            let answers = report.answers.as_ref().expect("shard answers kept");
-            for outcome in &report.outcomes {
-                let qi = subs[s][outcome.query];
+            by_shard[s] = Some(report);
+            per_shard.push(ShardReport { shard: s, queries: subs[s].len(), io: report.total });
+            total += report.total;
+        }
+
+        // Gather, query by query. Sub-batches fill in submission order, so
+        // a query sits at the same position in each of its shards'
+        // sub-batches and one cursor per shard finds its outcome and local
+        // answer. Deltas sum across the shards, and so do count/sum
+        // scalars: shards are disjoint, so the sums are exact.
+        let n2: usize = self.shards.iter().map(|s| s.ids2.len()).sum();
+        let n3: usize = self.shards.iter().map(|s| s.ids3.len()).sum();
+        let mut bitmap = vec![0u64; n2.max(n3).div_ceil(64)];
+        let mut cursor = vec![0usize; self.shards.len()];
+        let mut parts: Vec<(&Shard, &[u64])> = Vec::with_capacity(self.shards.len());
+        let mut outcomes = Vec::with_capacity(queries.len());
+        let mut answers: Vec<Vec<u64>> =
+            Vec::with_capacity(if keep_answers { queries.len() } else { 0 });
+        for (qi, q) in queries.iter().enumerate() {
+            let Some(route) = &routes[qi] else {
+                outcomes.push(QueryOutcome {
+                    query: qi,
+                    status: QueryStatus::Unsupported,
+                    reported: 0,
+                    io: IoDelta::default(),
+                });
+                if keep_answers {
+                    answers.push(Vec::new());
+                }
+                continue;
+            };
+            let mut io = IoDelta::default();
+            parts.clear();
+            for &s in route {
+                let report = by_shard[s].expect("a routed shard ran its sub-batch");
+                let pos = cursor[s];
+                cursor[s] += 1;
+                let outcome = &report.outcomes[pos];
+                assert_eq!(outcome.query, pos, "shard {s}: sub-batch outcomes out of order");
                 assert_eq!(
                     outcome.status,
                     QueryStatus::Ok,
                     "shard {s}: a routed query must not be declined mid-merge"
                 );
-                io[qi] += outcome.io;
-                let local = &answers[outcome.query];
-                match queries[qi] {
-                    Query::Count { .. } => agg_count[qi] += local[0],
-                    Query::Sum { .. } => agg_sum[qi] += crate::query::decode_sum(local),
-                    Query::Halfspace { .. } => {
-                        candidates[qi].extend(local.iter().map(|&l| shard.ids3[l as usize] as u64))
-                    }
-                    Query::Halfplane { .. }
-                    | Query::Knn { .. }
-                    | Query::Disk { .. }
-                    | Query::TopK { .. } => {
-                        candidates[qi].extend(local.iter().map(|&l| shard.ids2[l as usize] as u64))
-                    }
-                }
+                io += outcome.io;
+                let local = &report.answers.as_ref().expect("shard answers kept")[pos];
+                parts.push((&self.shards[s], local));
             }
-            per_shard.push(ShardReport { shard: s, queries: subs[s].len(), io: report.total });
-            total += report.total;
-        }
-
-        // Canonical merge order: sorted global ids for reports; exact
-        // (distance², id) for k-NN and (key, id) for top-k, truncated to
-        // k; aggregates re-encode their summed scalars — identical to
-        // the unsharded structures' canonical answer form. A supported
-        // aggregate whose every shard was pruned still answers (zero).
-        let mut outcomes = Vec::with_capacity(queries.len());
-        let mut answers: Vec<Vec<u64>> =
-            if keep_answers { vec![Vec::new(); queries.len()] } else { Vec::new() };
-        for (qi, q) in queries.iter().enumerate() {
-            let mut ids = std::mem::take(&mut candidates[qi]);
-            match *q {
-                Query::Knn { x, y, k } => {
-                    let mut ranked: Vec<(i128, u64)> = ids
-                        .iter()
-                        .map(|&gid| {
-                            let shard_local = self.locate2(gid as u32);
-                            let (px, py) = shard_local;
-                            let (dx, dy) = (x as i128 - px as i128, y as i128 - py as i128);
-                            (dx * dx + dy * dy, gid)
-                        })
-                        .collect();
-                    ranked.sort_unstable();
-                    ids = ranked.into_iter().take(k).map(|(_, gid)| gid).collect();
+            // Canonical merge order, identical to the unsharded structures'
+            // answer form: ascending global ids for reports; exact
+            // (distance², id) for k-NN and (key, id) for top-k, truncated
+            // to k; aggregates re-encode their summed scalars (zero when
+            // routing pruned every shard).
+            let ids = match *q {
+                Query::Halfplane { .. } | Query::Disk { .. } => drain_sorted(
+                    &mut bitmap[..n2.div_ceil(64)],
+                    parts.iter().map(|&(sh, local)| (&sh.ids2[..], local)),
+                ),
+                Query::Halfspace { .. } => drain_sorted(
+                    &mut bitmap[..n3.div_ceil(64)],
+                    parts.iter().map(|&(sh, local)| (&sh.ids3[..], local)),
+                ),
+                Query::Knn { x, y, k } => rank(&parts, k, |(px, py)| dist2_carry(x, y, px, py)),
+                // Each shard already filtered to key ≤ c.
+                Query::TopK { m, k, .. } => {
+                    rank(&parts, k, |(px, py)| py as i128 - m as i128 * px as i128)
                 }
-                Query::TopK { m, c: _, k } => {
-                    // Each shard already filtered to key ≤ c; re-rank the
-                    // union by the exact key and truncate, like k-NN.
-                    let mut ranked: Vec<(i128, u64)> = ids
-                        .iter()
-                        .map(|&gid| {
-                            let (px, py) = self.locate2(gid as u32);
-                            (py as i128 - m as i128 * px as i128, gid)
-                        })
-                        .collect();
-                    ranked.sort_unstable();
-                    ids = ranked.into_iter().take(k).map(|(_, gid)| gid).collect();
+                Query::Count { .. } => vec![parts.iter().map(|(_, local)| local[0]).sum()],
+                Query::Sum { .. } => {
+                    encode_sum(parts.iter().map(|(_, local)| decode_sum(local)).sum())
                 }
-                Query::Count { .. } if self.supports(q) => ids = vec![agg_count[qi]],
-                Query::Sum { .. } if self.supports(q) => {
-                    ids = crate::query::encode_sum(agg_sum[qi])
-                }
-                _ => ids.sort_unstable(),
-            }
-            let status = if routes[qi].is_empty() && !self.supports(q) {
-                QueryStatus::Unsupported
-            } else {
-                QueryStatus::Ok
             };
-            outcomes.push(QueryOutcome { query: qi, status, reported: ids.len(), io: io[qi] });
+            outcomes.push(QueryOutcome {
+                query: qi,
+                status: QueryStatus::Ok,
+                reported: ids.len(),
+                io,
+            });
             if keep_answers {
-                answers[qi] = ids;
+                answers.push(ids);
             }
         }
 
@@ -508,16 +505,6 @@ impl ShardedIndexSet {
             answers: keep_answers.then_some(answers),
             fanout,
         }
-    }
-
-    /// The 2D coordinates of global id `gid` (k-NN merge support).
-    fn locate2(&self, gid: u32) -> (i64, i64) {
-        for shard in &self.shards {
-            if let Ok(pos) = shard.ids2.binary_search(&gid) {
-                return shard.pts2[pos];
-            }
-        }
-        panic!("global 2D id {gid} not held by any shard");
     }
 
     /// Where a sharded catalog keeps its manifest.
@@ -648,4 +635,48 @@ impl ShardedIndexSet {
             regions: self.shards.iter().map(|s| s.region3.clone()).collect(),
         }
     }
+}
+
+/// The ascending union of global ids: sets bit `ids[l]` in `bitmap` (all
+/// zero, one bit per global id) for every local id `l` of every part, then
+/// drains it in order, clearing each word as it goes — O(t + N/64) for t
+/// ids out of N. Shards are disjoint, so the drain yields exactly t ids.
+fn drain_sorted<'a>(
+    bitmap: &mut [u64],
+    parts: impl Iterator<Item = (&'a [u32], &'a [u64])>,
+) -> Vec<u64> {
+    let mut t = 0;
+    for (ids, local) in parts {
+        t += local.len();
+        for &l in local {
+            let gid = ids[l as usize] as usize;
+            bitmap[gid / 64] |= 1 << (gid % 64);
+        }
+    }
+    let mut out = Vec::with_capacity(t);
+    for (w, word) in bitmap.iter_mut().enumerate() {
+        let mut bits = std::mem::take(word);
+        while bits != 0 {
+            out.push(64 * w as u64 + u64::from(bits.trailing_zeros()));
+            bits &= bits - 1;
+        }
+    }
+    assert_eq!(out.len(), t, "disjoint shards report every global id at most once");
+    out
+}
+
+/// The global ids of the `k` least `(key, id)` candidates, in that order,
+/// each keyed from its shard's own copy of the point.
+fn rank<K: Ord>(parts: &[(&Shard, &[u64])], k: usize, key: impl Fn((i64, i64)) -> K) -> Vec<u64> {
+    let key = &key;
+    let mut ranked: Vec<(K, u64)> = parts
+        .iter()
+        .flat_map(|&(shard, local)| {
+            local
+                .iter()
+                .map(move |&l| (key(shard.pts2[l as usize]), u64::from(shard.ids2[l as usize])))
+        })
+        .collect();
+    ranked.sort_unstable();
+    ranked.into_iter().take(k).map(|(_, id)| id).collect()
 }

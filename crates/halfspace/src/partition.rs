@@ -206,31 +206,62 @@ impl Partition2 {
     /// Persist groups + regions (the engine embeds this in its shard
     /// manifest).
     pub fn save(&self, w: &mut MetaWriter) {
-        w.seq(self.groups.len());
-        for (group, region) in self.groups.iter().zip(&self.regions) {
-            w.seq(group.len());
-            for &id in group {
-                w.u32(id);
-            }
-            region.save(w);
-        }
+        save_groups(w, &self.groups, &self.regions, ShardRegion2::save);
     }
 
-    /// Inverse of [`Self::save`].
+    /// Inverse of [`Self::save`]. Groups that are not a disjoint cover of
+    /// `0..n` are a typed error.
     pub fn load(r: &mut MetaReader) -> Result<Partition2, SnapshotError> {
-        let s = r.seq()?;
-        let mut groups = Vec::with_capacity(s);
-        let mut regions = Vec::with_capacity(s);
-        for _ in 0..s {
-            let len = r.seq()?;
-            if len == 0 {
-                return Err(r.error("empty shard group"));
-            }
-            groups.push((0..len).map(|_| r.u32()).collect::<Result<Vec<u32>, _>>()?);
-            regions.push(ShardRegion2::load(r)?);
-        }
+        let (groups, regions) = load_groups(r, ShardRegion2::load)?;
         Ok(Partition2 { groups, regions })
     }
+}
+
+/// Write the shard groups of either partition, each followed by its region.
+fn save_groups<R>(
+    w: &mut MetaWriter,
+    groups: &[Vec<u32>],
+    regions: &[R],
+    save_region: fn(&R, &mut MetaWriter),
+) {
+    w.seq(groups.len());
+    for (group, region) in groups.iter().zip(regions) {
+        w.seq(group.len());
+        for &id in group {
+            w.u32(id);
+        }
+        save_region(region, w);
+    }
+}
+
+/// Inverse of [`save_groups`]. The groups must be non-empty and a disjoint
+/// cover of `0..n`, `n` the sum of their lengths, or the load is a typed
+/// error: the sharded gather sets bit `id` of an `n`-bit map for every
+/// reported id, so each id must name exactly one point.
+fn load_groups<R>(
+    r: &mut MetaReader,
+    load_region: fn(&mut MetaReader) -> Result<R, SnapshotError>,
+) -> Result<(Vec<Vec<u32>>, Vec<R>), SnapshotError> {
+    let s = r.seq()?;
+    let mut groups = Vec::with_capacity(s);
+    let mut regions = Vec::with_capacity(s);
+    for _ in 0..s {
+        let len = r.seq()?;
+        if len == 0 {
+            return Err(r.error("empty shard group"));
+        }
+        groups.push((0..len).map(|_| r.u32()).collect::<Result<Vec<u32>, _>>()?);
+        regions.push(load_region(r)?);
+    }
+    let n: usize = groups.iter().map(Vec::len).sum();
+    let mut seen = vec![false; n];
+    for &id in groups.iter().flatten() {
+        match seen.get_mut(id as usize) {
+            Some(s) if !*s => *s = true,
+            _ => return Err(r.error(format!("shard id {id} is repeated or not below {n}"))),
+        }
+    }
+    Ok((groups, regions))
 }
 
 /// Split `pts` into `shards` (a power of two ≥ 1, at most `pts.len()`)
@@ -441,7 +472,8 @@ impl ShardRegion3 {
 /// A partition of a 3D point set into near-even box shards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition3 {
-    /// Per shard: indices into the input, ascending.
+    /// Per shard: indices into the input, ascending. Non-empty, disjoint,
+    /// and together covering `0..n`.
     pub groups: Vec<Vec<u32>>,
     pub regions: Vec<ShardRegion3>,
 }
@@ -454,29 +486,13 @@ impl Partition3 {
 
     /// Persist groups + regions.
     pub fn save(&self, w: &mut MetaWriter) {
-        w.seq(self.groups.len());
-        for (group, region) in self.groups.iter().zip(&self.regions) {
-            w.seq(group.len());
-            for &id in group {
-                w.u32(id);
-            }
-            region.save(w);
-        }
+        save_groups(w, &self.groups, &self.regions, ShardRegion3::save);
     }
 
-    /// Inverse of [`Self::save`].
+    /// Inverse of [`Self::save`], with the same check as
+    /// [`Partition2::load`].
     pub fn load(r: &mut MetaReader) -> Result<Partition3, SnapshotError> {
-        let s = r.seq()?;
-        let mut groups = Vec::with_capacity(s);
-        let mut regions = Vec::with_capacity(s);
-        for _ in 0..s {
-            let len = r.seq()?;
-            if len == 0 {
-                return Err(r.error("empty shard group"));
-            }
-            groups.push((0..len).map(|_| r.u32()).collect::<Result<Vec<u32>, _>>()?);
-            regions.push(ShardRegion3::load(r)?);
-        }
+        let (groups, regions) = load_groups(r, ShardRegion3::load)?;
         Ok(Partition3 { groups, regions })
     }
 }

@@ -10,7 +10,7 @@
 use lcrs::engine::{Query, ShardConfig, ShardedIndexSet};
 use lcrs::extmem::{DeviceConfig, TempDir};
 use lcrs::workloads::{halfplane_narrow, points2, points3, Dist2, Dist3};
-use lcrs_bench::{full_index_set, mixed_oracle, mixed_probes};
+use lcrs_bench::{brute_answer, full_index_set, mixed_oracle, mixed_probes};
 
 fn main() {
     let pts2 = points2(Dist2::Clustered, 6000, 1000, 1);
@@ -55,9 +55,14 @@ fn main() {
     // Scatter-gather a mixed batch: one OS thread per routed shard,
     // answers merged back to canonical order, per-shard IO exact.
     let queries = mixed_oracle(&pts2, &pts3, (300, 120, 80), 42);
-    let report = sharded.execute_parallel(&queries, 1, false);
+    let report = sharded.execute_parallel(&queries, 1, true);
+    let answers = report.answers.as_ref().expect("answers kept");
+    for (qi, q) in queries.iter().enumerate() {
+        assert_eq!(answers[qi], brute_answer(q, &pts2, &pts3), "q{qi} {q:?}");
+    }
     println!(
-        "\n{} mixed queries: {} read IOs, mean fan-out {:.2} of {} shards",
+        "\n{} mixed queries (answers checked against brute force): {} read IOs, \
+         mean fan-out {:.2} of {} shards",
         queries.len(),
         report.reads(),
         report.mean_fanout(),
@@ -73,10 +78,11 @@ fn main() {
     let dir = TempDir::new("lcrs-sharded-example");
     sharded.save_to_catalog(dir.path()).expect("save sharded catalog");
     let reopened = ShardedIndexSet::from_catalog(dir.path(), 32).expect("reopen");
-    let re_report = reopened.execute_parallel(&queries, 1, false);
+    let re_report = reopened.execute_parallel(&queries, 1, true);
     assert_eq!(re_report.total, report.total);
+    assert_eq!(re_report.answers, report.answers);
     println!(
-        "\nreopened from {:?}: {} read IOs (identical) across {} shards",
+        "\nreopened from {:?}: {} read IOs and answers (identical) across {} shards",
         dir.path().file_name().unwrap(),
         re_report.reads(),
         reopened.shards()

@@ -24,7 +24,12 @@
 //! * the fan-out cost model prices every supported query finitely and a
 //!   fully pruned query at zero;
 //! * a k-NN center beyond the lift's budget is refused by the lifted
-//!   `knn` slot and answered exactly by the scan, unsharded and sharded.
+//!   `knn` slot and answered exactly by the scan, unsharded and sharded,
+//!   up to centers at the `i64` extremes, whose squared distances pass
+//!   2^127.
+//!
+//! Sharded answers are compared raw, never re-sorted: the gather promises
+//! the canonical order itself.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -94,12 +99,13 @@ fn state() -> MutexGuard<'static, State> {
     STATE.get_or_init(|| Mutex::new(build_state())).lock().unwrap()
 }
 
-/// Assert the full answer + attribution contract of one sharded run.
+/// Assert the full answer + attribution contract of one sharded run. The
+/// answers must already be in canonical order.
 fn check_report(st: &State, s: usize, report: &ShardedReport, tag: &str) {
     let answers = report.answers.as_ref().expect("answers kept");
     for (qi, q) in st.queries.iter().enumerate() {
         let want = &st.reference[qi];
-        assert_eq!(&canon_answer(q, answers[qi].clone()), want, "{tag} S={s} q{qi} {q:?}");
+        assert_eq!(&answers[qi], want, "{tag} S={s} q{qi} {q:?}");
         assert_eq!(report.outcomes[qi].status, QueryStatus::Ok, "{tag} S={s} q{qi}");
         assert_eq!(report.outcomes[qi].reported, want.len(), "{tag} S={s} q{qi}");
         assert!(report.fanout[qi] <= s, "{tag} S={s} q{qi}: fan-out beyond S");
@@ -221,10 +227,10 @@ fn shards_are_near_even_and_routing_prunes() {
         "S=8 narrow workload must prune, mean fan-out {}",
         report.mean_fanout()
     );
-    // Narrow answers still exact, of course.
+    // Narrow answers still exact and in canonical order, of course.
     let answers = report.answers.as_ref().unwrap();
     for (qi, q) in narrow.iter().enumerate() {
-        assert_eq!(canon_answer(q, answers[qi].clone()), brute_answer(q, &st.pts2, &[]));
+        assert_eq!(answers[qi], brute_answer(q, &st.pts2, &[]), "narrow q{qi}");
     }
 
     // A broad query (every point below) fans out everywhere; k-NN always
@@ -270,4 +276,20 @@ fn far_center_knn_is_answered_by_scan_unsharded_and_sharded() {
     let report = st.tiers[ti].execute(&[q], true);
     assert_eq!(report.outcomes[0].status, QueryStatus::Ok);
     assert_eq!(report.answers.unwrap()[0], want, "S=4");
+
+    // Centers at the i64 extremes: squared distances pass 2^127, so the
+    // merge must rank by the carry-aware distance, as the scan does. With
+    // k = n the whole ranking is compared.
+    let far = [
+        Query::Knn { x: i64::MIN, y: i64::MIN, k: N2 },
+        Query::Knn { x: i64::MIN, y: i64::MIN, k: 40 },
+    ];
+    let want: Vec<Vec<u64>> = far.iter().map(|q| brute_answer(q, &st.pts2, &[])).collect();
+    let unsharded = set.execute(&far, true).answers.unwrap();
+    assert_eq!(unsharded, want, "unsharded");
+    for (ti, &s) in SHARD_COUNTS.iter().enumerate() {
+        let report = st.tiers[ti].execute(&far, true);
+        assert!(report.outcomes.iter().all(|o| o.status == QueryStatus::Ok), "S={s}");
+        assert_eq!(report.answers.unwrap(), want, "S={s}");
+    }
 }

@@ -11,10 +11,19 @@
 //!   stay together, no point is claimed by a foreign cell);
 //! * **no-false-negative routing** — for arbitrary halfplane/halfspace
 //!   constraints, every shard holding a satisfying point passes the
-//!   region's `may_intersect` test: routing never prunes an answer.
+//!   region's `may_intersect` test: routing never prunes an answer;
+//! * **exact gather** — a `ShardedIndexSet` whose shards each hold a 2D
+//!   and a 3D scan answers all seven query classes exactly as brute
+//!   force does, in canonical order and without re-sorting, including
+//!   k above n, centers at the `i64` extremes, empty and all-points
+//!   halfplanes, and aggregates that routing prunes to zero shards.
 
+use lcrs::baselines::{ExternalScan, ExternalScan3};
+use lcrs::engine::{IndexSet, Query, QueryStatus, ShardConfig, ShardedIndexSet};
+use lcrs::extmem::{DeviceConfig, DeviceHandle};
 use lcrs::halfspace::{partition2, partition3};
 use lcrs::workloads::{count_below2, count_below3};
+use lcrs_bench::brute_answer;
 use proptest::prelude::*;
 
 /// Valid shard counts for `n` points: powers of two ≤ n.
@@ -41,6 +50,20 @@ fn satisfies3(p: (i64, i64, i64), u: i64, v: i64, w: i64, inclusive: bool) -> bo
 }
 
 const C: std::ops::RangeInclusive<i64> = -20_000i64..=20_000;
+
+/// A shard set of one 2D and one 3D scan: every class has exactly one
+/// capable slot, so the sharded answer is the gather of the scans'.
+fn scan_set(
+    h2: &DeviceHandle,
+    h3: &DeviceHandle,
+    pts2: &[(i64, i64)],
+    pts3: &[(i64, i64, i64)],
+) -> IndexSet {
+    let mut set = IndexSet::new();
+    set.add(Box::new(ExternalScan::build(h2, pts2)));
+    set.add(Box::new(ExternalScan3::build(h3, pts3)));
+    set
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -162,6 +185,53 @@ proptest! {
             if !inclusive {
                 let strict = pts.iter().filter(|&&q| satisfies3(q, u, v, w, inclusive)).count();
                 prop_assert_eq!(strict, count_below3(&pts, u, v, w));
+            }
+        }
+    }
+    #[test]
+    fn sharded_gather_matches_brute_force(
+        pts2 in prop::collection::vec((C, C), 1..300),
+        pts3 in prop::collection::vec((C, C, C), 1..300),
+        (m, c, inclusive) in (-60i64..=60, -2_000_000i64..=2_000_000, any::<bool>()),
+        (u, v, w) in (-40i64..=40, -40i64..=40, -2_000_000i64..=2_000_000),
+        (x, y, r2) in (C, C, 0i64..=400_000_000),
+        k in 0usize..=320,
+    ) {
+        let n = pts2.len();
+        let queries = [
+            Query::Halfplane { m, c, inclusive },
+            Query::Halfplane { m: 0, c: i64::MIN, inclusive: false },
+            Query::Halfplane { m: 0, c: i64::MAX, inclusive: true },
+            Query::Halfspace { u, v, w, inclusive },
+            Query::Knn { x, y, k },
+            Query::Knn { x, y, k: n + 1 },
+            Query::Knn { x: i64::MIN, y: i64::MIN, k },
+            Query::Knn { x: i64::MAX, y: i64::MIN, k: n },
+            Query::Disk { x, y, r2, inclusive },
+            Query::Disk { x: i64::MIN, y: i64::MAX, r2: i64::MAX, inclusive: true },
+            Query::Count { m, c, inclusive },
+            Query::Sum { m, c, inclusive },
+            Query::Count { m: 0, c: i64::MIN, inclusive: false },
+            Query::Sum { m: 0, c: i64::MIN, inclusive: false },
+            Query::TopK { m, c, k },
+            Query::TopK { m, c: i64::MAX, k: n + 1 },
+        ];
+        let want: Vec<Vec<u64>> = queries.iter().map(|q| brute_answer(q, &pts2, &pts3)).collect();
+        for s in shard_counts(n.min(pts3.len())) {
+            let cfg = ShardConfig { shards: s, device: DeviceConfig::new(256, 0) };
+            let sharded = ShardedIndexSet::build(&pts2, &pts3, &cfg, scan_set);
+            if s > 1 {
+                // Nothing lies below y = i64::MIN: routing prunes every
+                // shard and the gather synthesizes the zero aggregate.
+                prop_assert_eq!(sharded.fanout(&queries[12]), 0);
+                prop_assert_eq!(sharded.fanout(&queries[13]), 0);
+            }
+            let report = sharded.execute(&queries, true);
+            let answers = report.answers.as_ref().unwrap();
+            for (qi, q) in queries.iter().enumerate() {
+                prop_assert_eq!(&answers[qi], &want[qi], "S={} {:?}", s, q);
+                prop_assert_eq!(report.outcomes[qi].status, QueryStatus::Ok);
+                prop_assert_eq!(report.outcomes[qi].reported, want[qi].len());
             }
         }
     }

@@ -14,15 +14,18 @@
 //! the coordinate budget — is a typed error at open, both in a live
 //! manifest and in a `dynamic` catalog entry. So are catalog entries in
 //! the retired kinds and layouts of the lifted 3D structure, and a lifted
-//! id map that repeats an id or names one past the point count.
+//! id map that repeats an id or names one past the point count. So is a
+//! shard manifest whose 2D or 3D id maps repeat an id across two shards
+//! or name one past the point count.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use lcrs::baselines::ExternalScan3;
+use lcrs::baselines::{ExternalScan, ExternalScan3};
 use lcrs::engine::{
-    load_index, LiftedIndex, LiveIndex, RangeIndex, SnapshotCatalog, LIVE_MANIFEST,
+    load_index, IndexSet, LiftedIndex, LiveIndex, RangeIndex, ShardConfig, ShardedIndexSet,
+    SnapshotCatalog, LIVE_MANIFEST, SHARD_MANIFEST,
 };
 use lcrs::extmem::{
     Device, DeviceConfig, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError, TempDir,
@@ -35,8 +38,8 @@ use lcrs::halfspace::dynamic::{
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs::halfspace::DynamicHalfspace2;
-use lcrs::workloads::{points2, Dist2};
+use lcrs::halfspace::{DynamicHalfspace2, Partition2, Partition3};
+use lcrs::workloads::{points2, points3, Dist2, Dist3};
 
 /// Byte offsets of the page-snapshot header (DESIGN.md §9).
 const OFF_VERSION: usize = 8;
@@ -598,5 +601,89 @@ fn retired_lifted_layouts_are_typed_at_load() {
         let reopened = SnapshotCatalog::open(dir.path()).unwrap();
         assert_eq!(reopened.entries()[0].kind, kind);
         expect_meta_error(kind, reopened.load("lifted", 0));
+    }
+}
+
+/// A `__shards.meta` manifest, decoded through the partitions' own codecs
+/// so an id map can be rewritten under a fresh checksum.
+#[derive(Clone)]
+struct ShardManifest {
+    shards: usize,
+    p2: Partition2,
+    p3: Partition3,
+    pts2: Vec<Vec<(i64, i64)>>,
+}
+
+impl ShardManifest {
+    fn read(path: &Path) -> ShardManifest {
+        let mut r = MetaReader::open(path).unwrap();
+        assert_eq!((r.str().unwrap(), r.u64().unwrap()), ("lcrs-shards".to_string(), 1));
+        let shards = r.usize().unwrap();
+        let p2 = Partition2::load(&mut r).unwrap();
+        let p3 = Partition3::load(&mut r).unwrap();
+        let pts2 = (0..shards)
+            .map(|_| (0..r.seq().unwrap()).map(|_| (r.i64().unwrap(), r.i64().unwrap())).collect())
+            .collect();
+        r.finish().unwrap();
+        ShardManifest { shards, p2, p3, pts2 }
+    }
+
+    fn write(&self, path: &Path) {
+        let mut w = MetaWriter::new();
+        w.str("lcrs-shards");
+        w.u64(1);
+        w.usize(self.shards);
+        self.p2.save(&mut w);
+        self.p3.save(&mut w);
+        for pts in &self.pts2 {
+            w.seq(pts.len());
+            for &(x, y) in pts {
+                w.i64(x);
+                w.i64(y);
+            }
+        }
+        w.write_to_path(path).unwrap();
+    }
+}
+
+/// Shard id maps that are not a disjoint cover of `0..n` — an id repeated
+/// across two shards, or an id equal to n — in the 2D or the 3D partition
+/// of a correctly checksummed manifest must fail the reopen with a typed
+/// error: the gather would answer with a duplicated or foreign id, or set
+/// a bit past the end of its id bitmap.
+#[test]
+fn shard_manifest_id_maps_must_cover_every_point_once() {
+    let dir = TempDir::new("lcrs-corrupt-shards");
+    let pts2 = points2(Dist2::Uniform, 300, 1000, 9);
+    let pts3 = points3(Dist3::Uniform, 200, 1 << 12, 10);
+    let cfg = ShardConfig { shards: 4, device: DeviceConfig::new(256, 0) };
+    let sharded = ShardedIndexSet::build(&pts2, &pts3, &cfg, |h2, h3, p2, p3| {
+        let mut set = IndexSet::new();
+        set.add(Box::new(ExternalScan::build(h2, p2)));
+        set.add(Box::new(ExternalScan3::build(h3, p3)));
+        set
+    });
+    sharded.freeze();
+    sharded.save_to_catalog(dir.path()).unwrap();
+    let path = dir.path().join(SHARD_MANIFEST);
+    let pristine = std::fs::read(&path).unwrap();
+    let good = ShardManifest::read(&path);
+    good.write(&path);
+    assert_eq!(std::fs::read(&path).unwrap(), pristine, "the decoder must see every field");
+    assert!(ShardedIndexSet::from_catalog(dir.path(), 0).is_ok());
+
+    let corruptions: [(&str, fn(&mut Vec<Vec<u32>>)); 2] = [
+        ("an id repeated across two shards", |g| g[1][0] = g[0][0]),
+        ("an id equal to n", |g| g[2][0] = g.iter().map(Vec::len).sum::<usize>() as u32),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut bad = good.clone();
+        corrupt(&mut bad.p2.groups);
+        bad.write(&path);
+        expect_meta_error(&format!("2D: {what}"), ShardedIndexSet::from_catalog(dir.path(), 0));
+        let mut bad = good.clone();
+        corrupt(&mut bad.p3.groups);
+        bad.write(&path);
+        expect_meta_error(&format!("3D: {what}"), ShardedIndexSet::from_catalog(dir.path(), 0));
     }
 }
