@@ -79,7 +79,7 @@ stage bench-persist    cargo bench -q -p lcrs-bench --bench exp_persist -- --smo
 stage bench-planner    cargo bench -q -p lcrs-bench --bench exp_planner -- --smoke
 stage bench-shard      cargo bench -q -p lcrs-bench --bench exp_shard -- --smoke
 stage bench-live       cargo bench -q -p lcrs-bench --bench exp_live -- --smoke
-stage bench-mmap       cargo bench -q -p lcrs-bench --bench exp_mmap -- --smoke
+stage bench-reopen     cargo bench -q -p lcrs-bench --bench exp_reopen -- --smoke
 stage bench-serve      cargo bench -q -p lcrs-bench --bench exp_serve -- --smoke
 stage bench-lift       cargo bench -q -p lcrs-bench --bench exp_lift -- --smoke
 

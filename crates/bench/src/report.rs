@@ -29,7 +29,7 @@ pub const GATED_BENCHES: [&str; 9] = [
     "exp_planner",
     "exp_shard",
     "exp_live",
-    "exp_mmap",
+    "exp_reopen",
     "exp_serve",
     "exp_lift",
 ];
@@ -761,7 +761,7 @@ mod tests {
         let baseline = std::fs::read_to_string(dir.join(BASELINE_FILE)).unwrap();
         let parsed = parse_json(&baseline).unwrap();
         assert_eq!(
-            parsed.get("wall").and_then(|w| w.get("exp_mmap")).and_then(|b| b.get("cell/a")),
+            parsed.get("wall").and_then(|w| w.get("exp_reopen")).and_then(|b| b.get("cell/a")),
             Some(&Json::Num(1_000_000.0)),
             "the baseline must carry the wall mirror"
         );
@@ -769,13 +769,13 @@ mod tests {
 
         // A 3x wall blowup passes the default gate (wall ungated) but
         // fails the opt-in one, naming the cell.
-        write_result_wall(&dir, "exp_mmap", &[("cell/a", 100.0)], true, Some(3_000_000.0));
+        write_result_wall(&dir, "exp_reopen", &[("cell/a", 100.0)], true, Some(3_000_000.0));
         assert!(check_baseline(&dir, 0.02, None).is_ok(), "wall is ungated by default");
         let err = check_baseline(&dir, 0.02, Some(0.5)).unwrap_err();
-        assert!(err.contains("exp_mmap/cell/a") && err.contains("wall"), "{err}");
+        assert!(err.contains("exp_reopen/cell/a") && err.contains("wall"), "{err}");
 
         // A faster run never fails the wall gate (noise cuts both ways).
-        write_result_wall(&dir, "exp_mmap", &[("cell/a", 100.0)], true, Some(100_000.0));
+        write_result_wall(&dir, "exp_reopen", &[("cell/a", 100.0)], true, Some(100_000.0));
         assert!(check_baseline(&dir, 0.02, Some(0.5)).is_ok());
 
         // Wall cells without a wall baseline demand a refresh.

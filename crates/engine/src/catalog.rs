@@ -37,7 +37,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use lcrs_extmem::{Device, MetaReader, MetaWriter, ReopenBackend, SnapshotError};
+use lcrs_extmem::{Device, MetaReader, MetaWriter, SnapshotError};
 
 use crate::query::{load_index, RangeIndex};
 
@@ -241,52 +241,29 @@ impl SnapshotCatalog {
         label: &str,
         cache_pages: usize,
     ) -> Result<Box<dyn RangeIndex>, SnapshotError> {
-        self.load_as(label, cache_pages, ReopenBackend::Pread)
-    }
-
-    /// [`Self::load`] with an explicit storage backend
-    /// ([`ReopenBackend::Mmap`] for the zero-copy mapping, DESIGN.md §13).
-    /// Answers and model read-IO counts are bit-identical across backends.
-    pub fn load_as(
-        &self,
-        label: &str,
-        cache_pages: usize,
-        backend: ReopenBackend,
-    ) -> Result<Box<dyn RangeIndex>, SnapshotError> {
         let entry = self
             .entries
             .iter()
             .find(|e| e.label == label)
             .ok_or_else(|| SnapshotError::NoSuchEntry { label: label.to_string() })?;
-        let device = Device::open_snapshot_as(self.pages_path(entry), cache_pages, backend)?;
+        let device = Device::open_snapshot(self.pages_path(entry), cache_pages)?;
         self.load_entry(entry, &device)
     }
 
-    /// Reopen every entry, in `add` order.
+    /// Reopen every entry, in `add` order. Each pages file is opened and
+    /// validated once; the entries reading it each load on their own fresh
+    /// scope of that one store, so per-entry cache budget, cold start and
+    /// IO attribution are those of [`Self::load`].
     pub fn load_all(&self, cache_pages: usize) -> Result<Vec<Box<dyn RangeIndex>>, SnapshotError> {
-        self.load_all_as(cache_pages, ReopenBackend::Pread)
-    }
-
-    /// [`Self::load_all`] with an explicit storage backend. Each pages
-    /// file is opened and validated once; the entries reading it each load
-    /// on their own fresh scope of that one store, so per-entry cache
-    /// budget, cold start and IO attribution are those of [`Self::load`].
-    pub fn load_all_as(
-        &self,
-        cache_pages: usize,
-        backend: ReopenBackend,
-    ) -> Result<Vec<Box<dyn RangeIndex>>, SnapshotError> {
         let mut stores: HashMap<&str, Device> = HashMap::new();
         self.entries
             .iter()
             .map(|e| {
                 let device = match stores.entry(&e.pages) {
                     Entry::Occupied(o) => o.into_mut(),
-                    Entry::Vacant(v) => v.insert(Device::open_snapshot_as(
-                        self.pages_path(e),
-                        cache_pages,
-                        backend,
-                    )?),
+                    Entry::Vacant(v) => {
+                        v.insert(Device::open_snapshot(self.pages_path(e), cache_pages)?)
+                    }
                 };
                 self.load_entry(e, device)
             })

@@ -40,7 +40,7 @@
 
 use std::path::{Path, PathBuf};
 
-use lcrs_extmem::{IoDelta, MetaReader, MetaWriter, ReopenBackend, SnapshotError};
+use lcrs_extmem::{IoDelta, MetaReader, MetaWriter, SnapshotError};
 
 use crate::batch::{BatchExecutor, QueryOutcome, QueryStatus};
 use crate::catalog::SnapshotCatalog;
@@ -157,20 +157,8 @@ impl IndexSet {
         cat: &SnapshotCatalog,
         cache_pages: usize,
     ) -> Result<IndexSet, SnapshotError> {
-        Self::from_catalog_as(cat, cache_pages, ReopenBackend::Pread)
-    }
-
-    /// [`Self::from_catalog`] with an explicit storage backend for every
-    /// reopened device ([`ReopenBackend::Mmap`] for zero-copy serving).
-    /// Plans, answers, and model IO counts are bit-identical across
-    /// backends (pinned by the oracle suite).
-    pub fn from_catalog_as(
-        cat: &SnapshotCatalog,
-        cache_pages: usize,
-        backend: ReopenBackend,
-    ) -> Result<IndexSet, SnapshotError> {
         let mut set = IndexSet::new();
-        for index in cat.load_all_as(cache_pages, backend)? {
+        for index in cat.load_all(cache_pages)? {
             set.add(index);
         }
         let calib = Self::calibration_path(cat);

@@ -47,8 +47,7 @@
 use std::path::{Path, PathBuf};
 
 use lcrs_extmem::{
-    Device, DeviceConfig, DeviceHandle, IoDelta, MetaReader, MetaWriter, ReopenBackend,
-    SnapshotError,
+    Device, DeviceConfig, DeviceHandle, IoDelta, MetaReader, MetaWriter, SnapshotError,
 };
 use lcrs_geom::lift::dist2_carry;
 use lcrs_halfspace::partition::{partition2, partition3, Partition2, Partition3};
@@ -170,7 +169,8 @@ impl ShardedIndexSet {
     /// translates reported ids back to global input indices). The
     /// canonical builder is `lcrs_bench::full_index_set`; any builder
     /// works as long as every shard gets the same structure kinds in the
-    /// same slot order (asserted).
+    /// same slot order, each over all of the shard's points (a breach
+    /// panics).
     pub fn build<F>(
         pts2: &[(i64, i64)],
         pts3: &[(i64, i64, i64)],
@@ -217,21 +217,46 @@ impl ShardedIndexSet {
             devices.push(dev3);
         }
         let sharded = ShardedIndexSet { shards, devices };
-        sharded.assert_uniform_kinds();
+        sharded.check_shards().unwrap_or_else(|e| panic!("{e}"));
         sharded
     }
 
-    /// Every shard must hold the same structure kinds in the same slot
-    /// order — the contract that makes per-class support uniform across
-    /// shards (a query is answerable by all routed shards or by none).
-    fn assert_uniform_kinds(&self) {
-        let reference: Vec<&str> =
-            (0..self.shards[0].set.len()).map(|i| self.shards[0].set.structure(i).name()).collect();
+    /// The contract every shard meets, checked once by both constructors:
+    /// a panic from [`Self::build`] (a caller bug) and a typed error from
+    /// [`Self::from_catalog`] (bad files). Every shard holds the same
+    /// structure kinds in the same slot order as shard 0, which makes
+    /// per-class support uniform across shards (a query is answerable by
+    /// all routed shards or by none). Every slot holds exactly as many
+    /// points as its shard's id map names — `ids3` for the slots answering
+    /// [`Query::Halfspace`], `ids2` for the rest — so each local id it
+    /// reports has a global id.
+    fn check_shards(&self) -> Result<(), String> {
+        let kinds = |set: &IndexSet| -> Vec<&str> {
+            (0..set.len()).map(|slot| set.structure(slot).name()).collect()
+        };
+        let reference = kinds(&self.shards[0].set);
+        let halfspace = Query::Halfspace { u: 0, v: 0, w: 0, inclusive: true };
         for (s, shard) in self.shards.iter().enumerate() {
-            let kinds: Vec<&str> =
-                (0..shard.set.len()).map(|i| shard.set.structure(i).name()).collect();
-            assert_eq!(kinds, reference, "shard {s}: structure kinds must match shard 0");
+            let found = kinds(&shard.set);
+            if found != reference {
+                return Err(format!(
+                    "shard {s}: structure kinds {found:?} differ from shard 0's {reference:?}"
+                ));
+            }
+            for slot in 0..shard.set.len() {
+                let index = shard.set.structure(slot);
+                let ids =
+                    if index.supports(&halfspace) { shard.ids3.len() } else { shard.ids2.len() };
+                let n = index.cost_hint().n;
+                if n != ids as u64 {
+                    return Err(format!(
+                        "shard {s}: slot {slot} ({}) holds {n} points but its id map names {ids}",
+                        index.name()
+                    ));
+                }
+            }
         }
+        Ok(())
     }
 
     /// Number of shards.
@@ -547,22 +572,12 @@ impl ShardedIndexSet {
     /// file-backed devices, persisted calibration auto-loaded) plus the
     /// manifest's regions and id maps. Answers, plans, and read-IO
     /// counts are bit-identical to the in-memory original (pinned by the
-    /// differential suite).
+    /// differential suite). A shard whose structures hold other kinds than
+    /// shard 0's, or other point counts than the manifest's id maps give
+    /// it, is a typed [`SnapshotError::Meta`].
     pub fn from_catalog(
         dir: impl AsRef<Path>,
         cache_pages: usize,
-    ) -> Result<ShardedIndexSet, SnapshotError> {
-        Self::from_catalog_as(dir, cache_pages, ReopenBackend::Pread)
-    }
-
-    /// [`Self::from_catalog`] with an explicit storage backend for every
-    /// shard's reopened devices ([`ReopenBackend::Mmap`] for zero-copy
-    /// serving) — the same guarantees, backend choice plumbed through
-    /// every sub-catalog.
-    pub fn from_catalog_as(
-        dir: impl AsRef<Path>,
-        cache_pages: usize,
-        backend: ReopenBackend,
     ) -> Result<ShardedIndexSet, SnapshotError> {
         let dir = dir.as_ref();
         let mut r = MetaReader::open(&Self::manifest_path(dir))?;
@@ -607,7 +622,7 @@ impl ShardedIndexSet {
         let mut loaded = Vec::with_capacity(shards);
         for (s, pts2) in all_pts2.into_iter().enumerate() {
             let cat = SnapshotCatalog::open(dir.join(format!("shard{s}")))?;
-            let set = IndexSet::from_catalog_as(&cat, cache_pages, backend)?;
+            let set = IndexSet::from_catalog(&cat, cache_pages)?;
             loaded.push(Shard {
                 set,
                 region2: p2.regions[s].clone(),
@@ -618,7 +633,7 @@ impl ShardedIndexSet {
             });
         }
         let sharded = ShardedIndexSet { shards: loaded, devices: Vec::new() };
-        sharded.assert_uniform_kinds();
+        sharded.check_shards().map_err(|detail| r.error(detail))?;
         Ok(sharded)
     }
 

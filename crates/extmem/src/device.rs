@@ -13,15 +13,16 @@
 //! checksummed snapshot file, and [`Device::open_snapshot`] reopens one as a
 //! read-only, file-backed store — same handles, same fork semantics, same
 //! IO accounting, so an index built once can serve queries from any number
-//! of later processes without rebuilding.
+//! of later processes without rebuilding. Each scope keeps the bytes of its
+//! resident file-backed pages in *frames* (DESIGN.md §13): a cache hit is
+//! served from its frame with no syscall, a miss is one `pread`, so preads
+//! issued equal the model's read IOs.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-#[cfg(unix)]
-use crate::snapshot::MappedSnapshot;
 use crate::snapshot::{write_snapshot, SnapshotError, SnapshotFile};
 use crate::stats::IoStats;
 
@@ -54,72 +55,24 @@ impl DeviceConfig {
     }
 }
 
-/// Per-thread pool of page buffers for the pread backend. A stack (not a
-/// single slot): a page closure that nests another frozen read — allowed
-/// after freeze — pops a *second* buffer instead of degrading to a fresh
-/// heap allocation per access, and both go back for reuse. The pool holds
-/// at most `PAGE_BUF_POOL_CAP` buffers, so steady state allocates exactly
-/// once per nesting depth per thread (pinned by regression test).
-const PAGE_BUF_POOL_CAP: usize = 8;
-thread_local! {
-    static PAGE_BUF_POOL: std::cell::RefCell<Vec<Vec<u8>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-#[cfg(test)]
-fn page_buf_pool_len() -> usize {
-    PAGE_BUF_POOL.with(|pool| pool.borrow().len())
-}
-
 /// Where a frozen store's page data lives: the build-phase vector moved in
-/// place ([`Device::freeze`]), a validated snapshot file read positionally
-/// ([`ReopenBackend::Pread`]), or the same file memory-mapped once
-/// ([`ReopenBackend::Mmap`]). All are immutable and read without a lock,
-/// so the choice of backend never changes `Send + Sync` reads, fork
+/// place ([`Device::freeze`]), or a validated snapshot file
+/// ([`Device::open_snapshot`]) whose pages reach readers through their
+/// scope's frames (see `HandleState`). Both are immutable and read without
+/// a store lock, so the source never changes `Send + Sync` reads, fork
 /// semantics, or IO accounting — only where the bytes come from.
 enum PageSource {
     Memory(Vec<Box<[u8]>>),
     File(SnapshotFile),
-    #[cfg(unix)]
-    Mmap(MappedSnapshot),
 }
 
 impl PageSource {
-    fn with_page<R>(
-        &self,
-        page_bytes: usize,
-        id: PageId,
-        op: &str,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> R {
+    /// A page of a memory-backed source. File-backed pages are read through
+    /// a scope's frames ([`DeviceHandle::read_page`]), never here.
+    fn memory_page(&self, id: PageId, op: &str) -> &[u8] {
         match self {
-            PageSource::Memory(pages) => f(Store::page(pages, id, op)),
-            PageSource::File(sf) => {
-                assert!(id.0 < sf.page_count(), "{op} of unallocated page {id:?}");
-                // Reuse a pooled buffer: file-backed page access is one
-                // pread, not one heap allocation + one pread. The borrow
-                // on the pool is released while `f` runs, so nested
-                // frozen reads pop further buffers (see PAGE_BUF_POOL).
-                let mut buf =
-                    PAGE_BUF_POOL.with(|pool| pool.borrow_mut().pop()).unwrap_or_default();
-                buf.resize(page_bytes, 0);
-                sf.read_page_into(id.0, &mut buf);
-                let r = f(&buf);
-                PAGE_BUF_POOL.with(|pool| {
-                    let mut pool = pool.borrow_mut();
-                    if pool.len() < PAGE_BUF_POOL_CAP {
-                        pool.push(buf);
-                    }
-                });
-                r
-            }
-            // Zero-copy: the page is a slice of the validated mapping —
-            // no syscall, no checksum pass, no buffer shuffle.
-            #[cfg(unix)]
-            PageSource::Mmap(m) => {
-                assert!(id.0 < m.page_count(), "{op} of unallocated page {id:?}");
-                f(m.page(id.0))
-            }
+            PageSource::Memory(pages) => Store::page(pages, id, op),
+            PageSource::File(_) => unreachable!("{op} of file-backed page {id:?} outside a frame"),
         }
     }
 
@@ -127,8 +80,6 @@ impl PageSource {
         match self {
             PageSource::Memory(pages) => pages.len() as u64,
             PageSource::File(sf) => sf.page_count(),
-            #[cfg(unix)]
-            PageSource::Mmap(m) => m.page_count(),
         }
     }
 }
@@ -140,26 +91,9 @@ pub enum PageBackend {
     Building,
     /// Frozen in memory ([`Device::freeze`]).
     Memory,
-    /// Frozen on disk, read by positional `pread` ([`Device::open_snapshot`]).
+    /// Frozen on disk ([`Device::open_snapshot`]): a miss is one positional
+    /// `pread` into a frame of the reading scope, a hit serves that frame.
     File,
-    /// Frozen on disk, memory-mapped once and read zero-copy
-    /// ([`Device::open_snapshot_as`] with [`ReopenBackend::Mmap`]).
-    Mmap,
-}
-
-/// Which storage backend [`Device::open_snapshot_as`] should put the
-/// reopened pages on. Answers and model read-IO counts are bit-identical
-/// across backends — the choice only moves real-hardware wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReopenBackend {
-    /// One positional `pread` into a pooled per-thread buffer per page
-    /// miss. The portable default.
-    #[default]
-    Pread,
-    /// Map the validated file once; every page read is a pointer offset
-    /// into the mapping (unix only — silently falls back to
-    /// [`ReopenBackend::Pread`] elsewhere).
-    Mmap,
 }
 
 /// The shared page store. While building, pages live behind `building`;
@@ -187,17 +121,18 @@ impl Store {
     // device again — `read_page(p, |_| read_page(q, ..))` would deadlock.
     // The pre-split device rejected the same pattern with a RefCell borrow
     // panic; no structure in the workspace nests page accesses. After
-    // freeze() the read path takes no lock and the constraint disappears.
+    // freeze() the read path takes no store lock and the constraint
+    // disappears.
     fn with_page<R>(&self, id: PageId, op: &str, f: impl FnOnce(&[u8]) -> R) -> R {
         if let Some(src) = self.frozen.get() {
-            return src.with_page(self.cfg.page_bytes, id, op, f);
+            return f(src.memory_page(id, op));
         }
         let guard = self.building.lock().unwrap();
         // Re-check: a freeze may have landed between the lock-free probe
         // and acquiring the build lock.
         if let Some(src) = self.frozen.get() {
             drop(guard);
-            return src.with_page(self.cfg.page_bytes, id, op, f);
+            return f(src.memory_page(id, op));
         }
         f(Self::page(&guard, id, op))
     }
@@ -229,8 +164,14 @@ impl Store {
     }
 }
 
-/// Per-scope mutable state: the LRU cache and the IO counters. One of these
-/// exists per [`DeviceHandle`] scope, so readers never contend on it.
+/// The bytes of one resident page of a file-backed store. Shared so a page
+/// closure can hold its frame without the scope lock: a frame evicted while
+/// held stays valid until the closure returns.
+type Frame = Arc<[u8]>;
+
+/// Per-scope mutable state: the LRU cache, the IO counters, and the frames
+/// that hold the bytes of resident file-backed pages. One of these exists
+/// per [`DeviceHandle`] scope, so readers never contend on it.
 struct HandleState {
     stats: IoStats,
     /// Clean LRU cache: pages are write-through, so eviction never writes.
@@ -244,6 +185,15 @@ struct HandleState {
     cache: HashMap<(u64, PageId), u64>,
     by_tick: BTreeMap<u64, (u64, PageId)>,
     tick: u64,
+    /// The frame of every resident page of a file-backed store, keyed as
+    /// in `cache`. A page enters `frames` when its miss is accounted and
+    /// leaves when the LRU evicts it or the cache is cleared, so a hit is
+    /// served with no syscall. Memory-backed pages have no frame: their
+    /// bytes are in RAM already.
+    frames: HashMap<(u64, PageId), Frame>,
+    /// Unshared frames for the next misses: at most `cache_pages` of them
+    /// (one for an uncached scope), so a warm scope allocates nothing.
+    spare: Vec<Frame>,
 }
 
 impl HandleState {
@@ -253,6 +203,8 @@ impl HandleState {
             cache: HashMap::new(),
             by_tick: BTreeMap::new(),
             tick: 0,
+            frames: HashMap::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -271,9 +223,15 @@ impl HandleState {
         if self.cache.len() >= cache_pages {
             // Evict the least recently used page: the smallest tick. This
             // picks the same victim a full scan would (ticks are unique),
-            // so IO counts are deterministic.
+            // so IO counts are deterministic. A file-backed victim's frame
+            // goes with it.
             if let Some((_, victim)) = self.by_tick.pop_first() {
                 self.cache.remove(&victim);
+                if !self.frames.is_empty() {
+                    if let Some(frame) = self.frames.remove(&victim) {
+                        recycle(&mut self.spare, cache_pages, frame);
+                    }
+                }
             }
         }
         self.cache.insert(key, tick);
@@ -292,6 +250,14 @@ impl HandleState {
     fn account_write(&mut self, cache_pages: usize, key: (u64, PageId)) {
         self.stats.writes += 1;
         self.touch(cache_pages, key);
+    }
+}
+
+/// Put a frame that no page owns any more on the free list, unless a page
+/// closure still reads it or the list is full.
+fn recycle(spare: &mut Vec<Frame>, cache_pages: usize, mut frame: Frame) {
+    if Arc::get_mut(&mut frame).is_some() && spare.len() < cache_pages.max(1) {
+        spare.push(frame);
     }
 }
 
@@ -368,8 +334,6 @@ impl DeviceHandle {
             None => PageBackend::Building,
             Some(PageSource::Memory(_)) => PageBackend::Memory,
             Some(PageSource::File(_)) => PageBackend::File,
-            #[cfg(unix)]
-            Some(PageSource::Mmap(_)) => PageBackend::Mmap,
         }
     }
 
@@ -393,12 +357,6 @@ impl DeviceHandle {
             Some(PageSource::File(sf)) => {
                 write_snapshot(path.as_ref(), page_bytes, sf.page_count(), |i, buf| {
                     sf.read_page_into(i, buf)
-                })
-            }
-            #[cfg(unix)]
-            Some(PageSource::Mmap(m)) => {
-                write_snapshot(path.as_ref(), page_bytes, m.page_count(), |i, buf| {
-                    buf.copy_from_slice(m.page(i))
                 })
             }
         }
@@ -438,14 +396,18 @@ impl DeviceHandle {
         self.store.pages_allocated()
     }
 
-    // The accessors below account against the scope only *inside* the store
-    // access, after the page is validated: a rejected access (unallocated
-    // page, write-after-freeze) panics without leaving a phantom IO in the
-    // counters or a bogus entry in the LRU. The scope mutex nests strictly
-    // inside the store lock and is never held across user code.
+    // The accessors below account against the scope only after the page is
+    // validated and its bytes are at hand: a rejected access (unallocated
+    // page, write-after-freeze, failed pread) panics without leaving a
+    // phantom IO in the counters or a bogus entry in the LRU. The scope
+    // mutex nests strictly inside the store lock and is never held across
+    // user code or a pread.
 
     /// Read a page, paying one IO unless cached in this scope.
     pub fn read_page<R>(&self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
+        if let Some(PageSource::File(sf)) = self.store.frozen.get() {
+            return self.read_frame(sf, id, f);
+        }
         self.store.with_page(id, "read", |page| {
             self.state
                 .lock()
@@ -453,6 +415,51 @@ impl DeviceHandle {
                 .account_read(self.store.cfg.cache_pages, (self.store.id, id));
             f(page)
         })
+    }
+
+    /// [`Self::read_page`] on a file-backed store, through this scope's
+    /// frames: a hit runs `f` on the page's resident frame with no syscall,
+    /// and a miss is exactly one `pread` into a recycled frame, which stays
+    /// resident as long as the page does. Preads issued therefore equal
+    /// `IoStats::reads`.
+    fn read_frame<R>(&self, sf: &SnapshotFile, id: PageId, f: impl FnOnce(&[u8]) -> R) -> R {
+        assert!(id.0 < sf.page_count(), "read of unallocated page {id:?}");
+        let cache_pages = self.store.cfg.cache_pages;
+        let key = (self.store.id, id);
+        let mut state = self.state.lock().unwrap();
+        let mut frame = if let Some(frame) = state.frames.get(&key).cloned() {
+            state.account_read(cache_pages, key);
+            drop(state);
+            frame
+        } else {
+            // The pread runs outside the scope lock, so a failed read
+            // panics before any counter or LRU change and poisons nothing.
+            let spare = state.spare.pop();
+            drop(state);
+            let mut frame = match spare {
+                Some(frame) if frame.len() == sf.page_bytes() => frame,
+                _ => Frame::from(vec![0; sf.page_bytes()]),
+            };
+            sf.read_page_into(id.0, Arc::get_mut(&mut frame).expect("spare frames are unshared"));
+            let mut state = self.state.lock().unwrap();
+            state.account_read(cache_pages, key);
+            if cache_pages > 0 {
+                let state = &mut *state;
+                // Another reader of this scope may have loaded the page
+                // meanwhile; keep one frame.
+                if let Some(old) = state.frames.insert(key, Arc::clone(&frame)) {
+                    recycle(&mut state.spare, cache_pages, old);
+                }
+            }
+            frame
+        };
+        let r = f(&frame);
+        if Arc::get_mut(&mut frame).is_some() {
+            // Evicted while `f` held it (a nested read on this scope, or an
+            // uncached scope): back to the free list.
+            recycle(&mut self.state.lock().unwrap().spare, cache_pages, frame);
+        }
+        r
     }
 
     /// Overwrite a page (write-through), paying one write IO. Panics on a
@@ -494,8 +501,12 @@ impl DeviceHandle {
     /// without touching the counters. Used to measure cold-cache queries.
     pub fn clear_cache(&self) {
         let mut state = self.state.lock().unwrap();
-        state.cache.clear();
-        state.by_tick.clear();
+        let HandleState { cache, by_tick, frames, spare, .. } = &mut *state;
+        cache.clear();
+        by_tick.clear();
+        for (_, frame) in frames.drain() {
+            recycle(spare, self.store.cfg.cache_pages, frame);
+        }
     }
 
     /// Number of pages currently resident in this scope's cache.
@@ -519,13 +530,19 @@ pub struct Device {
 
 impl Device {
     pub fn new(cfg: DeviceConfig) -> Self {
+        Device::over(cfg, OnceLock::new())
+    }
+
+    /// A device over a fresh store with page source `frozen` (empty while
+    /// the store is still building).
+    fn over(cfg: DeviceConfig, frozen: OnceLock<PageSource>) -> Device {
         Device {
             primary: DeviceHandle {
                 store: Arc::new(Store {
                     id: next_store_id(),
                     cfg,
                     building: Mutex::new(Vec::new()),
-                    frozen: OnceLock::new(),
+                    frozen,
                 }),
                 state: Arc::new(Mutex::new(HandleState::new())),
             },
@@ -571,6 +588,10 @@ impl Device {
     /// versions) surfaces here as a typed [`SnapshotError`] — never later
     /// as a bad page read.
     ///
+    /// Each scope reads the file through its frames: a miss is one `pread`
+    /// into a frame that stays resident while the page does in the scope's
+    /// LRU, and a hit is served from that frame with no syscall.
+    ///
     /// The reopened device starts with a fresh primary scope: zeroed
     /// [`IoStats`], empty cache. Validation reads are *not* charged — the
     /// cost model starts counting at the first query, so a cold reopened
@@ -579,47 +600,9 @@ impl Device {
         path: impl AsRef<Path>,
         cache_pages: usize,
     ) -> Result<Device, SnapshotError> {
-        Device::open_snapshot_as(path, cache_pages, ReopenBackend::Pread)
-    }
-
-    /// [`Device::open_snapshot`] with an explicit storage backend.
-    ///
-    /// Both backends validate through the identical code path
-    /// ([`SnapshotFile::open`]), so every corruption case surfaces as the
-    /// same typed [`SnapshotError`] no matter which backend was requested
-    /// — and never as a fault at read time. With [`ReopenBackend::Mmap`]
-    /// the validated file is then mapped once and each page read is a
-    /// pointer offset into the mapping (zero-copy); answers and model
-    /// read-IO counts stay bit-identical to the pread backend, only real
-    /// wall time changes. On non-unix platforms an mmap request silently
-    /// uses the portable pread backend.
-    pub fn open_snapshot_as(
-        path: impl AsRef<Path>,
-        cache_pages: usize,
-        backend: ReopenBackend,
-    ) -> Result<Device, SnapshotError> {
         let sf = SnapshotFile::open(path.as_ref())?;
         let cfg = DeviceConfig::new(sf.page_bytes(), cache_pages);
-        let src = match backend {
-            ReopenBackend::Pread => PageSource::File(sf),
-            #[cfg(unix)]
-            ReopenBackend::Mmap => PageSource::Mmap(MappedSnapshot::from_snapshot_file(sf)?),
-            #[cfg(not(unix))]
-            ReopenBackend::Mmap => PageSource::File(sf),
-        };
-        let frozen = OnceLock::new();
-        frozen.set(src).unwrap_or_else(|_| unreachable!("freshly created OnceLock"));
-        Ok(Device {
-            primary: DeviceHandle {
-                store: Arc::new(Store {
-                    id: next_store_id(),
-                    cfg,
-                    building: Mutex::new(Vec::new()),
-                    frozen,
-                }),
-                state: Arc::new(Mutex::new(HandleState::new())),
-            },
-        })
+        Ok(Device::over(cfg, OnceLock::from(PageSource::File(sf))))
     }
 
     /// A fresh accounting scope (empty cache, zeroed stats) over this
@@ -1109,119 +1092,81 @@ mod tests {
         assert_eq!(totals, vec![8, 8, 8, 8]);
     }
 
-    #[test]
-    fn nested_file_reads_reuse_pooled_buffers() {
-        // ISSUE 8 regression: the pread backend used a single per-thread
-        // buffer slot, so *nested* frozen reads (outer closure reading
-        // another page) degraded to one fresh heap allocation per access.
-        // The pool must instead stabilize at one buffer per nesting depth.
-        let dir = crate::snapshot::TempDir::new("lcrs-device-bufpool");
+    /// Six 128-byte pages, each filled with its own index and tagged at
+    /// the end, frozen to `name` in `dir`.
+    fn six_page_snapshot(dir: &crate::snapshot::TempDir, name: &str) -> std::path::PathBuf {
         let dev = Device::new(DeviceConfig::new(128, 0));
-        let p = dev.alloc_pages(4);
-        for i in 0..4 {
-            dev.write_page(PageId(p.0 + i), |b| b[0] = 10 + i as u8);
-        }
-        let path = dir.file("pool.pages");
-        dev.freeze_to_path(&path).unwrap();
-        let re = Device::open_snapshot(&path, 0).unwrap();
-        let re2 = Device::open_snapshot(&path, 0).unwrap();
-        // A fresh thread starts with an empty pool, so the count below is
-        // exact regardless of what other tests ran on this thread.
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(page_buf_pool_len(), 0);
-                for round in 0..10 {
-                    let v = re.read_page(PageId(0), |outer| {
-                        let inner = re2.read_page(PageId(3), |b| b[0]);
-                        // The outer borrow must survive the nested read:
-                        // distinct buffers, no clobbering.
-                        (outer[0], inner)
-                    });
-                    assert_eq!(v, (10, 13), "round {round}");
-                    assert_eq!(
-                        page_buf_pool_len(),
-                        2,
-                        "round {round}: depth-2 nesting must settle at exactly 2 pooled \
-                         buffers, not allocate per access"
-                    );
-                }
-            });
-        });
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn mmap_reopen_is_bit_identical_to_pread() {
-        let dir = crate::snapshot::TempDir::new("lcrs-device-mmap");
-        let dev = Device::new(DeviceConfig::new(128, 2));
         let p = dev.alloc_pages(6);
         for i in 0..6 {
             dev.write_page(PageId(p.0 + i), |b| {
-                b[0] = i as u8;
-                b[127] = 0xB0 + i as u8;
+                b.fill(i as u8);
+                b[127] = 0xC0 + i as u8;
             });
         }
-        let path = dir.file("m.pages");
+        let path = dir.file(name);
         dev.freeze_to_path(&path).unwrap();
-        let pread = Device::open_snapshot_as(&path, 2, ReopenBackend::Pread).unwrap();
-        let mmap = Device::open_snapshot_as(&path, 2, ReopenBackend::Mmap).unwrap();
-        assert_eq!(pread.backend(), PageBackend::File);
-        assert_eq!(mmap.backend(), PageBackend::Mmap);
-        assert!(mmap.is_frozen());
-        assert_eq!(mmap.page_bytes(), 128);
-        assert_eq!(mmap.pages_allocated(), 6);
-        assert_eq!(mmap.stats(), IoStats::default(), "mmap reopen starts cold");
-        // Same access trace on both: identical bytes AND identical model
-        // IO accounting (the LRU sees the same key stream).
-        let trace = [0u64, 1, 0, 5, 2, 0, 5, 3];
-        for &i in &trace {
-            let a = pread.read_page(PageId(i), |b| (b[0], b[127]));
-            let b = mmap.read_page(PageId(i), |b| (b[0], b[127]));
-            assert_eq!(a, b);
-            assert_eq!(a, (i as u8, 0xB0 + i as u8));
-        }
-        assert_eq!(pread.stats(), mmap.stats(), "model IOs must not depend on the backend");
-        // Re-snapshotting from the mapping reproduces the file bit-exactly.
-        mmap.snapshot_to_path(dir.file("copy.pages")).unwrap();
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            std::fs::read(dir.file("copy.pages")).unwrap(),
-            "snapshot of an mmap store must be byte-identical to its source"
-        );
-        // OOB reads panic exactly like the other backends.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mmap.read_page(PageId(6), |_| ());
-        }));
-        assert!(r.is_err(), "OOB read on mmap backend must panic, not fault");
+        path
     }
 
-    #[cfg(unix)]
+    fn page_bytes_of(i: u64) -> Vec<u8> {
+        let mut b = vec![i as u8; 128];
+        b[127] = 0xC0 + i as u8;
+        b
+    }
+
     #[test]
-    fn mmap_reads_are_lock_free_across_threads() {
-        let dir = crate::snapshot::TempDir::new("lcrs-device-mmap-mt");
-        let dev = Device::new(DeviceConfig::new(128, 0));
-        let p = dev.alloc_pages(8);
-        for i in 0..8 {
-            dev.write_page(PageId(p.0 + i), |b| b[0] = i as u8);
+    fn nested_read_that_evicts_the_outer_frame_leaves_its_bytes_intact() {
+        // With one cached page, the inner read of page 3 evicts page 0
+        // while the outer closure still reads page 0's frame. That frame
+        // must stay valid until the outer closure returns, and both frames
+        // are then recycled: the scope settles at two, allocating nothing.
+        let dir = crate::snapshot::TempDir::new("lcrs-device-nested");
+        let re = Device::open_snapshot(six_page_snapshot(&dir, "n.pages"), 1).unwrap();
+        for round in 0..10 {
+            let before = re.stats();
+            let (outer, inner) = re.read_page(PageId(0), |outer| {
+                let inner = re.read_page(PageId(3), |b| b.to_vec());
+                (outer.to_vec(), inner)
+            });
+            assert_eq!((outer, inner), (page_bytes_of(0), page_bytes_of(3)), "round {round}");
+            let d = re.stats().since(before);
+            assert_eq!((d.reads, d.cache_hits), (2, 0), "round {round}");
+            let state = re.state.lock().unwrap();
+            assert_eq!(
+                (state.frames.len(), state.spare.len()),
+                (1, 1),
+                "round {round}: one resident frame and one spare, not one per access"
+            );
         }
-        dev.freeze_to_path(dir.file("mt.pages")).unwrap();
-        let re = Device::open_snapshot_as(dir.file("mt.pages"), 0, ReopenBackend::Mmap).unwrap();
-        let totals: Vec<u64> = std::thread::scope(|s| {
-            (0..4)
-                .map(|_| {
-                    let h = re.handle();
-                    s.spawn(move || {
-                        for i in 0..8u64 {
-                            assert_eq!(h.read_page(PageId(i), |b| b[0]), i as u8);
-                        }
-                        h.stats().reads
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|t| t.join().unwrap())
-                .collect()
-        });
-        assert_eq!(totals, vec![8, 8, 8, 8]);
+    }
+
+    #[test]
+    fn hits_are_served_from_frames_and_a_failed_miss_changes_nothing() {
+        // Warm three pages, then truncate the snapshot under the open
+        // device: hits never touch the file, while a miss fails its pread
+        // and panics before any counter or LRU change. The scope lock is
+        // not held across the pread, so the scope keeps serving hits.
+        let dir = crate::snapshot::TempDir::new("lcrs-device-truncate");
+        let path = six_page_snapshot(&dir, "t.pages");
+        let re = Device::open_snapshot(&path, 3).unwrap();
+        for i in 0..3 {
+            assert_eq!(re.read_page(PageId(i), |b| b.to_vec()), page_bytes_of(i));
+        }
+        std::fs::OpenOptions::new().write(true).open(&path).unwrap().set_len(0).unwrap();
+        for i in 0..3 {
+            assert_eq!(re.read_page(PageId(i), |b| b.to_vec()), page_bytes_of(i), "hit {i}");
+        }
+        let (stats, cached) = (re.stats(), re.cached_pages());
+        assert_eq!((stats.reads, stats.cache_hits), (3, 3));
+        let miss = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            re.read_page(PageId(4), |_| ());
+        }));
+        assert!(miss.is_err(), "a miss on a truncated snapshot must panic");
+        assert_eq!(re.stats(), stats, "a failed pread must not be charged");
+        assert_eq!(re.cached_pages(), cached, "a failed pread must not touch the LRU");
+        for i in 0..3 {
+            assert_eq!(re.read_page(PageId(i), |b| b.to_vec()), page_bytes_of(i), "hit {i}");
+        }
+        assert_eq!(re.stats().cache_hits, 6, "the scope still serves hits after the failure");
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! Components:
 //! * [`Device`] — the simulated disk: page allocation, read/write with IO
-//!   accounting, an optional LRU cache of `M/B` pages.
+//!   accounting, an optional LRU cache of `M/B` pages, whose frames hold the
+//!   bytes of resident pages of a reopened snapshot.
 //! * [`Record`] — fixed-size little-endian record codec.
 //! * [`VecFile`]/[`FileBuilder`] — a typed sequence of records packed into
 //!   contiguous pages (the unit the paper calls "storing a list in
@@ -28,10 +29,8 @@ pub mod file;
 pub mod snapshot;
 pub mod sort;
 pub mod stats;
-#[cfg(unix)]
-pub(crate) mod sys;
 
-pub use device::{Device, DeviceConfig, DeviceHandle, PageBackend, PageId, ReopenBackend};
+pub use device::{Device, DeviceConfig, DeviceHandle, PageBackend, PageId};
 pub use file::{FileBuilder, Record, VecFile};
 pub use snapshot::{MetaReader, MetaWriter, SnapshotError, TempDir};
 pub use stats::{IoDelta, IoStats};

@@ -408,61 +408,6 @@ impl SnapshotFile {
     }
 }
 
-/// A fully validated page snapshot exposed as one read-only memory
-/// mapping — the zero-copy backend behind
-/// [`crate::device::PageBackend::Mmap`] (DESIGN.md §13).
-///
-/// Construction goes through [`SnapshotFile::open`] first, so the header,
-/// checksum table, every page body, and the exact file length are verified
-/// by *the same code path* as the pread backend — corruption surfaces as
-/// the identical typed [`SnapshotError`] no matter which backend was
-/// requested (pinned by the corruption matrix). After that, a page read is
-/// a pointer offset into the mapping: no syscall, no copy, no per-thread
-/// buffer.
-#[cfg(unix)]
-pub struct MappedSnapshot {
-    map: crate::sys::Mapping,
-    page_bytes: usize,
-    page_count: u64,
-    data_offset: usize,
-}
-
-#[cfg(unix)]
-impl MappedSnapshot {
-    /// Map a snapshot that [`SnapshotFile::open`] already validated. The
-    /// file descriptor is closed on return; the mapping keeps the pages
-    /// reachable.
-    pub(crate) fn from_snapshot_file(sf: SnapshotFile) -> Result<MappedSnapshot, SnapshotError> {
-        // Validated at open: the file length is exactly header + table +
-        // pages, and at least one header, so the whole-file mapping is
-        // never empty and every page slice below is in bounds.
-        let len = sf.data_offset + sf.page_count * sf.page_bytes as u64;
-        let map = crate::sys::Mapping::map_file(&sf.file, len as usize)?;
-        debug_assert_eq!(map.len() as u64, len);
-        Ok(MappedSnapshot {
-            map,
-            page_bytes: sf.page_bytes,
-            page_count: sf.page_count,
-            data_offset: sf.data_offset as usize,
-        })
-    }
-
-    pub fn page_bytes(&self) -> usize {
-        self.page_bytes
-    }
-
-    pub fn page_count(&self) -> u64 {
-        self.page_count
-    }
-
-    /// The bytes of page `idx` — a borrow straight out of the mapping.
-    pub fn page(&self, idx: u64) -> &[u8] {
-        assert!(idx < self.page_count, "page {idx} out of range {}", self.page_count);
-        let start = self.data_offset + idx as usize * self.page_bytes;
-        &self.map.as_slice()[start..start + self.page_bytes]
-    }
-}
-
 /// Builder for a structure-metadata payload: a flat stream of *tagged*
 /// little-endian values wrapped in a checksummed envelope. The tag makes
 /// a mis-ordered or wrong-kind load fail typed instead of decoding

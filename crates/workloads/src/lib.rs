@@ -550,7 +550,7 @@ pub fn topk_mixed(
 /// sets are nested prefixes growing `stride` records at a time, so an
 /// index laid out in rank order reads its pages strictly front to back
 /// across the batch — the most readahead-friendly traffic there is (the
-/// `exp_mmap` sequential showcase), the opposite extreme from the cold
+/// `exp_reopen` sequential cells), the opposite extreme from the cold
 /// random access of a wide [`BatchShape::ZipfRepeat`]. Differs from
 /// [`BatchShape::SortedSweep`] in pacing: the sweep spreads `len` queries
 /// over the whole selectivity range, the page sweep advances a fixed

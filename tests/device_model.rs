@@ -2,7 +2,7 @@
 //! deterministic, cache-sensitive in the right direction, and consistent
 //! with the space accounting.
 
-use lcrs::extmem::{Device, DeviceConfig, VecFile};
+use lcrs::extmem::{Device, DeviceConfig, PageId, TempDir, VecFile};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::workloads::{halfplane_with_selectivity, points2, Dist2};
 
@@ -160,6 +160,50 @@ fn btreemap_lru_matches_linear_scan_reference_exactly() {
             assert_eq!(
                 (st.reads, st.writes, st.cache_hits),
                 (model.reads, model.writes, model.hits),
+                "divergence at step {step} with cache={cache_pages}"
+            );
+        }
+    }
+}
+
+#[test]
+fn frames_of_a_reopened_device_match_the_reference_lru_exactly() {
+    // The same reference, in lockstep with a snapshot-backed device: hits
+    // are served from the scope's frames and misses pread into recycled
+    // ones, so every read must return that page's own bytes, and the
+    // (reads, hits) stream must be the reference LRU's step by step.
+    let dir = TempDir::new("lcrs-frames-model");
+    let universe = 50u64;
+    let page = |p: u64| -> Vec<u8> { (0..64u64).map(|i| (p * 7 + i * 13) as u8).collect() };
+    let dev = Device::new(DeviceConfig::new(64, 0));
+    dev.alloc_pages(universe as usize);
+    for p in 0..universe {
+        dev.write_page(PageId(p), |b| b.copy_from_slice(&page(p)));
+    }
+    let path = dir.file("model.pages");
+    dev.freeze_to_path(&path).unwrap();
+    for cache_pages in [0usize, 1, 3, 17] {
+        let re = Device::open_snapshot(&path, cache_pages).unwrap();
+        let mut model = ModelLru::new(cache_pages);
+        let mut s = 0xf4a3_0000 + cache_pages as u64;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 33
+        };
+        for step in 0..4000 {
+            let p = next() % universe;
+            if next() % 10 < 9 {
+                let bytes = re.read_page(PageId(p), |b| b.to_vec());
+                assert_eq!(bytes, page(p), "page {p} at step {step} with cache={cache_pages}");
+                model.read(p);
+            } else {
+                re.clear_cache();
+                model.entries.clear();
+            }
+            let st = re.stats();
+            assert_eq!(
+                (st.reads, st.cache_hits),
+                (model.reads, model.hits),
                 "divergence at step {step} with cache={cache_pages}"
             );
         }

@@ -28,7 +28,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use lcrs::baselines::ExternalScan;
 use lcrs::engine::{BatchExecutor, IndexSet, Plan, Query, QueryStatus, SnapshotCatalog};
-use lcrs::extmem::{Device, DeviceConfig, ReopenBackend, TempDir};
+use lcrs::extmem::{Device, DeviceConfig, TempDir};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::workloads::{points2, points3, Dist2, Dist3};
 use lcrs_bench::{
@@ -242,10 +242,10 @@ fn calibration_roundtrips_through_the_catalog_with_identical_plans() {
 }
 
 #[test]
-fn oracle_is_bit_identical_across_memory_pread_and_mmap_backends() {
-    // The ISSUE 8 backend-parity oracle: the full 500-query mixed workload
-    // through the in-memory set and through catalog reopens on both
-    // storage backends — identical routing, answers, per-query outcomes,
+fn oracle_is_bit_identical_in_memory_and_reopened() {
+    // The reopen-parity oracle: the full 500-query mixed workload through
+    // the in-memory set and through a catalog reopen, whose cache hits are
+    // served from frames — identical routing, answers, per-query outcomes,
     // and model read-IO totals, sequentially and in parallel.
     let dir = TempDir::new("lcrs-planner-backends");
     let st = state();
@@ -263,29 +263,25 @@ fn oracle_is_bit_identical_across_memory_pread_and_mmap_backends() {
     let plan = set.plan(queries);
     let memory = set.execute_plan(queries, &plan, true);
 
-    let pread = IndexSet::from_catalog(&cat, CACHE_PAGES).unwrap();
-    let mmap = IndexSet::from_catalog_as(&cat, CACHE_PAGES, ReopenBackend::Mmap).unwrap();
-
-    for (name, reopened) in [("pread", &pread), ("mmap", &mmap)] {
-        let re_plan = reopened.plan(queries);
-        assert_eq!(re_plan.assignments, plan.assignments, "{name}: identical routing");
-        let run = reopened.execute_plan(queries, &re_plan, true);
-        assert_eq!(run.answers, memory.answers, "{name}: sequential answers");
-        assert_eq!(run.total, memory.total, "{name}: sequential read-IO totals");
-        for (a, b) in run.outcomes.iter().zip(&memory.outcomes) {
-            assert_eq!(
-                (a.query, a.status, a.reported, a.io),
-                (b.query, b.status, b.reported, b.io),
-                "{name}: per-query outcome and IO delta"
-            );
-        }
-        for workers in [1usize, 4] {
-            let par = reopened.execute_parallel_plan(queries, &re_plan, workers, true);
-            assert_eq!(par.answers, memory.answers, "{name}/{workers}: parallel answers");
-            assert_eq!(par.attributed_total(), par.total, "{name}/{workers}: attribution");
-            if workers == 1 {
-                assert_eq!(par.total, memory.total, "{name}/{workers}: 1 worker == sequential");
-            }
+    let reopened = IndexSet::from_catalog(&cat, CACHE_PAGES).unwrap();
+    let re_plan = reopened.plan(queries);
+    assert_eq!(re_plan.assignments, plan.assignments, "identical routing");
+    let run = reopened.execute_plan(queries, &re_plan, true);
+    assert_eq!(run.answers, memory.answers, "sequential answers");
+    assert_eq!(run.total, memory.total, "sequential read-IO totals");
+    for (a, b) in run.outcomes.iter().zip(&memory.outcomes) {
+        assert_eq!(
+            (a.query, a.status, a.reported, a.io),
+            (b.query, b.status, b.reported, b.io),
+            "per-query outcome and IO delta"
+        );
+    }
+    for workers in [1usize, 4] {
+        let par = reopened.execute_parallel_plan(queries, &re_plan, workers, true);
+        assert_eq!(par.answers, memory.answers, "{workers}: parallel answers");
+        assert_eq!(par.attributed_total(), par.total, "{workers}: attribution");
+        if workers == 1 {
+            assert_eq!(par.total, memory.total, "{workers}: 1 worker == sequential");
         }
     }
 }

@@ -1,12 +1,11 @@
 //! Corruption-matrix negative tests for the snapshot format (ISSUE 4):
 //! truncated files, flipped bytes in header / page body / checksum table,
 //! wrong magic, and future format versions must each surface as a typed
-//! [`SnapshotError`] with the failing offset — never a panic. Every case
-//! runs through *both* reopen backends (pread and mmap), which must fail
-//! identically: the mmap path reuses the pread path's validate-once open,
-//! so corruption is always an open-time error, never a read-time fault.
-//! Empty-device and single-page snapshots are pinned as working edge
-//! cases, and the structure-metadata envelope gets the same treatment
+//! [`SnapshotError`] with the failing offset — never a panic: the whole
+//! file is validated once at open, so corruption is always an open-time
+//! error, never a read-time fault. Empty-device and single-page snapshots
+//! are pinned as working edge cases, and the structure-metadata envelope
+//! gets the same treatment
 //! (including loading one structure's metadata as another kind). Leveled
 //! state that is correctly checksummed but out of range — a zero buffer
 //! cap, pages too small for a level, slot and live counters that disagree
@@ -16,7 +15,8 @@
 //! the retired kinds and layouts of the lifted 3D structure, and a lifted
 //! id map that repeats an id or names one past the point count. So is a
 //! shard manifest whose 2D or 3D id maps repeat an id across two shards
-//! or name one past the point count.
+//! or name one past the point count, and a sharded catalog whose shard
+//! directories were swapped or replaced by a shard of other kinds.
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -28,7 +28,7 @@ use lcrs::engine::{
     SnapshotCatalog, LIVE_MANIFEST, SHARD_MANIFEST,
 };
 use lcrs::extmem::{
-    Device, DeviceConfig, MetaReader, MetaWriter, PageId, ReopenBackend, SnapshotError, TempDir,
+    Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, PageId, SnapshotError, TempDir,
     VecFile,
 };
 use lcrs::geom::plane3::Plane3;
@@ -68,37 +68,13 @@ fn mutate(path: &Path, out: &Path, f: impl FnOnce(&mut Vec<u8>)) {
     std::fs::write(out, bytes).unwrap();
 }
 
-/// Open a snapshot through both reopen backends and demand they agree:
-/// same success, or the same typed [`SnapshotError`] (compared by its
-/// Debug rendering — variant and every offset field). Returns the pread
-/// result so each test keeps matching one error as before.
-fn open_snapshot_both(path: &Path, cache: usize) -> Result<Device, SnapshotError> {
-    let pread = Device::open_snapshot_as(path, cache, ReopenBackend::Pread);
-    let mmap = Device::open_snapshot_as(path, cache, ReopenBackend::Mmap);
-    match (&pread, &mmap) {
-        (Err(a), Err(b)) => assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "pread and mmap must fail with the same typed error"
-        ),
-        (Ok(_), Ok(_)) => {}
-        (a, b) => panic!(
-            "pread and mmap disagree on whether the snapshot opens: \
-             pread ok={}, mmap ok={}",
-            a.is_ok(),
-            b.is_ok()
-        ),
-    }
-    pread
-}
-
 #[test]
 fn wrong_magic_is_typed_with_offset() {
     let dir = TempDir::new("lcrs-corrupt-magic");
     let good = write_reference_snapshot(&dir, 3);
     let bad = dir.file("bad.pages");
     mutate(&good, &bad, |b| b[0] = b'X');
-    match open_snapshot_both(&bad, 0) {
+    match Device::open_snapshot(&bad, 0) {
         Err(SnapshotError::BadMagic { offset: 0, found, .. }) => assert_eq!(found[0], b'X'),
         other => panic!("expected BadMagic, got {other:?}", other = other.err()),
     }
@@ -110,7 +86,7 @@ fn future_format_version_is_rejected() {
     let good = write_reference_snapshot(&dir, 3);
     let bad = dir.file("bad.pages");
     mutate(&good, &bad, |b| b[OFF_VERSION] = 99);
-    match open_snapshot_both(&bad, 0) {
+    match Device::open_snapshot(&bad, 0) {
         Err(SnapshotError::UnsupportedVersion { offset, found, supported }) => {
             assert_eq!(offset, OFF_VERSION as u64);
             assert_eq!(found, 99);
@@ -128,7 +104,7 @@ fn flipped_header_byte_fails_the_header_checksum() {
     // before the bogus geometry is ever trusted.
     let bad = dir.file("bad.pages");
     mutate(&good, &bad, |b| b[OFF_PAGE_BYTES] ^= 0x01);
-    match open_snapshot_both(&bad, 0) {
+    match Device::open_snapshot(&bad, 0) {
         Err(SnapshotError::ChecksumMismatch { what: "header", offset, .. }) => {
             assert_eq!(offset, 32);
         }
@@ -142,7 +118,7 @@ fn flipped_checksum_table_byte_is_detected() {
     let good = write_reference_snapshot(&dir, 3);
     let bad = dir.file("bad.pages");
     mutate(&good, &bad, |b| b[OFF_TABLE + 5] ^= 0x80);
-    match open_snapshot_both(&bad, 0) {
+    match Device::open_snapshot(&bad, 0) {
         Err(SnapshotError::ChecksumMismatch { what: "page-checksum table", offset, .. }) => {
             assert_eq!(offset, 24, "reported at the table-checksum header field");
         }
@@ -158,7 +134,7 @@ fn flipped_page_body_byte_reports_page_and_offset() {
     // 3 pages ⇒ data starts at 40 + 3·8 = 64; corrupt a byte inside page 1.
     let data_offset = 64u64;
     mutate(&good, &bad, |b| b[data_offset as usize + 128 + 17] ^= 0x20);
-    match open_snapshot_both(&bad, 0) {
+    match Device::open_snapshot(&bad, 0) {
         Err(SnapshotError::PageChecksum { page, offset, expected, actual }) => {
             assert_eq!(page, 1);
             assert_eq!(offset, data_offset + 128, "offset of the corrupt page's start");
@@ -178,7 +154,7 @@ fn truncations_at_every_region_are_typed() {
     for (i, keep) in [10usize, 45, 200, full - 1].into_iter().enumerate() {
         let bad = dir.file(&format!("trunc-{i}.pages"));
         mutate(&good, &bad, |b| b.truncate(keep));
-        match open_snapshot_both(&bad, 0) {
+        match Device::open_snapshot(&bad, 0) {
             Err(SnapshotError::Truncated { offset, expected, actual }) => {
                 assert_eq!(actual, keep as u64, "cut at {keep}");
                 assert!(expected > actual, "cut at {keep}");
@@ -193,7 +169,7 @@ fn truncations_at_every_region_are_typed() {
     // about the exact size).
     let bad = dir.file("overlong.pages");
     mutate(&good, &bad, |b| b.extend_from_slice(&[0u8; 7]));
-    assert!(matches!(open_snapshot_both(&bad, 0), Err(SnapshotError::Truncated { .. })));
+    assert!(matches!(Device::open_snapshot(&bad, 0), Err(SnapshotError::Truncated { .. })));
 }
 
 #[test]
@@ -201,12 +177,12 @@ fn empty_and_single_page_snapshots_roundtrip() {
     let dir = TempDir::new("lcrs-corrupt-edges");
     // Empty device: header-only file, reopens with zero pages.
     let empty = write_reference_snapshot(&dir, 0);
-    let re = open_snapshot_both(&empty, 0).unwrap();
+    let re = Device::open_snapshot(&empty, 0).unwrap();
     assert_eq!(re.pages_allocated(), 0);
     assert_eq!(re.page_bytes(), 128);
     // One page: the smallest data-carrying snapshot.
     let one = write_reference_snapshot(&dir, 1);
-    let re = open_snapshot_both(&one, 4).unwrap();
+    let re = Device::open_snapshot(&one, 4).unwrap();
     assert_eq!(re.pages_allocated(), 1);
     assert_eq!(re.read_page(PageId(0), |b| (b[0], b[127])), (0, 0xFF));
     // Corruption in a 1-page file still lands on page 0.
@@ -216,7 +192,7 @@ fn empty_and_single_page_snapshots_roundtrip() {
         b[n - 1] ^= 0x01;
     });
     assert!(matches!(
-        open_snapshot_both(&bad, 0),
+        Device::open_snapshot(&bad, 0),
         Err(SnapshotError::PageChecksum { page: 0, .. })
     ));
 }
@@ -225,7 +201,7 @@ fn empty_and_single_page_snapshots_roundtrip() {
 fn missing_file_is_an_io_error() {
     let dir = TempDir::new("lcrs-corrupt-missing");
     assert!(matches!(
-        open_snapshot_both(&dir.file("does-not-exist.pages"), 0),
+        Device::open_snapshot(dir.file("does-not-exist.pages"), 0),
         Err(SnapshotError::Io(_))
     ));
 }
@@ -294,7 +270,7 @@ fn every_snapshot_error_displays_its_offsets() {
         let n = b.len();
         b[n - 3] ^= 0x04;
     });
-    let err = match open_snapshot_both(&bad, 0) {
+    let err = match Device::open_snapshot(&bad, 0) {
         Err(e) => e,
         Ok(_) => panic!("corrupt snapshot must not open"),
     };
@@ -686,4 +662,79 @@ fn shard_manifest_id_maps_must_cover_every_point_once() {
         bad.write(&path);
         expect_meta_error(&format!("3D: {what}"), ShardedIndexSet::from_catalog(dir.path(), 0));
     }
+}
+
+/// An S=2 sharded catalog under `dir` over the given points, each shard
+/// holding the structures `build_shard` makes.
+fn save_two_shards(
+    dir: &Path,
+    pts2: &[(i64, i64)],
+    pts3: &[(i64, i64, i64)],
+    build_shard: impl Fn(&DeviceHandle, &DeviceHandle, &[(i64, i64)], &[(i64, i64, i64)]) -> IndexSet,
+) -> ShardedIndexSet {
+    let cfg = ShardConfig { shards: 2, device: DeviceConfig::new(256, 0) };
+    let sharded = ShardedIndexSet::build(pts2, pts3, &cfg, build_shard);
+    sharded.freeze();
+    sharded.save_to_catalog(dir).unwrap();
+    sharded
+}
+
+fn scans(
+    h2: &DeviceHandle,
+    h3: &DeviceHandle,
+    p2: &[(i64, i64)],
+    p3: &[(i64, i64, i64)],
+) -> IndexSet {
+    let mut set = IndexSet::new();
+    set.add(Box::new(ExternalScan::build(h2, p2)));
+    set.add(Box::new(ExternalScan3::build(h3, p3)));
+    set
+}
+
+/// Swapping `shard0/` and `shard1/` of a catalog over 150 + 151 2D points
+/// leaves every file intact and checksummed, but each shard's structures
+/// then hold one point more or fewer than the manifest's id map for that
+/// shard: a reopen must fail typed rather than answer with the wrong ids.
+#[test]
+fn swapped_shard_catalogs_are_typed_at_open() {
+    let dir = TempDir::new("lcrs-corrupt-swapped-shards");
+    let pts2 = points2(Dist2::Uniform, 301, 1000, 11);
+    let pts3 = points3(Dist3::Uniform, 200, 1 << 12, 12);
+    let sharded = save_two_shards(dir.path(), &pts2, &pts3, scans);
+    let (a, b) = (sharded.shard_sizes(0).0, sharded.shard_sizes(1).0);
+    assert_eq!((a.min(b), a.max(b)), (150, 151), "the swap must change the 2D sizes");
+    assert!(ShardedIndexSet::from_catalog(dir.path(), 0).is_ok());
+
+    let (s0, s1, tmp) = (dir.file("shard0"), dir.file("shard1"), dir.file("swap"));
+    std::fs::rename(&s0, &tmp).unwrap();
+    std::fs::rename(&s1, &s0).unwrap();
+    std::fs::rename(&tmp, &s1).unwrap();
+    expect_meta_error("swapped shards", ShardedIndexSet::from_catalog(dir.path(), 0));
+}
+
+/// A shard directory copied from a sharded set of other structure kinds
+/// breaks the uniform-kinds contract every query route relies on: a reopen
+/// must fail typed, not panic.
+#[test]
+fn shard_catalog_of_other_kinds_is_typed_at_open() {
+    let dir = TempDir::new("lcrs-corrupt-shard-kinds");
+    let other = TempDir::new("lcrs-corrupt-shard-kinds-other");
+    let pts2 = points2(Dist2::Uniform, 301, 1000, 13);
+    let pts3 = points3(Dist3::Uniform, 200, 1 << 12, 14);
+    save_two_shards(dir.path(), &pts2, &pts3, scans);
+    save_two_shards(other.path(), &pts2, &pts3, |h2, _, p2, _| {
+        let mut set = IndexSet::new();
+        set.add(Box::new(HalfspaceRS2::build(h2, p2, Hs2dConfig::default())));
+        set
+    });
+    assert!(ShardedIndexSet::from_catalog(dir.path(), 0).is_ok());
+
+    let shard1 = dir.file("shard1");
+    std::fs::remove_dir_all(&shard1).unwrap();
+    std::fs::create_dir(&shard1).unwrap();
+    for file in std::fs::read_dir(other.file("shard1")).unwrap() {
+        let file = file.unwrap();
+        std::fs::copy(file.path(), shard1.join(file.file_name())).unwrap();
+    }
+    expect_meta_error("a shard of other kinds", ShardedIndexSet::from_catalog(dir.path(), 0));
 }

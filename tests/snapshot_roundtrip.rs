@@ -14,8 +14,8 @@
 use lcrs::baselines::{ExternalKdTree, ExternalScan, StrRTree};
 use lcrs::engine::{load_index, BatchExecutor, LiftedIndex, Query, RangeIndex, SnapshotCatalog};
 use lcrs::extmem::{
-    Device, DeviceConfig, IoDelta, IoStats, MetaReader, MetaWriter, PageBackend, ReopenBackend,
-    SnapshotError, TempDir,
+    Device, DeviceConfig, IoDelta, IoStats, MetaReader, MetaWriter, PageBackend, SnapshotError,
+    TempDir,
 };
 use lcrs::geom::point::PointD;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
@@ -83,7 +83,7 @@ fn check_roundtrip(
         IoStats::default(),
         "{label}: a cold reopened device must start with zeroed counters"
     );
-    let mut r = MetaReader::from_bytes(meta.clone()).unwrap();
+    let mut r = MetaReader::from_bytes(meta).unwrap();
     let re =
         load_index(index.name(), &re_dev, &mut r).unwrap_or_else(|e| panic!("{label}: load: {e}"));
     r.finish().unwrap_or_else(|e| panic!("{label}: trailing metadata: {e}"));
@@ -129,37 +129,6 @@ fn check_roundtrip(
         if workers == 1 {
             assert_eq!(par.total, mem.total, "{label}: one worker costs the sequential batch");
         }
-    }
-
-    // Reopen a third time through the zero-copy mapping (DESIGN.md §13):
-    // the mmap backend shares the pread backend's validate-once open path,
-    // and after that a frozen read is a pointer offset — answers, per-query
-    // outcomes, and model read-IO totals must be bit-identical to both the
-    // in-memory original and the pread reopen, sequential and parallel.
-    let mm_dev = Device::open_snapshot_as(&pages, CACHE, ReopenBackend::Mmap)
-        .unwrap_or_else(|e| panic!("{label}: open_snapshot_as(mmap): {e}"));
-    #[cfg(unix)]
-    assert_eq!(mm_dev.backend(), PageBackend::Mmap, "{label}");
-    assert_eq!(mm_dev.stats(), IoStats::default(), "{label}: cold mmap reopen starts zeroed");
-    let mut r = MetaReader::from_bytes(meta).unwrap();
-    let mm = load_index(index.name(), &mm_dev, &mut r)
-        .unwrap_or_else(|e| panic!("{label}: mmap load: {e}"));
-    r.finish().unwrap_or_else(|e| panic!("{label}: trailing metadata (mmap): {e}"));
-    let mrep = BatchExecutor::new(&*mm).keep_answers(true).run_batched(queries);
-    assert_eq!(mrep.answers, mem.answers, "{label}: mmap answers match the in-memory original");
-    assert_eq!(mrep.total, mem.total, "{label}: mmap aggregate IO matches");
-    for (a, b) in mrep.outcomes.iter().zip(&rep.outcomes) {
-        assert_eq!(
-            (a.query, a.status, a.reported, a.io),
-            (b.query, b.status, b.reported, b.io),
-            "{label}: per-query outcome and IO delta identical across pread and mmap"
-        );
-    }
-    for workers in [1usize, 4] {
-        let par = BatchExecutor::new(&*mm).workers(workers).keep_answers(true).run_batched(queries);
-        assert_eq!(par.answers, mem.answers, "{label}/{workers}: parallel answers over mmap");
-        let chunk_sum: IoDelta = par.per_worker.iter().map(|w| w.io).sum();
-        assert_eq!(chunk_sum, par.total, "{label}/{workers}: mmap chunk deltas sum exactly");
     }
 }
 
