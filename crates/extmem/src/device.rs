@@ -474,20 +474,6 @@ impl DeviceHandle {
         })
     }
 
-    /// Read-modify-write: one read IO (unless cached) plus one write IO.
-    /// Panics on a frozen store.
-    pub fn update_page<R>(&self, id: PageId, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.store.with_page_mut(id, "update", |page| {
-            {
-                let mut state = self.state.lock().unwrap();
-                let cache_pages = self.store.cfg.cache_pages;
-                state.account_read(cache_pages, (self.store.id, id));
-                state.account_write(cache_pages, (self.store.id, id));
-            }
-            f(page)
-        })
-    }
-
     /// IO counters of this scope.
     pub fn stats(&self) -> IoStats {
         self.state.lock().unwrap().stats
@@ -673,15 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn update_counts_read_and_write() {
-        let dev = Device::default_device();
-        let p = dev.alloc_pages(1);
-        dev.update_page(p, |b| b[1] = 9);
-        let s = dev.stats();
-        assert_eq!((s.reads, s.writes), (1, 1));
-    }
-
-    #[test]
     #[should_panic(expected = "unallocated")]
     fn read_unallocated_panics() {
         let dev = Device::default_device();
@@ -719,17 +696,6 @@ mod tests {
         dev.read_page(p, |_| ());
         let s = dev.stats();
         assert_eq!((s.reads, s.writes, s.cache_hits), (0, 1, 1));
-    }
-
-    #[test]
-    fn mixed_read_write_traffic_accounting() {
-        // update_page = read (hit if resident) + unconditional write.
-        let dev = Device::new(DeviceConfig::new(128, 2));
-        let p = dev.alloc_pages(1);
-        dev.update_page(p, |b| b[0] = 1); // cold: 1 read, 1 write
-        dev.update_page(p, |b| b[0] = 2); // warm: hit + 1 write
-        let s = dev.stats();
-        assert_eq!((s.reads, s.writes, s.cache_hits), (1, 2, 1));
     }
 
     #[test]
@@ -833,9 +799,6 @@ mod tests {
             })),
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 dev.write_page(PageId(99), |_| ());
-            })),
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dev.update_page(PageId(99), |_| ());
             })),
         ] {
             assert!(op.is_err(), "unallocated accesses must panic");

@@ -119,15 +119,6 @@ impl<T: Record> VecFile<T> {
         b.finish()
     }
 
-    /// Build from an iterator with known length.
-    pub fn from_iter<I: IntoIterator<Item = T>>(dev: &DeviceHandle, iter: I) -> Self {
-        let mut b = FileBuilder::new(dev);
-        for it in iter {
-            b.push(it);
-        }
-        b.finish()
-    }
-
     /// An empty file.
     pub fn empty(dev: &DeviceHandle) -> Self {
         VecFile { dev: dev.clone(), first: PageId(u64::MAX), len: 0, _marker: Default::default() }

@@ -15,9 +15,10 @@
 //! * [`VecFile`]/[`FileBuilder`] — a typed sequence of records packed into
 //!   contiguous pages (the unit the paper calls "storing a list in
 //!   `ceil(len/B)` blocks").
-//! * [`btree::BPlusTree`] — an external B+-tree (the paper's 1-D baseline and
-//!   a building block for boundary search in Section 3).
-//! * [`sort`] — external merge sort.
+//! * [`btree::BPlusTree`] — a bulk-loaded, read-only external B+-tree (the
+//!   paper's 1-D baseline and a building block for boundary search in
+//!   Section 3). There is no external sort: constructions sort in internal
+//!   memory, and the model does not charge them.
 //! * [`snapshot`] — persistent snapshots of frozen devices: a versioned,
 //!   checksummed on-disk format ([`Device::freeze_to_path`] /
 //!   [`Device::open_snapshot`]) plus the [`MetaWriter`]/[`MetaReader`]
@@ -27,7 +28,6 @@ pub mod btree;
 pub mod device;
 pub mod file;
 pub mod snapshot;
-pub mod sort;
 pub mod stats;
 
 pub use device::{Device, DeviceConfig, DeviceHandle, PageBackend, PageId};

@@ -146,8 +146,9 @@ fn btreemap_lru_matches_linear_scan_reference_exactly() {
                     model.write(p);
                 }
                 8 => {
-                    // update = read + write, two ticks in both worlds.
-                    dev.update_page(lcrs::extmem::PageId(p), |b| b[0] ^= 1);
+                    // A read, then a write: two ticks in both worlds.
+                    dev.read_page(lcrs::extmem::PageId(p), |_| ());
+                    dev.write_page(lcrs::extmem::PageId(p), |b| b[0] ^= 1);
                     model.read(p);
                     model.write(p);
                 }

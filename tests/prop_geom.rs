@@ -132,18 +132,4 @@ proptest! {
             prop_assert_eq!(below_b, b.len() / 2);
         }
     }
-
-    #[test]
-    fn external_sort_sorts(
-        data in prop::collection::vec(any::<i64>(), 0..400),
-    ) {
-        use lcrs::extmem::sort::external_sort_by_key;
-        use lcrs::extmem::{Device, DeviceConfig, VecFile};
-        let dev = Device::new(DeviceConfig::new(64, 0));
-        let f = VecFile::from_slice(&dev, &data);
-        let sorted = external_sort_by_key(&dev, &f, 16, |x| *x);
-        let mut want = data.clone();
-        want.sort();
-        prop_assert_eq!(sorted.read_all(), want);
-    }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests (proptest) on the core invariants:
 //! * the 2D and 3D structures agree with brute force on arbitrary inputs,
 //!   including duplicates and collinear/degenerate layouts;
-//! * the B+-tree behaves like `BTreeMap` under arbitrary operation
-//!   sequences;
+//! * the bulk-loaded B+-tree answers `get`, `floor` and `range` like
+//!   `BTreeMap` on arbitrary key sets;
 //! * the greedy clustering respects the Lemma 3.2 bounds for arbitrary k;
 //! * box classification agrees with corner enumeration in any dimension.
 
@@ -113,24 +113,33 @@ proptest! {
 
     #[test]
     fn btree_matches_btreemap(
-        ops in prop::collection::vec((any::<bool>(), -500i64..500, any::<i64>()), 1..300),
+        entries in prop::collection::vec((-1000i64..1000, any::<i64>()), 0..301),
+        probes in prop::collection::vec(-1100i64..1100, 0..40),
+        lo in -1100i64..1100,
+        span in 0i64..800,
     ) {
+        // A strictly increasing set of 0 to 300 keys (a repeated key keeps
+        // its last value); 256-byte pages give up to three levels.
+        let model: std::collections::BTreeMap<i64, i64> = entries.into_iter().collect();
+        let pairs: Vec<(i64, i64)> = model.iter().map(|(k, v)| (*k, *v)).collect();
         let dev = Device::new(DeviceConfig::new(256, 0));
-        let mut tree: BPlusTree<i64, i64> = BPlusTree::new(&dev);
-        let mut model = std::collections::BTreeMap::new();
-        for (is_insert, k, v) in ops {
-            if is_insert {
-                tree.insert(k, v);
-                model.insert(k, v);
-            } else {
-                prop_assert_eq!(tree.get(&k), model.get(&k).copied());
-                let floor = model.range(..=k).next_back().map(|(a, b)| (*a, *b));
-                prop_assert_eq!(tree.floor(&k), floor);
-            }
+        let tree = BPlusTree::bulk_load(&dev, &pairs);
+        prop_assert_eq!(tree.len(), model.len());
+        // Every key and its predecessor (a leaf's first key and the key
+        // just before it), then the random probes.
+        let keys = model.keys().flat_map(|&k| [k, k - 1]);
+        for k in keys.chain(probes) {
+            prop_assert_eq!(tree.get(&k), model.get(&k).copied());
+            let floor = model.range(..=k).next_back().map(|(a, b)| (*a, *b));
+            prop_assert_eq!(tree.floor(&k), floor);
         }
+        let mut got = Vec::new();
+        tree.range(&lo, &(lo + span), |k, v| got.push((*k, *v)));
+        let want: Vec<(i64, i64)> = model.range(lo..=lo + span).map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(got, want);
         let mut scanned = Vec::new();
         tree.range(&i64::MIN, &i64::MAX, |k, v| scanned.push((*k, *v)));
-        prop_assert_eq!(scanned, model.into_iter().collect::<Vec<_>>());
+        prop_assert_eq!(scanned, pairs);
     }
 
     #[test]
