@@ -75,7 +75,6 @@ stage perfbench-test   cargo test -q --offline --manifest-path perfbench/Cargo.t
 # BENCH_<name>.json for the regression gate below.
 stage bench-batched    cargo bench -q -p lcrs-bench --bench exp_batched -- --smoke
 stage bench-parallel   cargo bench -q -p lcrs-bench --bench exp_parallel -- --smoke
-stage bench-persist    cargo bench -q -p lcrs-bench --bench exp_persist -- --smoke
 stage bench-planner    cargo bench -q -p lcrs-bench --bench exp_planner -- --smoke
 stage bench-shard      cargo bench -q -p lcrs-bench --bench exp_shard -- --smoke
 stage bench-live       cargo bench -q -p lcrs-bench --bench exp_live -- --smoke

@@ -9,8 +9,6 @@
 
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
 
-use crate::BaselineStats;
-
 #[derive(Debug, Clone, Copy, Default)]
 struct KdNode {
     lo: [i64; 2],
@@ -55,6 +53,10 @@ impl Record for KdNode {
 }
 
 type PtRec = ([i64; 2], u32);
+
+/// Deepest root-to-leaf path `load` accepts, in nodes. `build` halves the
+/// points at every level, so a tree over `u32` ids is at most 33 deep.
+const MAX_DEPTH: usize = 64;
 
 /// Bulk-loaded external kd-tree over 2D points.
 pub struct ExternalKdTree {
@@ -188,29 +190,86 @@ impl ExternalKdTree {
         w.u64(self.pages_at_build_end);
     }
 
-    /// Rebuild from metadata written by [`Self::save`].
+    /// Rebuild from metadata written by [`Self::save`]. A node layout a
+    /// query could not walk (see `verify`) is a [`SnapshotError::Meta`],
+    /// never a panic or a stack overflow at a later query.
     pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<ExternalKdTree, SnapshotError> {
-        Ok(ExternalKdTree {
+        let tree = ExternalKdTree {
             dev: h.clone(),
             nodes: VecFile::load(h, r)?,
             points: VecFile::load(h, r)?,
             n: r.usize()?,
             pages_at_build_end: r.u64()?,
-        })
+        };
+        tree.verify().map_err(|detail| r.error(detail))?;
+        Ok(tree)
+    }
+
+    /// Read the node pages once, on a throwaway fork so no scope's stats,
+    /// cache or frames move, and walk the tree from the root without
+    /// recursion, checking what a query relies on: every node is a leaf
+    /// (both children 0) or has both children inside the node file, no
+    /// node is reached twice (no cycle, no shared child), no path is
+    /// deeper than `MAX_DEPTH`, every leaf's point range lies inside the
+    /// point file, and the leaves hold `n` points in all.
+    fn verify(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Ok(()); // queries never read a node
+        }
+        let nodes = self.nodes.with_handle(&self.dev.fork()).read_all();
+        if nodes.is_empty() {
+            return Err(format!("{} points but no root node", self.n));
+        }
+        let mut seen = vec![false; nodes.len()];
+        let mut stack = vec![(0usize, 1usize)];
+        let mut points = 0u64;
+        while let Some((ni, depth)) = stack.pop() {
+            if depth > MAX_DEPTH {
+                return Err(format!("node {ni} lies deeper than {MAX_DEPTH} levels"));
+            }
+            if std::mem::replace(&mut seen[ni], true) {
+                return Err(format!("node {ni} is reached twice"));
+            }
+            let node = nodes[ni];
+            match (node.left as usize, node.right as usize) {
+                (0, 0) => {
+                    if node
+                        .pts_off
+                        .checked_add(node.pts_len)
+                        .is_none_or(|end| end > self.points.len() as u64)
+                    {
+                        return Err(format!(
+                            "leaf {ni} holds points {}+{} of {}",
+                            node.pts_off,
+                            node.pts_len,
+                            self.points.len()
+                        ));
+                    }
+                    points += node.pts_len;
+                }
+                (l, r) if (1..nodes.len()).contains(&l) && (1..nodes.len()).contains(&r) => {
+                    stack.push((r, depth + 1));
+                    stack.push((l, depth + 1));
+                }
+                (l, r) => {
+                    return Err(format!("node {ni} has children {l} and {r} of {}", nodes.len()))
+                }
+            }
+        }
+        if points != self.n as u64 {
+            return Err(format!("the leaves hold {points} points, not {}", self.n));
+        }
+        Ok(())
     }
 
     /// Report points strictly below `y = m·x + c` (`inclusive` adds
     /// on-line points).
-    pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
-        let mut stats = BaselineStats::default();
+    pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
         if self.n > 0 {
-            self.visit(0, m, c, inclusive, &mut stats, &mut out);
+            self.visit(0, m, c, inclusive, &mut out);
         }
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        out
     }
 
     /// Count and weight-sum (weight of `(x, y)` is `x + y`) of points
@@ -219,29 +278,16 @@ impl ExternalKdTree {
     /// `(count, wsum)` without descending — the aggregate path reads
     /// strictly fewer pages than enumerate-then-count whenever the query
     /// covers whole subtrees (asserted by the `exp_lift` experiment).
-    pub fn aggregate_below(&self, m: i64, c: i64, inclusive: bool) -> ((u64, i128), BaselineStats) {
-        let before = self.dev.stats();
-        let mut stats = BaselineStats::default();
+    pub fn aggregate_below(&self, m: i64, c: i64, inclusive: bool) -> (u64, i128) {
         let mut acc = (0u64, 0i128);
         if self.n > 0 {
-            self.visit_agg(0, m, c, inclusive, &mut stats, &mut acc);
+            self.visit_agg(0, m, c, inclusive, &mut acc);
         }
-        stats.reported = acc.0 as usize;
-        stats.ios = self.dev.stats().since(before).total();
-        (acc, stats)
+        acc
     }
 
-    fn visit_agg(
-        &self,
-        ni: usize,
-        m: i64,
-        c: i64,
-        inclusive: bool,
-        stats: &mut BaselineStats,
-        acc: &mut (u64, i128),
-    ) {
+    fn visit_agg(&self, ni: usize, m: i64, c: i64, inclusive: bool, acc: &mut (u64, i128)) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         let (lo, hi) = Self::slack_range(&node, m, c);
         let all_below = if inclusive { hi <= 0 } else { hi < 0 };
         let none_below = if inclusive { lo > 0 } else { lo >= 0 };
@@ -269,37 +315,24 @@ impl ExternalKdTree {
             }
             return;
         }
-        self.visit_agg(node.left as usize, m, c, inclusive, stats, acc);
-        self.visit_agg(node.right as usize, m, c, inclusive, stats, acc);
+        self.visit_agg(node.left as usize, m, c, inclusive, acc);
+        self.visit_agg(node.right as usize, m, c, inclusive, acc);
     }
 
     /// The `k` points of lowest key `y − m·x` among those with
     /// `y − m·x ≤ c` (inclusive candidates), ordered by `(key, id)`.
-    pub fn top_k(&self, m: i64, c: i64, k: usize) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
-        let mut stats = BaselineStats::default();
+    pub fn top_k(&self, m: i64, c: i64, k: usize) -> Vec<u32> {
         let mut cand: Vec<(i128, u32)> = Vec::new();
         if self.n > 0 {
-            self.visit_topk(0, m, c, &mut stats, &mut cand);
+            self.visit_topk(0, m, c, &mut cand);
         }
         cand.sort_unstable();
         cand.truncate(k);
-        let out: Vec<u32> = cand.into_iter().map(|(_, id)| id).collect();
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        cand.into_iter().map(|(_, id)| id).collect()
     }
 
-    fn visit_topk(
-        &self,
-        ni: usize,
-        m: i64,
-        c: i64,
-        stats: &mut BaselineStats,
-        cand: &mut Vec<(i128, u32)>,
-    ) {
+    fn visit_topk(&self, ni: usize, m: i64, c: i64, cand: &mut Vec<(i128, u32)>) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         let (lo, _) = Self::slack_range(&node, m, c);
         if lo > 0 {
             return; // every key in the box exceeds c
@@ -318,8 +351,8 @@ impl ExternalKdTree {
             }
             return;
         }
-        self.visit_topk(node.left as usize, m, c, stats, cand);
-        self.visit_topk(node.right as usize, m, c, stats, cand);
+        self.visit_topk(node.left as usize, m, c, cand);
+        self.visit_topk(node.right as usize, m, c, cand);
     }
 
     /// (min, max) of y - m·x - c over the box corners.
@@ -336,20 +369,10 @@ impl ExternalKdTree {
         (lo, hi)
     }
 
-    fn visit(
-        &self,
-        ni: usize,
-        m: i64,
-        c: i64,
-        inclusive: bool,
-        stats: &mut BaselineStats,
-        out: &mut Vec<u32>,
-    ) {
+    fn visit(&self, ni: usize, m: i64, c: i64, inclusive: bool, out: &mut Vec<u32>) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
-        let (lo, hi) = Self::slack_range(&node, m, c);
+        let (lo, _) = Self::slack_range(&node, m, c);
         // Point below line ⟺ slack y - mx - c < 0 (<= when inclusive).
-        let all_below = if inclusive { hi <= 0 } else { hi < 0 };
         let none_below = if inclusive { lo > 0 } else { lo >= 0 };
         if none_below {
             return;
@@ -370,11 +393,8 @@ impl ExternalKdTree {
             }
             return;
         }
-        let _ = all_below; // kd-trees lack DFS-contiguous subtree ranges...
-                           // (this implementation has them, but the classic index walks the
-                           // subtree; we keep the classic behavior for a faithful baseline)
-        self.visit(node.left as usize, m, c, inclusive, stats, out);
-        self.visit(node.right as usize, m, c, inclusive, stats, out);
+        self.visit(node.left as usize, m, c, inclusive, out);
+        self.visit(node.right as usize, m, c, inclusive, out);
     }
 }
 
@@ -399,7 +419,7 @@ mod tests {
         let t = ExternalKdTree::build(&dev, &pts);
         for (m, c) in [(0, 0), (3, 5000), (-7, -20_000), (100, 0)] {
             for inclusive in [false, true] {
-                let (mut got, _) = t.query_below(m, c, inclusive);
+                let mut got = t.query_below(m, c, inclusive);
                 got.sort_unstable();
                 let want: Vec<u32> = pts
                     .iter()
@@ -426,7 +446,7 @@ mod tests {
         let t = ExternalKdTree::build(&dev, &pts);
         for (m, c) in [(0, 0), (3, 5000), (-7, -20_000), (0, 10_000_000), (0, -10_000_000)] {
             for inclusive in [false, true] {
-                let ((count, wsum), _) = t.aggregate_below(m, c, inclusive);
+                let (count, wsum) = t.aggregate_below(m, c, inclusive);
                 let mut want = (0u64, 0i128);
                 for &(x, y) in &pts {
                     let rhs = m as i128 * x as i128 + c as i128;
@@ -440,11 +460,11 @@ mod tests {
             }
         }
         // A query covering everything answers from the root annotation:
-        // one node visit, no leaf reads — the annotated-aggregate win.
-        let (_, st) = t.aggregate_below(0, 10_000_000, true);
-        assert_eq!(st.nodes_visited, 1);
-        let (_, enumerate) = t.query_below(0, 10_000_000, true);
-        assert!(st.ios < enumerate.ios, "aggregate {} !< enumerate {}", st.ios, enumerate.ios);
+        // one node page, no leaf reads — the annotated-aggregate win.
+        let (_, agg) = dev.measure(|| t.aggregate_below(0, 10_000_000, true));
+        assert_eq!(agg.reads, 1);
+        let (_, enumerate) = dev.measure(|| t.query_below(0, 10_000_000, true));
+        assert!(agg.reads < enumerate.reads, "aggregate {agg:?} !< enumerate {enumerate:?}");
     }
 
     #[test]
@@ -453,7 +473,7 @@ mod tests {
         let pts = pseudo(900, 11);
         let t = ExternalKdTree::build(&dev, &pts);
         for (m, c, k) in [(0, 0, 5), (3, 5000, 1), (-7, 50_000, 12), (2, -200_000, 4)] {
-            let (got, _) = t.top_k(m, c, k);
+            let got = t.top_k(m, c, k);
             let mut cand: Vec<(i128, u32)> = pts
                 .iter()
                 .enumerate()
@@ -470,18 +490,18 @@ mod tests {
     #[test]
     fn diagonal_degrades_to_linear_ios() {
         // The Section 1.2 lower-bound instance: every leaf box straddles a
-        // near-diagonal line, so even an empty-output query visits Ω(n)
-        // nodes.
+        // near-diagonal line, so even an empty-output query reads Ω(n)
+        // pages.
         let dev = Device::new(DeviceConfig::new(256, 0));
         let pts: Vec<(i64, i64)> = (0..4096).map(|i| (i, i)).collect();
         let t = ExternalKdTree::build(&dev, &pts);
-        let (got, st) = t.query_below(1, 0, false); // y < x: empty
+        let (got, io) = dev.measure(|| t.query_below(1, 0, false)); // y < x: empty
         assert!(got.is_empty());
         let n_leaves = 4096 / dev.records_per_page(20);
         assert!(
-            st.nodes_visited >= n_leaves,
-            "expected Ω(n) visits, got {} (leaves {n_leaves})",
-            st.nodes_visited
+            io.reads as usize >= n_leaves,
+            "expected Ω(n) reads, got {} (leaves {n_leaves})",
+            io.reads
         );
     }
 
@@ -489,8 +509,8 @@ mod tests {
     fn empty_and_single() {
         let dev = Device::new(DeviceConfig::new(256, 0));
         let t = ExternalKdTree::build(&dev, &[]);
-        assert!(t.query_below(1, 1, true).0.is_empty());
+        assert!(t.query_below(1, 1, true).is_empty());
         let t1 = ExternalKdTree::build(&dev, &[(5, 5)]);
-        assert_eq!(t1.query_below(0, 10, false).0, vec![0]);
+        assert_eq!(t1.query_below(0, 10, false), vec![0]);
     }
 }

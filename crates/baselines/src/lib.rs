@@ -7,6 +7,13 @@
 //! failure mode). All report exactly the points strictly below (or on) a
 //! query line, so they are interchangeable with `lcrs_halfspace::HalfspaceRS2`
 //! in the benchmark harness.
+//!
+//! Like every structure in the workspace, the baselines return answers
+//! only: a caller measures the IOs a query pays with
+//! `lcrs_extmem::DeviceHandle::measure` on the scope it reads through.
+//! The two trees check their node pages when loaded from a snapshot, so a
+//! checksummed but malformed tree is a typed error, not a panic or a stack
+//! overflow at query time.
 
 pub mod kdtree;
 pub mod rtree;
@@ -15,11 +22,3 @@ pub mod scan;
 pub use kdtree::ExternalKdTree;
 pub use rtree::StrRTree;
 pub use scan::{ExternalScan, ExternalScan3};
-
-/// Statistics shared by the baselines.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineStats {
-    pub ios: u64,
-    pub nodes_visited: usize,
-    pub reported: usize,
-}

@@ -8,8 +8,6 @@
 
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
 
-use crate::BaselineStats;
-
 #[derive(Debug, Clone, Copy, Default)]
 struct RNode {
     lo: [i64; 2],
@@ -43,6 +41,11 @@ impl Record for RNode {
 }
 
 type PtRec = ([i64; 2], u32);
+
+/// Deepest root-to-leaf path `load` accepts, in nodes. With a fanout of at
+/// least 2, STR about halves the node count per level, so a tree over
+/// `u32` ids stays well under this.
+const MAX_DEPTH: usize = 64;
 
 /// STR bulk-loaded R-tree over 2D points.
 pub struct StrRTree {
@@ -182,7 +185,9 @@ impl StrRTree {
         w.u64(self.pages_at_build_end);
     }
 
-    /// Rebuild from metadata written by [`Self::save`].
+    /// Rebuild from metadata written by [`Self::save`]. A node layout a
+    /// query could not walk (see `verify`) is a [`SnapshotError::Meta`],
+    /// never a panic or a stack overflow at a later query.
     pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<StrRTree, SnapshotError> {
         let nodes: VecFile<RNode> = VecFile::load(h, r)?;
         let points = VecFile::load(h, r)?;
@@ -190,39 +195,76 @@ impl StrRTree {
         if root >= nodes.len().max(1) {
             return Err(r.error(format!("root {root} exceeds the {} nodes", nodes.len())));
         }
-        Ok(StrRTree {
+        let tree = StrRTree {
             dev: h.clone(),
             nodes,
             points,
             root,
             n: r.usize()?,
             pages_at_build_end: r.u64()?,
-        })
+        };
+        tree.verify().map_err(|detail| r.error(detail))?;
+        Ok(tree)
     }
 
-    pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
-        let mut stats = BaselineStats::default();
+    /// Read the node pages once, on a throwaway fork so no scope's stats,
+    /// cache or frames move, and walk the tree from the root without
+    /// recursion, checking what a query relies on: every node is a leaf
+    /// (`leaf` 1) whose point range lies inside the point file, or an
+    /// internal node (`leaf` 0) with at least one child, all inside the
+    /// node file; no node is reached twice (no cycle, no shared child);
+    /// no path is deeper than `MAX_DEPTH`; and the leaves hold `n` points
+    /// in all.
+    fn verify(&self) -> Result<(), String> {
+        if self.n == 0 {
+            return Ok(()); // queries never read a node
+        }
+        let nodes = self.nodes.with_handle(&self.dev.fork()).read_all();
+        if nodes.is_empty() {
+            return Err(format!("{} points but no root node", self.n));
+        }
+        let mut seen = vec![false; nodes.len()];
+        let mut stack = vec![(self.root, 1usize)];
+        let mut points = 0u64;
+        while let Some((ni, depth)) = stack.pop() {
+            if depth > MAX_DEPTH {
+                return Err(format!("node {ni} lies deeper than {MAX_DEPTH} levels"));
+            }
+            if std::mem::replace(&mut seen[ni], true) {
+                return Err(format!("node {ni} is reached twice"));
+            }
+            let node = nodes[ni];
+            let (start, count) = (node.start, u64::from(node.count));
+            let bound = match node.leaf {
+                1 => self.points.len(),
+                0 if count > 0 => nodes.len(),
+                _ => return Err(format!("node {ni} is tagged {} with {count} entries", node.leaf)),
+            };
+            if start.checked_add(count).is_none_or(|end| end > bound as u64) {
+                return Err(format!("node {ni} spans {start}+{count} of {bound}"));
+            }
+            if node.leaf == 1 {
+                points += count;
+            } else {
+                stack.extend((start as usize..(start + count) as usize).map(|c| (c, depth + 1)));
+            }
+        }
+        if points != self.n as u64 {
+            return Err(format!("the leaves hold {points} points, not {}", self.n));
+        }
+        Ok(())
+    }
+
+    pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
         if self.n > 0 {
-            self.visit(self.root, m, c, inclusive, &mut stats, &mut out);
+            self.visit(self.root, m, c, inclusive, &mut out);
         }
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        out
     }
 
-    fn visit(
-        &self,
-        ni: usize,
-        m: i64,
-        c: i64,
-        inclusive: bool,
-        stats: &mut BaselineStats,
-        out: &mut Vec<u32>,
-    ) {
+    fn visit(&self, ni: usize, m: i64, c: i64, inclusive: bool, out: &mut Vec<u32>) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         // Min slack over MBR corners; prune when no corner is below.
         let mut lo_s = i128::MAX;
         for &x in &[node.lo[0], node.hi[0]] {
@@ -249,7 +291,7 @@ impl StrRTree {
             }
         } else {
             for k in 0..node.count as usize {
-                self.visit(node.start as usize + k, m, c, inclusive, stats, out);
+                self.visit(node.start as usize + k, m, c, inclusive, out);
             }
         }
     }
@@ -288,7 +330,7 @@ mod tests {
         let t = StrRTree::build(&dev, &pts);
         for (m, c) in [(0i64, 0i64), (2, 30_000), (-9, -1000)] {
             for inclusive in [false, true] {
-                let (mut got, _) = t.query_below(m, c, inclusive);
+                let mut got = t.query_below(m, c, inclusive);
                 got.sort_unstable();
                 let want: Vec<u32> = pts
                     .iter()
@@ -313,16 +355,16 @@ mod tests {
         let dev = Device::new(DeviceConfig::new(256, 0));
         let pts: Vec<(i64, i64)> = (0..4096).map(|i| (i, i)).collect();
         let t = StrRTree::build(&dev, &pts);
-        let (got, st) = t.query_below(1, 0, false);
+        let (got, io) = dev.measure(|| t.query_below(1, 0, false));
         assert!(got.is_empty());
         let n_leaves = 4096 / dev.records_per_page(20);
-        assert!(st.nodes_visited >= n_leaves / 2, "visits {}", st.nodes_visited);
+        assert!(io.reads as usize >= n_leaves / 2, "reads {}", io.reads);
     }
 
     #[test]
     fn empty_input() {
         let dev = Device::new(DeviceConfig::new(256, 0));
         let t = StrRTree::build(&dev, &[]);
-        assert!(t.query_below(1, 1, true).0.is_empty());
+        assert!(t.query_below(1, 1, true).is_empty());
     }
 }

@@ -9,8 +9,6 @@
 
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, SnapshotError, VecFile};
 
-use crate::BaselineStats;
-
 /// Linear scan baseline: optimal space, Θ(n) IOs per query.
 pub struct ExternalScan {
     dev: DeviceHandle,
@@ -84,8 +82,7 @@ impl ExternalScan {
 
     /// Report points strictly below `y = m·x + c` (`inclusive` adds
     /// on-line points).
-    pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
+    pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
         self.points.scan_while(|_, (x, y, id)| {
             let rhs = m as i128 * x as i128 + c as i128;
@@ -95,12 +92,7 @@ impl ExternalScan {
             }
             true
         });
-        let stats = BaselineStats {
-            ios: self.dev.stats().since(before).total(),
-            nodes_visited: self.points.pages(),
-            reported: out.len(),
-        };
-        (out, stats)
+        out
     }
 
     /// The `k` nearest neighbors of `(x, y)` by full scan: Euclidean
@@ -129,14 +121,7 @@ impl ExternalScan {
     /// full i64 range via the same (carry, u128) distance as
     /// [`Self::k_nearest`]; negative `r2` admits nothing. This is the
     /// oracle the lifted-index answers are differentially checked against.
-    pub fn disk_report(
-        &self,
-        x: i64,
-        y: i64,
-        r2: i64,
-        inclusive: bool,
-    ) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
+    pub fn disk_report(&self, x: i64, y: i64, r2: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
         if r2 >= 0 {
             let r2 = (false, r2 as u128);
@@ -151,19 +136,13 @@ impl ExternalScan {
                 true
             });
         }
-        let stats = BaselineStats {
-            ios: self.dev.stats().since(before).total(),
-            nodes_visited: self.points.pages(),
-            reported: out.len(),
-        };
-        (out, stats)
+        out
     }
 
     /// Count and weight-sum (weight of `(x, y)` is `x + y`) of points
     /// below `y = m·x + c` — enumerate-then-count at scan cost, the
     /// aggregate-path oracle.
-    pub fn aggregate_below(&self, m: i64, c: i64, inclusive: bool) -> ((u64, i128), BaselineStats) {
-        let before = self.dev.stats();
+    pub fn aggregate_below(&self, m: i64, c: i64, inclusive: bool) -> (u64, i128) {
         let (mut count, mut wsum) = (0u64, 0i128);
         self.points.scan_while(|_, (x, y, _)| {
             let rhs = m as i128 * x as i128 + c as i128;
@@ -174,19 +153,13 @@ impl ExternalScan {
             }
             true
         });
-        let stats = BaselineStats {
-            ios: self.dev.stats().since(before).total(),
-            nodes_visited: self.points.pages(),
-            reported: count as usize,
-        };
-        ((count, wsum), stats)
+        (count, wsum)
     }
 
     /// The `k` points of lowest key `y − m·x` among those with
     /// `y − m·x ≤ c` (inclusive candidates), ordered by `(key, id)` — the
     /// ranked-reporting oracle.
-    pub fn top_k(&self, m: i64, c: i64, k: usize) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
+    pub fn top_k(&self, m: i64, c: i64, k: usize) -> Vec<u32> {
         let mut cand: Vec<(i128, u32)> = Vec::new();
         self.points.scan_while(|_, (x, y, id)| {
             let key = y as i128 - m as i128 * x as i128;
@@ -197,13 +170,7 @@ impl ExternalScan {
         });
         cand.sort_unstable();
         cand.truncate(k);
-        let out: Vec<u32> = cand.into_iter().map(|(_, id)| id).collect();
-        let stats = BaselineStats {
-            ios: self.dev.stats().since(before).total(),
-            nodes_visited: self.points.pages(),
-            reported: out.len(),
-        };
-        (out, stats)
+        cand.into_iter().map(|(_, id)| id).collect()
     }
 }
 
@@ -281,14 +248,7 @@ impl ExternalScan3 {
 
     /// Report points strictly below `z = u·x + v·y + w` (`inclusive` adds
     /// on-plane points).
-    pub fn query_below(
-        &self,
-        u: i64,
-        v: i64,
-        w: i64,
-        inclusive: bool,
-    ) -> (Vec<u32>, BaselineStats) {
-        let before = self.dev.stats();
+    pub fn query_below(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
         self.points.scan_while(|_, (x, y, z, id)| {
             // `u·x + v·y + w` can span 129 bits at the i64 extremes, so
@@ -302,12 +262,7 @@ impl ExternalScan3 {
             }
             true
         });
-        let stats = BaselineStats {
-            ios: self.dev.stats().since(before).total(),
-            nodes_visited: self.points.pages(),
-            reported: out.len(),
-        };
-        (out, stats)
+        out
     }
 }
 
@@ -337,10 +292,8 @@ mod tests {
         let s = ExternalScan3::build(&dev, &[(i64::MIN, i64::MIN, 0), (i64::MAX, i64::MAX, 0)]);
         // Plane z = MIN·x + MIN·y: at point 0 the plane sits at +2^127
         // (below it), at point 1 at about -2^127 (above it).
-        let (got, _) = s.query_below(i64::MIN, i64::MIN, 0, false);
-        assert_eq!(got, vec![0]);
-        let (got, _) = s.query_below(i64::MAX, i64::MAX, i64::MAX, false);
-        assert_eq!(got, vec![1]);
+        assert_eq!(s.query_below(i64::MIN, i64::MIN, 0, false), vec![0]);
+        assert_eq!(s.query_below(i64::MAX, i64::MAX, i64::MAX, false), vec![1]);
     }
 
     #[test]
@@ -352,7 +305,7 @@ mod tests {
         // Disk: brute membership, strictness respected, r2 < 0 empty.
         for (x, y, r2) in [(0i64, 0i64, 900i64), (-50, -48, 0), (10, 10, -1)] {
             for inclusive in [false, true] {
-                let (got, _) = s.disk_report(x, y, r2, inclusive);
+                let got = s.disk_report(x, y, r2, inclusive);
                 let want: Vec<u32> = pts
                     .iter()
                     .enumerate()
@@ -373,12 +326,12 @@ mod tests {
             }
         }
         // Aggregate: count/sum of everything below.
-        let ((count, wsum), _) = s.aggregate_below(0, 1000, true);
+        let (count, wsum) = s.aggregate_below(0, 1000, true);
         assert_eq!(count as usize, pts.len());
         assert_eq!(wsum, pts.iter().map(|&(x, y)| x as i128 + y as i128).sum::<i128>());
-        assert_eq!(s.aggregate_below(0, -1000, false).0, (0, 0));
+        assert_eq!(s.aggregate_below(0, -1000, false), (0, 0));
         // TopK: ordered by (key, id), truncated.
-        let (top, _) = s.top_k(1, 1000, 5);
+        let top = s.top_k(1, 1000, 5);
         assert_eq!(top.len(), 5);
         let key = |id: u32| {
             let (x, y) = pts[id as usize];
@@ -393,10 +346,10 @@ mod tests {
         let dev = Device::new(DeviceConfig::new(256, 0));
         let pts: Vec<(i64, i64)> = (0..500).map(|i| (i, (i * 7) % 500)).collect();
         let s = ExternalScan::build(&dev, &pts);
-        let (got, st) = s.query_below(1, 0, false);
+        let (got, io) = dev.measure(|| s.query_below(1, 0, false));
         let want: Vec<u32> =
             pts.iter().enumerate().filter(|(_, &(x, y))| y < x).map(|(i, _)| i as u32).collect();
         assert_eq!(got, want);
-        assert_eq!(st.ios as usize, s.points.pages());
+        assert_eq!(io.total() as usize, s.points.pages());
     }
 }

@@ -33,7 +33,7 @@ fn main() {
         let mut ios = Vec::new();
         for q in 0..12u64 {
             let (m, c) = halfplane_with_selectivity(&pts, b2, 64, q);
-            ios.push(hs.query_below_stats(m, c, false).1.ios as f64);
+            ios.push(dev.measure(|| hs.query_below(m, c, false)).1.total() as f64);
         }
         rows.push(vec![
             format!("{factor}k"),
@@ -56,24 +56,20 @@ fn main() {
         let dev = Device::new(DeviceConfig::new(page, 0));
         let hs = HalfspaceRS3::build(&dev, &pts3v, Hs3dConfig { copies, ..Default::default() });
         let mut ios = Vec::new();
-        let mut tries = Vec::new();
         for q in 0..30u64 {
             let (u, v, w) = halfspace3_with_selectivity(&pts3v, b3, 32, q);
-            let st = hs.query_below_stats(u, v, w, false).1;
-            ios.push(st.ios as f64);
-            tries.push(st.try_calls as f64);
+            ios.push(dev.measure(|| hs.query_below(u, v, w, false)).1.total() as f64);
         }
         rows.push(vec![
             format!("{copies}"),
             format!("{}", hs.pages()),
             format!("{:.1}", mean(&ios)),
             format!("{:.0}", percentile(&ios, 95.0)),
-            format!("{:.2}", mean(&tries)),
         ]);
     }
     print_table(
         "(ii) independent copies (paper: 3 — bounds the failure tail)",
-        &["copies", "space pages", "avg IOs", "p95 IOs", "avg TryLowestPlanes calls"],
+        &["copies", "space pages", "avg IOs", "p95 IOs"],
         &rows,
     );
 
@@ -94,7 +90,7 @@ fn main() {
         let mut ios = Vec::new();
         for q in 0..12u64 {
             let (m, c) = halfplane_with_selectivity(&pts, b2, 64, 100 + q);
-            ios.push(hs.query_below_stats(m, c, false).1.ios as f64);
+            ios.push(dev.measure(|| hs.query_below(m, c, false)).1.total() as f64);
         }
         rows.push(vec![
             label.into(),
@@ -120,7 +116,7 @@ fn main() {
         for q in 0..10u64 {
             let (m, c) = halfplane_with_selectivity(&pts, b2, 16, 200 + q);
             let h = lcrs_geom::point::HyperplaneD::new([c, m]);
-            ios.push(t.query_halfspace_stats(&h, false).1.ios as f64);
+            ios.push(dev.measure(|| t.query_halfspace(&h, false)).1.total() as f64);
         }
         rows.push(vec![
             format!("{fanout}"),

@@ -46,25 +46,18 @@ fn main() {
 
         for &(m, c, t) in &qs {
             let mut cols = vec![format!("{n_pts}"), format!("{blocks}"), format!("{t}")];
-            let (r, st) = hs.query_below_stats(m, c, false);
-            assert_eq!(r.len(), t);
-            cols.push(format!("{}", st.ios));
-            let (r, st) = kd.query_below(m, c, false);
-            assert_eq!(r.len(), t);
-            cols.push(format!("{}", st.ios));
-            let (r, st) = rt.query_below(m, c, false);
-            assert_eq!(r.len(), t);
-            cols.push(format!("{}", st.ios));
-            let (r, st) = sc.query_below(m, c, false);
-            assert_eq!(r.len(), t);
-            cols.push(format!("{}", st.ios));
             let h = HyperplaneD::new([c, m]);
-            let (r, st) = pt.query_halfspace_stats(&h, false);
-            assert_eq!(r.len(), t);
-            cols.push(format!("{}", st.ios));
-            let (r, st) = ph.query_halfspace_stats(&h, false);
-            assert_eq!(r.len(), t);
-            cols.push(format!("{}", st.ios));
+            for (r, io) in [
+                dev.measure(|| hs.query_below(m, c, false)),
+                dev_kd.measure(|| kd.query_below(m, c, false)),
+                dev_rt.measure(|| rt.query_below(m, c, false)),
+                dev_sc.measure(|| sc.query_below(m, c, false)),
+                dev_pt.measure(|| pt.query_halfspace(&h, false)),
+                dev_ph.measure(|| ph.query_halfspace(&h, false)),
+            ] {
+                assert_eq!(r.len(), t);
+                cols.push(format!("{}", io.total()));
+            }
             rows.push(cols);
         }
     }
@@ -85,8 +78,8 @@ fn main() {
     let mut kd_ios = Vec::new();
     for q in 0..10u64 {
         let (m, c) = lcrs_workloads::halfplane_with_selectivity(&pts, b, 64, q);
-        hs_ios.push(hs.query_below_stats(m, c, false).1.ios as f64);
-        kd_ios.push(kd.query_below(m, c, false).1.ios as f64);
+        hs_ios.push(dev.measure(|| hs.query_below(m, c, false)).1.total() as f64);
+        kd_ios.push(dev_kd.measure(|| kd.query_below(m, c, false)).1.total() as f64);
     }
     print_table(
         "control: uniform input, T = B",

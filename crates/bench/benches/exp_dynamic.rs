@@ -35,11 +35,10 @@ fn main() {
         let mut stat_ios = Vec::new();
         for q in 0..10u64 {
             let (m, c) = halfplane_with_selectivity(&pts, b, 64, q);
-            dev.reset_stats();
-            let r = dynamic.query_below(m, c, false);
+            let (r, io) = dev.measure(|| dynamic.query_below(m, c, false));
             assert_eq!(r.len(), b);
-            dyn_ios.push(dev.stats().reads as f64);
-            stat_ios.push(fixed.query_below_stats(m, c, false).1.ios as f64);
+            dyn_ios.push(io.reads as f64);
+            stat_ios.push(dev_s.measure(|| fixed.query_below(m, c, false)).1.total() as f64);
         }
         rows.push(vec![
             format!("{n_pts}"),

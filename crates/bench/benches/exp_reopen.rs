@@ -1,16 +1,22 @@
-//! EXP-REOPEN — wall-clock as a first-class number (DESIGN.md §13): build an
-//! index, freeze it in memory, persist it to a snapshot, reopen it, and put
-//! wall ns/query of the in-memory original and of the reopened index (a
-//! page miss is one `pread` into a frame of the reading scope, a hit is
-//! served from that frame) next to the model read-IO count.
+//! EXP-REOPEN — the build-once/serve-many lifecycle (DESIGN.md §9, §13),
+//! with wall-clock as a first-class number: build an index, freeze it in
+//! memory, persist it to a snapshot, reopen it, and put wall ns/query of
+//! the in-memory original and of the reopened index (a page miss is one
+//! `pread` into a frame of the reading scope, a hit is served from that
+//! frame) next to the model read-IO count.
 //!
 //! Invariants asserted on every cell: answers and model read-IO totals are
 //! bit-identical between the in-memory original and the reopened index —
-//! where the bytes live never moves the cost model. Traffic covers the
-//! repeat-heavy (zipf), sorted-sweep, and sequential page-sweep shapes
-//! (nested-prefix answer sets walk the pages front to back), plus a
-//! planner-driven mixed cell that times [`IndexSet::execute_plan`] on an
-//! in-memory set and on the same set reopened from a catalog.
+//! where the bytes live never moves the cost model — and a cold reopened
+//! device starts with zeroed IO counters. Traffic covers the repeat-heavy
+//! (zipf), sorted-sweep, and sequential page-sweep shapes (nested-prefix
+//! answer sets walk the pages front to back), plus a planner-driven mixed
+//! cell that times [`IndexSet::execute_plan`] on an in-memory set and on
+//! the same set reopened from a catalog. The `<structure>/<Dist>`
+//! lifecycle cells build each structure on a device of its own over two
+//! distributions of its class and also time the one-time steps — build,
+//! freeze + save, open + load — and the snapshot size: reopening skips
+//! the build in every later process.
 //!
 //! Wall numbers are informational; only the IO/answer parity asserts. Run
 //! with `--smoke` for the CI-sized variant.
@@ -24,8 +30,10 @@ use lcrs_engine::{
 };
 use lcrs_extmem::{Device, DeviceConfig, IoStats, MetaReader, MetaWriter, PageBackend, TempDir};
 use lcrs_halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
+use lcrs_halfspace::tradeoff::{HybridConfig, HybridTree3};
 use lcrs_workloads::{
-    halfplane_batch, halfplane_page_sweep, knn_batch, points2, BatchShape, Dist2,
+    halfplane_batch, halfplane_page_sweep, halfspace3_batch, knn_batch, points2, points3,
+    BatchShape, Dist2, Dist3,
 };
 
 const PAGE: usize = 4096;
@@ -40,6 +48,17 @@ struct Row {
     reads: u64,
     memory_wall: Duration,
     pread_wall: Duration,
+    /// The one-time steps, for a cell built on a device of its own.
+    lifecycle: Option<Lifecycle>,
+}
+
+struct Lifecycle {
+    build: Duration,
+    /// Freeze to a snapshot file plus serialize the metadata.
+    save: Duration,
+    /// Open the snapshot plus `load_index`.
+    open: Duration,
+    snapshot_kib: u64,
 }
 
 fn ns_per_query(wall: Duration, queries: usize) -> f64 {
@@ -58,26 +77,34 @@ fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
 }
 
 /// One standalone cell: freeze and persist `index`, reopen it, pin
-/// answer/IO parity against the in-memory original, time both.
+/// answer/IO parity against the in-memory original, time both. `build`
+/// is the build time of a lifecycle cell, `None` for an index shared by
+/// several cells.
 fn run_cell(
     dir: &TempDir,
     dev: &Device,
     index: &dyn RangeIndex,
     queries: &[Query],
     cell: String,
+    build: Option<Duration>,
 ) -> Row {
     let path = dir.file(&format!("{}.pages", cell.replace('/', "-")));
+    let t = Instant::now();
     dev.freeze_to_path(&path).expect("freeze_to_path");
+    let mut w = MetaWriter::new();
+    index.save_meta(&mut w);
+    let meta = w.into_bytes();
+    let save = t.elapsed();
     let mem = BatchExecutor::new(index).keep_answers(true).run_batched(queries);
     let memory_wall = best_of(TIMING_RUNS, || BatchExecutor::new(index).run_batched(queries));
 
-    let mut w = MetaWriter::new();
-    index.save_meta(&mut w);
+    let t = Instant::now();
     let re_dev = Device::open_snapshot(&path, CACHE_PAGES).expect("open_snapshot");
+    let mut r = MetaReader::from_bytes(meta).expect("metadata envelope");
+    let re = load_index(index.name(), &re_dev, &mut r).expect("load_index");
+    let open = t.elapsed();
     assert_eq!(re_dev.backend(), PageBackend::File, "{cell}");
     assert_eq!(re_dev.stats(), IoStats::default(), "{cell}: cold reopen starts zeroed");
-    let mut r = MetaReader::from_bytes(w.into_bytes()).expect("metadata envelope");
-    let re = load_index(index.name(), &re_dev, &mut r).expect("load_index");
     let rep = BatchExecutor::new(&*re).keep_answers(true).run_batched(queries);
     assert_eq!(
         rep.answers, mem.answers,
@@ -86,7 +113,30 @@ fn run_cell(
     assert_eq!(rep.total, mem.total, "{cell}: IO totals must be identical");
     let pread_wall = best_of(TIMING_RUNS, || BatchExecutor::new(&*re).run_batched(queries));
 
-    Row { cell, queries: queries.len(), reads: mem.total.reads, memory_wall, pread_wall }
+    let snapshot_kib = std::fs::metadata(&path).expect("snapshot exists").len() / 1024;
+    Row {
+        cell,
+        queries: queries.len(),
+        reads: mem.total.reads,
+        memory_wall,
+        pread_wall,
+        lifecycle: build.map(|build| Lifecycle { build, save, open, snapshot_kib }),
+    }
+}
+
+/// A lifecycle cell: build an index on a device of its own, timed, then
+/// run it through [`run_cell`].
+fn built_cell<I: RangeIndex>(
+    dir: &TempDir,
+    queries: &[Query],
+    cell: String,
+    build: impl FnOnce(&Device) -> I,
+) -> Row {
+    let dev = Device::new(DeviceConfig::new(PAGE, CACHE_PAGES));
+    let t = Instant::now();
+    let index = build(&dev);
+    let build = t.elapsed();
+    run_cell(dir, &dev, &index, queries, cell, Some(build))
 }
 
 fn main() {
@@ -132,13 +182,56 @@ fn main() {
         .collect();
 
     let mut rows = vec![
-        run_cell(&dir, &dev_hs, &hs2d, &zipf, "hs2d/zipf".to_string()),
-        run_cell(&dir, &dev_hs, &hs2d, &sweep, "hs2d/sweep".to_string()),
-        run_cell(&dir, &dev_hs, &hs2d, &pagesweep, "hs2d/pagesweep".to_string()),
-        run_cell(&dir, &dev_scan, &scan, &pagesweep, "scan/pagesweep".to_string()),
-        run_cell(&dir, &dev_kd, &kd, &zipf, "kdtree/zipf".to_string()),
-        run_cell(&dir, &dev_knn, &knn, &kqueries, "knn/sweep".to_string()),
+        run_cell(&dir, &dev_hs, &hs2d, &zipf, "hs2d/zipf".to_string(), None),
+        run_cell(&dir, &dev_hs, &hs2d, &sweep, "hs2d/sweep".to_string(), None),
+        run_cell(&dir, &dev_hs, &hs2d, &pagesweep, "hs2d/pagesweep".to_string(), None),
+        run_cell(&dir, &dev_scan, &scan, &pagesweep, "scan/pagesweep".to_string(), None),
+        run_cell(&dir, &dev_kd, &kd, &zipf, "kdtree/zipf".to_string(), None),
+        run_cell(&dir, &dev_knn, &knn, &kqueries, "knn/sweep".to_string(), None),
     ];
+
+    // The lifecycle cells: the optimal 2D structure and the two
+    // fastest-building baselines, the a=2/3 trade-off tree, and k-NN
+    // (centers inside the lift coordinate budget).
+    for dist in [Dist2::Uniform, Dist2::Clustered] {
+        let pts = points2(dist, n2, 1 << 29, 52);
+        let queries = to_hp(halfplane_batch(
+            &pts,
+            BatchShape::ZipfRepeat { distinct: 16, s: 1.1 },
+            batch_len,
+            48,
+            3,
+        ));
+        rows.push(built_cell(&dir, &queries, format!("hs2d/{dist:?}"), |dev| {
+            HalfspaceRS2::build(dev, &pts, Hs2dConfig::default())
+        }));
+        rows.push(built_cell(&dir, &queries, format!("kdtree/{dist:?}"), |dev| {
+            ExternalKdTree::build(dev, &pts)
+        }));
+        rows.push(built_cell(&dir, &queries, format!("scan/{dist:?}"), |dev| {
+            ExternalScan::build(dev, &pts)
+        }));
+    }
+    for dist in [Dist3::Uniform, Dist3::Slab] {
+        let pts = points3(dist, nk, 1 << 18, 53);
+        let queries: Vec<Query> = halfspace3_batch(&pts, BatchShape::SortedSweep, batch_len, 32, 4)
+            .into_iter()
+            .map(|(u, v, w)| Query::Halfspace { u, v, w, inclusive: false })
+            .collect();
+        rows.push(built_cell(&dir, &queries, format!("tradeoff-hybrid/{dist:?}"), |dev| {
+            HybridTree3::build(dev, &pts, HybridConfig::default())
+        }));
+    }
+    {
+        let pts = points2(Dist2::Uniform, nk, 1000, 54);
+        let queries: Vec<Query> = knn_batch(&pts, BatchShape::SortedSweep, batch_len, 16, 5)
+            .into_iter()
+            .map(|(x, y, k)| Query::Knn { x, y, k })
+            .collect();
+        rows.push(built_cell(&dir, &queries, "knn/Uniform".to_string(), |dev| {
+            LiftedIndex::build(dev, &pts)
+        }));
+    }
 
     // The planner-driven mixed cell: the three 2D structures as one
     // in-memory set and as the same set reopened from a catalog, the same
@@ -176,6 +269,7 @@ fn main() {
             reads: mem.1.total.reads,
             memory_wall: walls[0],
             pread_wall: walls[1],
+            lifecycle: None,
         });
     }
 
@@ -200,6 +294,26 @@ fn main() {
         &["cell", "queries", "read IOs", "memory ns/q", "pread ns/q", "pread/memory"],
         &table,
     );
+    let ms = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e3);
+    let lifecycle: Vec<Vec<String>> = rows
+        .iter()
+        .filter_map(|r| {
+            let l = r.lifecycle.as_ref()?;
+            Some(vec![
+                r.cell.clone(),
+                format!("{}", l.snapshot_kib),
+                ms(l.build),
+                ms(l.save),
+                ms(l.open),
+                ms(l.build.saturating_sub(l.open)),
+            ])
+        })
+        .collect();
+    print_table(
+        "lifecycle: snapshot size and one-time ms per step (reopening skips the build)",
+        &["cell", "snapKiB", "build", "save", "open", "build − open"],
+        &lifecycle,
+    );
     let memory_total: Duration = rows.iter().map(|r| r.memory_wall).sum();
     let pread_total: Duration = rows.iter().map(|r| r.pread_wall).sum();
     println!("\nWall totals: memory {memory_total:?}, reopened {pread_total:?} (informational)");
@@ -211,13 +325,19 @@ fn main() {
     if smoke {
         let mut report = BenchReport::new("exp_reopen", smoke);
         for r in &rows {
-            report
+            let cell = report
                 .cell(r.cell.clone())
                 .metric("queries", r.queries as f64)
                 .metric("read_ios", r.reads as f64)
                 .metric("memory_ns_per_q", ns_per_query(r.memory_wall, r.queries))
                 .metric("pread_ns_per_q", ns_per_query(r.pread_wall, r.queries))
                 .report_wall(r.pread_wall);
+            if let Some(l) = &r.lifecycle {
+                cell.metric("build_s", l.build.as_secs_f64())
+                    .metric("save_s", l.save.as_secs_f64())
+                    .metric("open_s", l.open.as_secs_f64())
+                    .metric("snapshot_kib", l.snapshot_kib as f64);
+            }
         }
         report.write_default();
     }

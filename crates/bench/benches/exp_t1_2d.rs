@@ -16,9 +16,9 @@ fn avg_query_ios(hs: &HalfspaceRS2, pts: &[(i64, i64)], t: usize, trials: usize)
     let mut rep = Vec::new();
     for q in 0..trials {
         let (m, c) = halfplane_with_selectivity(pts, t, 64, 1000 + q as u64);
-        let (res, st) = hs.query_below_stats(m, c, false);
+        let (res, io) = hs.device().measure(|| hs.query_below(m, c, false));
         assert_eq!(res.len(), t, "selectivity generator must be exact");
-        ios.push(st.ios as f64);
+        ios.push(io.total() as f64);
         rep.push(res.len() as f64);
     }
     (mean(&ios), mean(&rep))

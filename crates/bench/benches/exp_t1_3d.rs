@@ -11,9 +11,9 @@ fn query_ios(hs: &HalfspaceRS3, pts: &[(i64, i64, i64)], t: usize, trials: usize
     let mut ios = Vec::new();
     for q in 0..trials {
         let (u, v, w) = halfspace3_with_selectivity(pts, t, 32, 500 + q as u64);
-        let (res, st) = hs.query_below_stats(u, v, w, false);
+        let (res, io) = hs.device().measure(|| hs.query_below(u, v, w, false));
         assert_eq!(res.len(), t);
-        ios.push(st.ios as f64);
+        ios.push(io.total() as f64);
     }
     ios
 }

@@ -61,8 +61,7 @@ fn run_dim<const D: usize>(partitioner: Partitioner, rows: &mut Vec<Vec<String>>
         let mut ios = Vec::new();
         for q in 0..24 {
             let h = plane_with_t(&pts, b, 900 + q);
-            let (_, st) = t.query_halfspace_stats(&h, false);
-            ios.push(st.ios as f64);
+            ios.push(dev.measure(|| t.query_halfspace(&h, false)).1.total() as f64);
         }
         let blocks = n_pts.div_ceil(b);
         ns.push(blocks as f64);
@@ -108,17 +107,12 @@ fn main() {
     let mut rows = Vec::new();
     for (label, half) in [("small", 1 << 16), ("medium", 1 << 18), ("large", 1 << 20)] {
         let tri: Simplex<2> = Simplex::new(vec![([-1, 0], half), ([0, -1], half), ([1, 1], half)]);
-        let (res, st) = t.query_simplex_stats(&tri);
-        rows.push(vec![
-            label.into(),
-            format!("{}", res.len()),
-            format!("{}", st.ios),
-            format!("{}", st.nodes_visited),
-        ]);
+        let (res, io) = dev.measure(|| t.query_simplex(&tri));
+        rows.push(vec![label.into(), format!("{}", res.len()), format!("{}", io.total())]);
     }
     print_table(
         "simplex (triangle) queries on the d=2 tree (Remark (i))",
-        &["triangle", "reported", "IOs", "nodes"],
+        &["triangle", "reported", "IOs"],
         &rows,
     );
 }

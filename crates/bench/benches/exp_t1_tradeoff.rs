@@ -57,8 +57,8 @@ fn main() {
             pages,
             Box::new(move |u, v, w| {
                 let h = lcrs_geom::point::HyperplaneD::new([w, u, v]);
-                let (res, st) = t.query_halfspace_stats(&h, false);
-                (res.len(), st.ios)
+                let (res, io) = dev.measure(|| t.query_halfspace(&h, false));
+                (res.len(), io.total())
             }),
         );
     }
@@ -70,8 +70,8 @@ fn main() {
             &format!("hybrid a={a}"),
             pages,
             Box::new(move |u, v, w| {
-                let (res, st) = t.query_below_stats(u, v, w, false);
-                (res.len(), st.ios)
+                let (res, io) = dev.measure(|| t.query_below(u, v, w, false));
+                (res.len(), io.total())
             }),
         );
     }
@@ -83,8 +83,8 @@ fn main() {
             "shallow (O(n log_B n))",
             pages,
             Box::new(move |u, v, w| {
-                let (res, st) = t.query_below_stats(u, v, w, false);
-                (res.len(), st.ios)
+                let (res, io) = dev.measure(|| t.query_below(u, v, w, false));
+                (res.len(), io.total())
             }),
         );
     }
@@ -96,8 +96,8 @@ fn main() {
             "hs3d (O(n log2 n))",
             pages,
             Box::new(move |u, v, w| {
-                let (res, st) = t.query_below_stats(u, v, w, false);
-                (res.len(), st.ios)
+                let (res, io) = dev.measure(|| t.query_below(u, v, w, false));
+                (res.len(), io.total())
             }),
         );
     }

@@ -22,10 +22,9 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Benches whose smoke runs are gated against the baseline, in ci.sh order.
-pub const GATED_BENCHES: [&str; 9] = [
+pub const GATED_BENCHES: [&str; 8] = [
     "exp_batched",
     "exp_parallel",
-    "exp_persist",
     "exp_planner",
     "exp_shard",
     "exp_live",

@@ -44,7 +44,7 @@ pub struct QueryOutcome {
     pub status: QueryStatus,
     /// Number of ids reported.
     pub reported: usize,
-    /// IOs attributed to exactly this query (stats-snapshot bracketing).
+    /// IOs attributed to exactly this query ([`lcrs_extmem::DeviceHandle::measure`]).
     pub io: IoDelta,
 }
 
@@ -164,24 +164,24 @@ fn run_chunk(
     // Every chunk starts cold; Batched then lets the cache warm up across
     // the chunk, Cold drops it again before every query.
     dev.clear_cache();
-    let before = dev.stats();
     let mut outcomes = Vec::with_capacity(chunk.len());
     let mut answers = Vec::new();
-    for &qi in chunk {
-        if mode == ExecMode::Cold {
-            dev.clear_cache();
+    let ((), io) = dev.measure(|| {
+        for &qi in chunk {
+            if mode == ExecMode::Cold {
+                dev.clear_cache();
+            }
+            let (result, io) = index.try_execute_measured(&queries[qi]);
+            let (status, ids) = match result {
+                Ok(ids) => (QueryStatus::Ok, ids),
+                Err(_) => (QueryStatus::Unsupported, Vec::new()),
+            };
+            outcomes.push(QueryOutcome { query: qi, status, reported: ids.len(), io });
+            if keep_answers {
+                answers.push(ids);
+            }
         }
-        let (result, io) = index.try_execute_measured(&queries[qi]);
-        let (status, ids) = match result {
-            Ok(ids) => (QueryStatus::Ok, ids),
-            Err(_) => (QueryStatus::Unsupported, Vec::new()),
-        };
-        outcomes.push(QueryOutcome { query: qi, status, reported: ids.len(), io });
-        if keep_answers {
-            answers.push(ids);
-        }
-    }
-    let io = dev.stats().since(before);
+    });
     // The attribution invariant, checked once where the deltas are
     // measured: every report above this one sums these checked parts.
     assert_eq!(

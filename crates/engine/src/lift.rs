@@ -28,7 +28,7 @@ use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, SnapshotError, VecFile};
 use lcrs_geom::lift;
 use lcrs_geom::plane3::Plane3;
 use lcrs_halfspace::cost::CostHint;
-use lcrs_halfspace::hs3d::{Hs3dConfig, QueryStats3};
+use lcrs_halfspace::hs3d::Hs3dConfig;
 use lcrs_halfspace::HalfspaceRS3;
 
 use crate::query::{unsupported, Query, RangeIndex, Unsupported};
@@ -153,7 +153,7 @@ impl LiftedIndex {
         let shift = i128::from(x) * i128::from(x) + i128::from(y) * i128::from(y);
         let mut ranked: Vec<((bool, u128), u64)> = self
             .hs
-            .k_lowest(x, y, k, &mut QueryStats3::default())
+            .k_lowest(x, y, k)
             .into_iter()
             .map(|(l, v)| ((false, (v + shift) as u128), u64::from(self.ids[l as usize])))
             .collect();

@@ -123,9 +123,11 @@ impl std::error::Error for Unsupported {}
 /// `try_execute` answers one [`Query`] and returns the reported ids (input
 /// indices, or caller tags for [`DynamicHalfspace2`]), widened to `u64`,
 /// or [`Unsupported`] when the index cannot answer that query class.
-/// `execute_measured` brackets the call with device-stats snapshots so
+/// `execute_measured` runs the call inside [`DeviceHandle::measure`] so
 /// each query gets exact [`IoDelta`] attribution — the primitive the
-/// [`crate::BatchExecutor`] builds on.
+/// [`crate::BatchExecutor`] builds on. The structures count nothing
+/// themselves: this one bracket on the scope that paid the IOs is the
+/// only meter.
 ///
 /// The `Send + Sync` supertraits are what lets the [`crate::BatchExecutor`]
 /// share an index across worker threads; they hold for every structure in
@@ -169,18 +171,16 @@ pub trait RangeIndex: Send + Sync {
         self.try_execute(q).unwrap_or_else(|e| panic!("{e} (check RangeIndex::supports first)"))
     }
 
-    /// [`Self::try_execute`] with exact IO attribution via stats snapshots.
+    /// [`Self::try_execute`] with exact IO attribution:
+    /// [`DeviceHandle::measure`] around the call.
     fn try_execute_measured(&self, q: &Query) -> (Result<Vec<u64>, Unsupported>, IoDelta) {
-        let before = self.device().stats();
-        let out = self.try_execute(q);
-        (out, self.device().stats().since(before))
+        self.device().measure(|| self.try_execute(q))
     }
 
-    /// [`Self::execute`] with exact IO attribution via stats snapshots.
+    /// [`Self::execute`] with exact IO attribution:
+    /// [`DeviceHandle::measure`] around the call.
     fn execute_measured(&self, q: &Query) -> (Vec<u64>, IoDelta) {
-        let before = self.device().stats();
-        let out = self.execute(q);
-        (out, self.device().stats().since(before))
+        self.device().measure(|| self.execute(q))
     }
 
     /// A reader clone of this index on a fresh device-handle scope (its own
@@ -501,18 +501,14 @@ impl RangeIndex for ExternalScan {
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
-            Query::Halfplane { m, c, inclusive } => Ok(widen(self.query_below(m, c, inclusive).0)),
+            Query::Halfplane { m, c, inclusive } => Ok(widen(self.query_below(m, c, inclusive))),
             Query::Knn { x, y, k } => Ok(widen(self.k_nearest(x, y, k))),
-            Query::Disk { x, y, r2, inclusive } => {
-                Ok(widen(self.disk_report(x, y, r2, inclusive).0))
-            }
-            Query::Count { m, c, inclusive } => {
-                Ok(vec![self.aggregate_below(m, c, inclusive).0 .0])
-            }
+            Query::Disk { x, y, r2, inclusive } => Ok(widen(self.disk_report(x, y, r2, inclusive))),
+            Query::Count { m, c, inclusive } => Ok(vec![self.aggregate_below(m, c, inclusive).0]),
             Query::Sum { m, c, inclusive } => {
-                Ok(encode_sum(self.aggregate_below(m, c, inclusive).0 .1))
+                Ok(encode_sum(self.aggregate_below(m, c, inclusive).1))
             }
-            Query::TopK { m, c, k } => Ok(widen(self.top_k(m, c, k).0)),
+            Query::TopK { m, c, k } => Ok(widen(self.top_k(m, c, k))),
             Query::Halfspace { .. } => unsupported(RangeIndex::name(self), q),
         }
     }
@@ -558,14 +554,12 @@ impl RangeIndex for ExternalKdTree {
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
-            Query::Halfplane { m, c, inclusive } => Ok(widen(self.query_below(m, c, inclusive).0)),
-            Query::Count { m, c, inclusive } => {
-                Ok(vec![self.aggregate_below(m, c, inclusive).0 .0])
-            }
+            Query::Halfplane { m, c, inclusive } => Ok(widen(self.query_below(m, c, inclusive))),
+            Query::Count { m, c, inclusive } => Ok(vec![self.aggregate_below(m, c, inclusive).0]),
             Query::Sum { m, c, inclusive } => {
-                Ok(encode_sum(self.aggregate_below(m, c, inclusive).0 .1))
+                Ok(encode_sum(self.aggregate_below(m, c, inclusive).1))
             }
-            Query::TopK { m, c, k } => Ok(widen(self.top_k(m, c, k).0)),
+            Query::TopK { m, c, k } => Ok(widen(self.top_k(m, c, k))),
             _ => unsupported(RangeIndex::name(self), q),
         }
     }
@@ -600,7 +594,7 @@ impl RangeIndex for StrRTree {
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
-            Query::Halfplane { m, c, inclusive } => Ok(widen(self.query_below(m, c, inclusive).0)),
+            Query::Halfplane { m, c, inclusive } => Ok(widen(self.query_below(m, c, inclusive))),
             _ => unsupported(RangeIndex::name(self), q),
         }
     }
@@ -634,7 +628,7 @@ impl RangeIndex for ExternalScan3 {
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
             Query::Halfspace { u, v, w, inclusive } => {
-                Ok(widen(self.query_below(u, v, w, inclusive).0))
+                Ok(widen(self.query_below(u, v, w, inclusive)))
             }
             _ => unsupported(RangeIndex::name(self), q),
         }

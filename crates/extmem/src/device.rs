@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::snapshot::{write_snapshot, SnapshotError, SnapshotFile};
-use crate::stats::IoStats;
+use crate::stats::{IoDelta, IoStats};
 
 /// Identifier of a disk page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -481,6 +481,16 @@ impl DeviceHandle {
 
     pub fn reset_stats(&self) {
         self.state.lock().unwrap().stats = IoStats::default();
+    }
+
+    /// Run `f` and return its result with the IOs this scope paid for it:
+    /// one stats snapshot before, one after. The one IO meter — structures
+    /// count nothing themselves; whoever runs a query through a scope
+    /// brackets it here.
+    pub fn measure<R>(&self, f: impl FnOnce() -> R) -> (R, IoDelta) {
+        let before = self.stats();
+        let r = f();
+        (r, self.stats().since(before))
     }
 
     /// Drop this scope's cached pages (so the next accesses pay IOs)

@@ -48,7 +48,7 @@ use lcrs_extmem::{Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, Sn
 
 use crate::cost::{CostHint, CostShape};
 use crate::delta::DeltaTier;
-use crate::hs2d::{HalfspaceRS2, Hs2dConfig, QueryStats};
+use crate::hs2d::{HalfspaceRS2, Hs2dConfig};
 
 /// Where the pages of each level live.
 #[derive(Clone)]
@@ -567,19 +567,10 @@ impl DynamicHalfspace2 {
     /// Report the tags of all live points strictly below `y = m·x + c`
     /// (`inclusive` adds on-line points).
     pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> Vec<u64> {
-        self.query_below_stats(m, c, inclusive).0
-    }
-
-    pub fn query_below_stats(&self, m: i64, c: i64, inclusive: bool) -> (Vec<u64>, QueryStats) {
         let mut out = Vec::new();
-        let mut stats = QueryStats::default();
         let draining_levels = self.draining.iter().flat_map(|d| d.levels.iter());
         for level in self.levels.iter().chain(draining_levels) {
-            let (ids, st) = level.structure.query_below_stats(m, c, inclusive);
-            stats.ios += st.ios;
-            stats.clusterings_visited += st.clusterings_visited;
-            stats.clusters_read += st.clusters_read;
-            for id in ids {
+            for id in level.structure.query_below(m, c, inclusive) {
                 let p = level.points[id as usize];
                 if !self.delta.is_dead(p.2) {
                     out.push(p.2);
@@ -599,8 +590,7 @@ impl DynamicHalfspace2 {
             }
         }
         self.delta.scan_below(m, c, inclusive, &mut out);
-        stats.reported = out.len();
-        (out, stats)
+        out
     }
 
     /// Visit every live point `(x, y, tag)` host-side: level inputs and
@@ -961,9 +951,8 @@ mod tests {
         for level in core.levels() {
             assert!(level.device().expect("per-level device").is_frozen());
         }
-        let before = anchor.stats();
-        let _ = core.query_below(1, 0, false);
-        assert!(anchor.stats().since(before).total() > 0, "query IOs must hit the anchor scope");
+        let (_, io) = anchor.measure(|| core.query_below(1, 0, false));
+        assert!(io.total() > 0, "query IOs must hit the anchor scope");
     }
 
     #[test]

@@ -231,7 +231,6 @@ impl ClusteringDisk {
         py: i64,
         inclusive: bool,
         above: Option<&mut HashSet<u32>>,
-        stats: &mut QueryStats,
     ) -> (usize, (u64, i128), (u64, i128)) {
         let a = self.aggs.get(k);
         let (off, len) = self.dir.get(k);
@@ -247,7 +246,6 @@ impl ClusteringDisk {
             }
         };
         if all_below {
-            stats.clusters_skipped += 1;
             let carry = (a.pcount_total - a.pcount_new, a.wsum_total as i128 - a.wsum_new as i128);
             return (len as usize, (a.pcount_new, a.wsum_new as i128), carry);
         }
@@ -256,7 +254,6 @@ impl ClusteringDisk {
         let mut ann: Vec<AnnRec> = Vec::new();
         self.lines.read_range(range.clone(), &mut buf);
         self.ann.read_range(range, &mut ann);
-        stats.clusters_read += 1;
         let mut n_below = 0usize;
         let (mut new, mut carry) = ((0u64, 0i128), (0u64, 0i128));
         let mut above = above;
@@ -319,19 +316,6 @@ impl Hs2dConfig {
             seed: r.u64()?,
         })
     }
-}
-
-/// Statistics of one query.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryStats {
-    pub ios: u64,
-    pub clusterings_visited: usize,
-    pub clusters_read: usize,
-    /// Clusters the aggregate path answered from their persisted
-    /// `AggRec` certificate without reading any line (always 0 on the
-    /// report path).
-    pub clusters_skipped: usize,
-    pub reported: usize,
 }
 
 /// The Theorem 3.5 structure.
@@ -699,14 +683,33 @@ impl HalfspaceRS2 {
     /// (`inclusive` additionally reports points exactly on it). Returns
     /// original point indices, unordered.
     pub fn query_below(&self, m: i64, c: i64, inclusive: bool) -> Vec<u32> {
-        self.query_below_stats(m, c, inclusive).0
+        let out: Vec<u32> = self.below_lines(m, c, inclusive).iter().map(|r| r.0).collect();
+
+        // Expand duplicate groups with page-batched reads: directory
+        // entries in id order, then point slots in offset order, paying one
+        // IO per distinct page rather than one per reported line.
+        if let (Some(dir), Some(pts)) = (&self.group_dir, &self.group_pts) {
+            let mut ids: Vec<usize> = out.iter().map(|&i| i as usize).collect();
+            ids.sort_unstable();
+            let mut entries: Vec<(u64, u32)> = Vec::with_capacity(ids.len());
+            dir.get_many(&ids, &mut entries);
+            let mut slots: Vec<usize> = entries
+                .iter()
+                .flat_map(|&(off, len)| off as usize..off as usize + len as usize)
+                .collect();
+            slots.sort_unstable();
+            let mut expanded = Vec::with_capacity(slots.len());
+            pts.get_many(&slots, &mut expanded);
+            expanded
+        } else {
+            out
+        }
     }
 
     /// The cluster-cascade walk shared by the report and top-k paths:
     /// every distinct dual line below the query point `(px, py)`, in
-    /// first-seen order, with partial stats (IOs are finalized by the
-    /// caller).
-    fn below_lines(&self, px: i64, py: i64, inclusive: bool) -> (Vec<LineRec>, QueryStats) {
+    /// first-seen order.
+    fn below_lines(&self, px: i64, py: i64, inclusive: bool) -> Vec<LineRec> {
         let below = |lm: i64, lb: i64| -> bool {
             let v = lm as i128 * px as i128 + lb as i128;
             if inclusive {
@@ -718,7 +721,6 @@ impl HalfspaceRS2 {
 
         let mut reported_ids: HashSet<u32> = HashSet::new();
         let mut out: Vec<LineRec> = Vec::new();
-        let mut stats = QueryStats::default();
         let mut report = |r: &LineRec, out: &mut Vec<LineRec>| {
             if reported_ids.insert(r.0) {
                 out.push(*r);
@@ -726,7 +728,6 @@ impl HalfspaceRS2 {
         };
 
         'clusterings: for g in &self.clusterings {
-            stats.clusterings_visited += 1;
             // Relevant cluster.
             let j = g.boundaries.floor(&RatKey::from_int(px)).map(|(_, v)| v as usize).unwrap_or(0);
             let mut buf: Vec<LineRec> = Vec::new();
@@ -736,7 +737,6 @@ impl HalfspaceRS2 {
                 g.lines.read_range(off as usize..off as usize + len as usize, buf);
             };
             read_cluster(j, &mut buf);
-            stats.clusters_read += 1;
             let below_j: Vec<LineRec> =
                 buf.iter().filter(|r| below(r.1 .0, r.1 .1)).copied().collect();
             let halt = below_j.len() < g.lambda;
@@ -752,7 +752,6 @@ impl HalfspaceRS2 {
             let mut above_right: HashSet<u32> = HashSet::new();
             for k in j + 1..g.n_clusters {
                 read_cluster(k, &mut buf);
-                stats.clusters_read += 1;
                 for r in &buf {
                     if below(r.1 .0, r.1 .1) {
                         report(r, &mut out);
@@ -768,7 +767,6 @@ impl HalfspaceRS2 {
             let mut above_left: HashSet<u32> = HashSet::new();
             for k in (0..j).rev() {
                 read_cluster(k, &mut buf);
-                stats.clusters_read += 1;
                 for r in &buf {
                     if below(r.1 .0, r.1 .1) {
                         report(r, &mut out);
@@ -781,37 +779,7 @@ impl HalfspaceRS2 {
                 }
             }
         }
-        (out, stats)
-    }
-
-    /// [`Self::query_below`] with measured IO statistics.
-    pub fn query_below_stats(&self, m: i64, c: i64, inclusive: bool) -> (Vec<u32>, QueryStats) {
-        let before = self.dev.stats();
-        let (lines, mut stats) = self.below_lines(m, c, inclusive);
-        let out: Vec<u32> = lines.iter().map(|r| r.0).collect();
-
-        // Expand duplicate groups with page-batched reads: directory
-        // entries in id order, then point slots in offset order, paying one
-        // IO per distinct page rather than one per reported line.
-        let result = if let (Some(dir), Some(pts)) = (&self.group_dir, &self.group_pts) {
-            let mut ids: Vec<usize> = out.iter().map(|&i| i as usize).collect();
-            ids.sort_unstable();
-            let mut entries: Vec<(u64, u32)> = Vec::with_capacity(ids.len());
-            dir.get_many(&ids, &mut entries);
-            let mut slots: Vec<usize> = entries
-                .iter()
-                .flat_map(|&(off, len)| off as usize..off as usize + len as usize)
-                .collect();
-            slots.sort_unstable();
-            let mut expanded = Vec::with_capacity(slots.len());
-            pts.get_many(&slots, &mut expanded);
-            expanded
-        } else {
-            out
-        };
-        stats.reported = result.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (result, stats)
+        out
     }
 
     /// Count and weight-sum (weight of `(x, y)` is `x + y`) of every
@@ -826,26 +794,12 @@ impl HalfspaceRS2 {
     /// are bit-identical to the report path (an all-below cluster
     /// contributes zero above lines either way).
     pub fn aggregate_below(&self, m: i64, c: i64, inclusive: bool) -> (u64, i128) {
-        self.aggregate_below_stats(m, c, inclusive).0
-    }
-
-    /// [`Self::aggregate_below`] with measured IO statistics.
-    pub fn aggregate_below_stats(
-        &self,
-        m: i64,
-        c: i64,
-        inclusive: bool,
-    ) -> ((u64, i128), QueryStats) {
-        let before = self.dev.stats();
         let (px, py) = (m, c);
         let (mut count, mut wsum) = (0u64, 0i128);
-        let mut stats = QueryStats::default();
 
         'clusterings: for g in &self.clusterings {
-            stats.clusterings_visited += 1;
             let j = g.boundaries.floor(&RatKey::from_int(px)).map(|(_, v)| v as usize).unwrap_or(0);
-            let (n_below, new_j, carry_j) =
-                g.aggregate_cluster(j, px, py, inclusive, None, &mut stats);
+            let (n_below, new_j, carry_j) = g.aggregate_cluster(j, px, py, inclusive, None);
             if n_below < g.lambda {
                 // Lemma 3.1 halting: the interval is {j}; every below line
                 // of j counts exactly once, wherever its run started.
@@ -864,7 +818,7 @@ impl HalfspaceRS2 {
             let mut above_right: HashSet<u32> = HashSet::new();
             for k in j + 1..g.n_clusters {
                 let (_, new_k, _) =
-                    g.aggregate_cluster(k, px, py, inclusive, Some(&mut above_right), &mut stats);
+                    g.aggregate_cluster(k, px, py, inclusive, Some(&mut above_right));
                 count += new_k.0;
                 wsum += new_k.1;
                 if above_right.len() > g.lambda {
@@ -875,7 +829,7 @@ impl HalfspaceRS2 {
             let mut above_left: HashSet<u32> = HashSet::new();
             for k in (0..j).rev() {
                 let (_, new_k, carry_k) =
-                    g.aggregate_cluster(k, px, py, inclusive, Some(&mut above_left), &mut stats);
+                    g.aggregate_cluster(k, px, py, inclusive, Some(&mut above_left));
                 count += new_k.0;
                 wsum += new_k.1;
                 edge_carry = carry_k;
@@ -887,10 +841,7 @@ impl HalfspaceRS2 {
             count += edge_carry.0;
             wsum += edge_carry.1;
         }
-
-        stats.reported = count as usize;
-        stats.ios = self.dev.stats().since(before).total();
-        ((count, wsum), stats)
+        (count, wsum)
     }
 
     /// The `k` points of lowest key `y − m·x` among those with
@@ -899,13 +850,7 @@ impl HalfspaceRS2 {
     /// line's value at abscissa `m`, which the cascade walk evaluates
     /// anyway — no extra reads over an inclusive report.
     pub fn top_k(&self, m: i64, c: i64, k: usize) -> Vec<u32> {
-        self.top_k_stats(m, c, k).0
-    }
-
-    /// [`Self::top_k`] with measured IO statistics.
-    pub fn top_k_stats(&self, m: i64, c: i64, k: usize) -> (Vec<u32>, QueryStats) {
-        let before = self.dev.stats();
-        let (lines, mut stats) = self.below_lines(m, c, true);
+        let lines = self.below_lines(m, c, true);
         // Dual identity: point (a, b) has key b − m·a = value of its dual
         // line (−a, b) at px = m.
         let mut cand: Vec<(i128, u32)> =
@@ -937,10 +882,7 @@ impl HalfspaceRS2 {
         }
         cand.sort_unstable();
         cand.truncate(k);
-        let result: Vec<u32> = cand.into_iter().map(|(_, id)| id).collect();
-        stats.reported = result.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (result, stats)
+        cand.into_iter().map(|(_, id)| id).collect()
     }
 }
 
@@ -1070,13 +1012,13 @@ mod tests {
         let pts = pseudo_points(4000, 21, 1 << 20);
         let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
         // A query with tiny output must cost far fewer IOs than n blocks.
-        let (res, st) = hs.query_below_stats(0, -(1 << 20) + 1000, false);
+        let (res, io) = dev.measure(|| hs.query_below(0, -(1 << 20) + 1000, false));
         let n_blocks = (hs.unique_points() as u64).div_ceil(512 / 20);
         assert!(res.len() < 50, "output unexpectedly large: {}", res.len());
         assert!(
-            st.ios < n_blocks / 2,
+            io.total() < n_blocks / 2,
             "small-output query cost {} IOs vs n = {} blocks",
-            st.ios,
+            io.total(),
             n_blocks
         );
     }
@@ -1134,13 +1076,17 @@ mod tests {
                 assert_eq!(hs.aggregate_below(m, c, inclusive), brute_agg(&pts, m, c, inclusive));
             }
         }
-        // A query covering everything must answer mostly from certificates.
-        let ((count, _), st) = hs.aggregate_below_stats(0, i64::MAX / 2, true);
-        assert_eq!(count as usize, pts.len());
-        assert!(st.clusters_skipped > 0, "all-covering query should skip clusters");
+        // A query covering everything must answer mostly from certificates:
+        // uncached, it reads strictly fewer pages than reporting the same
+        // points (a scanned cluster costs its lines *and* annotations).
+        let ((count, _), agg) = dev.measure(|| hs.aggregate_below(0, i64::MAX / 2, true));
+        let (all, report) = dev.measure(|| hs.query_below(0, i64::MAX / 2, true));
+        assert_eq!((count as usize, all.len()), (pts.len(), pts.len()));
         assert!(
-            st.clusters_read < hs.query_below_stats(0, i64::MAX / 2, true).1.clusters_read,
-            "aggregate path must read fewer clusters than the report path"
+            agg.reads < report.reads,
+            "aggregate path read {} pages, the report path {}",
+            agg.reads,
+            report.reads
         );
     }
 

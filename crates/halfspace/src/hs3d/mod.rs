@@ -173,16 +173,6 @@ impl Default for Hs3dConfig {
     }
 }
 
-/// Statistics of one query.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryStats3 {
-    pub ios: u64,
-    pub rounds: usize,
-    pub try_calls: usize,
-    pub full_scans: usize,
-    pub reported: usize,
-}
-
 /// The Theorem 4.4 structure over a set of 3D points (primal API) /
 /// planes (dual internals).
 pub struct HalfspaceRS3 {
@@ -625,7 +615,7 @@ impl HalfspaceRS3 {
 
     /// The k lowest planes along the vertical line at (x, y), with certainty
     /// (Theorem 4.2 wrapper).
-    pub fn k_lowest(&self, x: i64, y: i64, k: usize, stats: &mut QueryStats3) -> Vec<(u32, i128)> {
+    pub fn k_lowest(&self, x: i64, y: i64, k: usize) -> Vec<(u32, i128)> {
         assert!(
             x.abs() <= (1 << 22) && y.abs() <= (1 << 22),
             "query location outside the 3D region budget"
@@ -636,19 +626,16 @@ impl HalfspaceRS3 {
         }
         if 16 * k >= self.n || self.copies[0].layers.is_empty() {
             // Output comparable to n: a scan is already optimal.
-            stats.full_scans += 1;
             let mut v = self.full_scan(x, y);
             v.truncate(k);
             return v;
         }
         for delta_exp in 1..=self.cfg.max_delta_exp {
             for c in &self.copies {
-                stats.try_calls += 1;
                 match self.try_lowest(c, x, y, k, delta_exp) {
                     Ok(Some(v)) => return v,
                     Ok(None) => {}
                     Err(()) => {
-                        stats.full_scans += 1;
                         let mut v = self.full_scan(x, y);
                         v.truncate(k);
                         return v;
@@ -656,7 +643,6 @@ impl HalfspaceRS3 {
                 }
             }
         }
-        stats.full_scans += 1;
         let mut v = self.full_scan(x, y);
         v.truncate(k);
         v
@@ -665,21 +651,8 @@ impl HalfspaceRS3 {
     /// Report all points strictly below the plane `z = u·x + v·y + w`
     /// (`inclusive` adds points exactly on it). Returns input indices.
     pub fn query_below(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
-        self.query_below_stats(u, v, w, inclusive).0
-    }
-
-    /// [`Self::query_below`] with measured statistics.
-    pub fn query_below_stats(
-        &self,
-        u: i64,
-        v: i64,
-        w: i64,
-        inclusive: bool,
-    ) -> (Vec<u32>, QueryStats3) {
-        let before = self.dev.stats();
-        let mut stats = QueryStats3::default();
         if self.n == 0 {
-            return (Vec::new(), stats);
+            return Vec::new();
         }
         let hits = |lows: &[(u32, i128)]| -> Vec<u32> {
             lows.iter()
@@ -689,18 +662,14 @@ impl HalfspaceRS3 {
         };
         // Doubling loop: k = β, 2β, 4β, … (Section 4.2).
         let mut k = self.beta.min(self.n);
-        let out = loop {
-            stats.rounds += 1;
-            let lows = self.k_lowest(u, v, k, &mut stats);
+        loop {
+            let lows = self.k_lowest(u, v, k);
             let below = hits(&lows);
             if below.len() < lows.len() || lows.len() >= self.n {
-                break below;
+                return below;
             }
             k *= 2;
-        };
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        }
     }
 }
 
@@ -793,10 +762,9 @@ mod tests {
         let pts = pseudo_points3(500, 23, 50_000);
         let hs = HalfspaceRS3::build(&dev, &pts, Hs3dConfig::default());
         let planes: Vec<Plane3> = pts.iter().map(|&(a, b, c)| point3_to_plane(a, b, c)).collect();
-        let mut stats = QueryStats3::default();
         for (x, y) in [(0i64, 0i64), (100, -50), (-999, 999)] {
             for k in [1usize, 5, 40, 200] {
-                let got = hs.k_lowest(x, y, k, &mut stats);
+                let got = hs.k_lowest(x, y, k);
                 let mut want: Vec<(u32, i128)> =
                     planes.iter().enumerate().map(|(i, p)| (i as u32, p.eval(x, y))).collect();
                 want.sort_by_key(|&(id, v)| (v, id));

@@ -99,16 +99,6 @@ impl Default for PTreeConfig {
     }
 }
 
-/// Statistics of one query.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PtStats {
-    pub ios: u64,
-    pub nodes_visited: usize,
-    pub leaves_scanned: usize,
-    pub subtrees_reported: usize,
-    pub reported: usize,
-}
-
 /// The Theorem 5.2 structure for d-dimensional halfspace and simplex
 /// reporting.
 pub struct PartitionTree<const D: usize> {
@@ -377,22 +367,10 @@ impl<const D: usize> PartitionTree<D> {
     /// Report all points strictly below the constraint hyperplane
     /// (`inclusive` adds points on it). Returns input indices.
     pub fn query_halfspace(&self, h: &HyperplaneD<D>, inclusive: bool) -> Vec<u32> {
-        self.query_halfspace_stats(h, inclusive).0
-    }
-
-    /// [`Self::query_halfspace`] with measured statistics.
-    pub fn query_halfspace_stats(
-        &self,
-        h: &HyperplaneD<D>,
-        inclusive: bool,
-    ) -> (Vec<u32>, PtStats) {
-        let before = self.dev.stats();
-        let mut stats = PtStats::default();
         let mut out = Vec::new();
         if self.n > 0 {
             self.visit(
                 0,
-                &mut stats,
                 &mut out,
                 &mut |b: &Aabb<D>| match h.classify_box(b) {
                     BoxSide::FullyBelow if !inclusive => Visit::ReportAll,
@@ -417,47 +395,31 @@ impl<const D: usize> PartitionTree<D> {
                 },
             );
         }
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        out
     }
 
     /// Count the points strictly below the constraint without reporting
     /// them: fully-below subtrees contribute their stored size with no
     /// point-file IO at all, so counting costs only the O(n^{1-1/d+ε})
     /// traversal term.
-    pub fn count_halfspace(&self, h: &HyperplaneD<D>, inclusive: bool) -> (u64, PtStats) {
-        let before = self.dev.stats();
-        let mut stats = PtStats::default();
+    pub fn count_halfspace(&self, h: &HyperplaneD<D>, inclusive: bool) -> u64 {
         let mut count = 0u64;
         if self.n > 0 {
-            self.count_visit(0, h, inclusive, &mut stats, &mut count);
+            self.count_visit(0, h, inclusive, &mut count);
         }
-        stats.reported = count as usize;
-        stats.ios = self.dev.stats().since(before).total();
-        (count, stats)
+        count
     }
 
-    fn count_visit(
-        &self,
-        ni: usize,
-        h: &HyperplaneD<D>,
-        inclusive: bool,
-        stats: &mut PtStats,
-        count: &mut u64,
-    ) {
+    fn count_visit(&self, ni: usize, h: &HyperplaneD<D>, inclusive: bool, count: &mut u64) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         let cell = Aabb { lo: node.lo, hi: node.hi };
         match h.classify_box(&cell) {
             BoxSide::FullyAbove if !inclusive => {}
             BoxSide::FullyBelow => {
-                stats.subtrees_reported += 1;
                 *count += node.pts_len;
             }
             _ => {
                 if node.child_count == 0 {
-                    stats.leaves_scanned += 1;
                     let mut buf: Vec<PtRec<D>> = Vec::with_capacity(node.pts_len as usize);
                     self.points.read_range(
                         node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
@@ -471,7 +433,7 @@ impl<const D: usize> PartitionTree<D> {
                     }
                 } else {
                     for k in 0..node.child_count as usize {
-                        self.count_visit(node.child_start as usize + k, h, inclusive, stats, count);
+                        self.count_visit(node.child_start as usize + k, h, inclusive, count);
                     }
                 }
             }
@@ -480,17 +442,10 @@ impl<const D: usize> PartitionTree<D> {
 
     /// Report all points inside the convex region (simplex) — Remark (i).
     pub fn query_simplex(&self, s: &Simplex<D>) -> Vec<u32> {
-        self.query_simplex_stats(s).0
-    }
-
-    pub fn query_simplex_stats(&self, s: &Simplex<D>) -> (Vec<u32>, PtStats) {
-        let before = self.dev.stats();
-        let mut stats = PtStats::default();
         let mut out = Vec::new();
         if self.n > 0 {
             self.visit(
                 0,
-                &mut stats,
                 &mut out,
                 &mut |b: &Aabb<D>| match s.classify_box(b) {
                     SimplexSide::Inside => Visit::ReportAll,
@@ -500,31 +455,25 @@ impl<const D: usize> PartitionTree<D> {
                 &mut |p: &PointD<D>| s.contains_point(p),
             );
         }
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        out
     }
 
     fn visit(
         &self,
         ni: usize,
-        stats: &mut PtStats,
         out: &mut Vec<u32>,
         classify: &mut dyn FnMut(&Aabb<D>) -> Visit,
         test: &mut dyn FnMut(&PointD<D>) -> bool,
     ) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         let cell = Aabb { lo: node.lo, hi: node.hi };
         match classify(&cell) {
             Visit::Skip => {}
             Visit::ReportAll => {
-                stats.subtrees_reported += 1;
                 self.report_range(node.pts_off, node.pts_len, out);
             }
             Visit::Recurse => {
                 if node.child_count == 0 {
-                    stats.leaves_scanned += 1;
                     let mut buf: Vec<PtRec<D>> = Vec::with_capacity(node.pts_len as usize);
                     self.points.read_range(
                         node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
@@ -537,7 +486,7 @@ impl<const D: usize> PartitionTree<D> {
                     }
                 } else {
                     for k in 0..node.child_count as usize {
-                        self.visit(node.child_start as usize + k, stats, out, classify, test);
+                        self.visit(node.child_start as usize + k, out, classify, test);
                     }
                 }
             }
@@ -724,10 +673,10 @@ mod tests {
         for k in 0..15 {
             let h: HyperplaneD<2> = HyperplaneD::new([next() * 100, next()]);
             let inclusive = k % 2 == 0;
-            let (res, rs) = t.query_halfspace_stats(&h, inclusive);
-            let (cnt, cs) = t.count_halfspace(&h, inclusive);
+            let (res, rs) = dev.measure(|| t.query_halfspace(&h, inclusive));
+            let (cnt, cs) = dev.measure(|| t.count_halfspace(&h, inclusive));
             assert_eq!(cnt as usize, res.len());
-            assert!(cs.ios <= rs.ios, "count {} > report {}", cs.ios, rs.ios);
+            assert!(cs.total() <= rs.total(), "count {} > report {}", cs.total(), rs.total());
         }
     }
 
@@ -747,9 +696,9 @@ mod tests {
         let t = PartitionTree::build(&dev, &pts, PTreeConfig::default());
         // A halfplane far above everything: reports all points.
         let h = HyperplaneD::new([1 << 25, 0]);
-        let (res, st) = t.query_halfspace_stats(&h, false);
+        let (res, io) = dev.measure(|| t.query_halfspace(&h, false));
         assert_eq!(res.len(), 8000);
         let pt_blocks = 8000u64.div_ceil(512 / 20);
-        assert!(st.ios <= pt_blocks + 8, "reporting everything cost {} IOs", st.ios);
+        assert!(io.total() <= pt_blocks + 8, "reporting everything cost {} IOs", io.total());
     }
 }

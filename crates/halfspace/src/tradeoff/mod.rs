@@ -59,16 +59,6 @@ impl Record for Node3 {
 type PtRec3 = ([i64; 3], u32);
 const NOAUX: u32 = u32::MAX;
 
-/// Statistics shared by the trade-off structures.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TradeoffStats {
-    pub ios: u64,
-    pub nodes_visited: usize,
-    pub leaf_queries: usize,
-    pub secondary_queries: usize,
-    pub reported: usize,
-}
-
 fn bbox3(items: &[PtRec3]) -> ([i64; 3], [i64; 3]) {
     let mut lo = items[0].0;
     let mut hi = items[0].0;
@@ -332,26 +322,12 @@ impl HybridTree3 {
     /// Report points strictly below `z = u·x + v·y + w` (`inclusive` adds
     /// points on it).
     pub fn query_below(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
-        self.query_below_stats(u, v, w, inclusive).0
-    }
-
-    pub fn query_below_stats(
-        &self,
-        u: i64,
-        v: i64,
-        w: i64,
-        inclusive: bool,
-    ) -> (Vec<u32>, TradeoffStats) {
-        let before = self.dev.stats();
-        let mut stats = TradeoffStats::default();
         let mut out = Vec::new();
         if self.n > 0 {
             let h: HyperplaneD<3> = HyperplaneD::new([w, u, v]);
-            self.visit(0, &h, u, v, w, inclusive, &mut stats, &mut out);
+            self.visit(0, &h, u, v, w, inclusive, &mut out);
         }
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        out
     }
 
     fn visit(
@@ -362,11 +338,9 @@ impl HybridTree3 {
         v: i64,
         w: i64,
         inclusive: bool,
-        stats: &mut TradeoffStats,
         out: &mut Vec<u32>,
     ) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         let cell = Aabb { lo: node.lo, hi: node.hi };
         match h.classify_box(&cell) {
             BoxSide::FullyAbove if !inclusive => {}
@@ -381,21 +355,11 @@ impl HybridTree3 {
             _ => {
                 if node.child_count > 0 {
                     for k in 0..node.child_count as usize {
-                        self.visit(
-                            node.child_start as usize + k,
-                            h,
-                            u,
-                            v,
-                            w,
-                            inclusive,
-                            stats,
-                            out,
-                        );
+                        self.visit(node.child_start as usize + k, h, u, v, w, inclusive, out);
                     }
                 } else {
                     // Leaf: delegate to the Section 4 structure, then remap
                     // local ids through the DFS range.
-                    stats.leaf_queries += 1;
                     let local = self.leaves[node.aux as usize].query_below(u, v, w, inclusive);
                     if !local.is_empty() {
                         let mut buf: Vec<PtRec3> = Vec::with_capacity(node.pts_len as usize);
@@ -665,26 +629,12 @@ impl ShallowTree3 {
     }
 
     pub fn query_below(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
-        self.query_below_stats(u, v, w, inclusive).0
-    }
-
-    pub fn query_below_stats(
-        &self,
-        u: i64,
-        v: i64,
-        w: i64,
-        inclusive: bool,
-    ) -> (Vec<u32>, TradeoffStats) {
-        let before = self.dev.stats();
-        let mut stats = TradeoffStats::default();
         let mut out = Vec::new();
         if self.n > 0 {
             let h: HyperplaneD<3> = HyperplaneD::new([w, u, v]);
-            self.visit(0, &h, inclusive, &mut stats, &mut out);
+            self.visit(0, &h, inclusive, &mut out);
         }
-        stats.reported = out.len();
-        stats.ios = self.dev.stats().since(before).total();
-        (out, stats)
+        out
     }
 
     fn report_range(
@@ -712,16 +662,8 @@ impl ShallowTree3 {
         }
     }
 
-    fn visit(
-        &self,
-        ni: usize,
-        h: &HyperplaneD<3>,
-        inclusive: bool,
-        stats: &mut TradeoffStats,
-        out: &mut Vec<u32>,
-    ) {
+    fn visit(&self, ni: usize, h: &HyperplaneD<3>, inclusive: bool, out: &mut Vec<u32>) {
         let node = self.nodes.get(ni);
-        stats.nodes_visited += 1;
         let cell = Aabb { lo: node.lo, hi: node.hi };
         match h.classify_box(&cell) {
             BoxSide::FullyAbove if !inclusive => return,
@@ -752,7 +694,6 @@ impl ShallowTree3 {
             // Not shallow at this node: answer with the secondary structure
             // (its input was the DFS slice, so local id j ↔ pts_off + j,
             // and the id is read back from the DFS file).
-            stats.secondary_queries += 1;
             let local = self.secondaries[node.aux as usize].query_halfspace(h, inclusive);
             if !local.is_empty() {
                 let mut buf: Vec<PtRec3> = Vec::with_capacity(node.pts_len as usize);
@@ -769,7 +710,7 @@ impl ShallowTree3 {
             self.report_range(c.pts_off, c.pts_len, h, false, inclusive, out);
         }
         for ci in crossed {
-            self.visit(ci, h, inclusive, stats, out);
+            self.visit(ci, h, inclusive, out);
         }
     }
 }
@@ -862,13 +803,19 @@ mod tests {
     fn shallow_secondary_fires_on_deep_planes() {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let pts = pseudo3(2000, 17, 10_000);
-        // A tiny κ forces the secondary path on nearly every query.
-        let t = ShallowTree3::build(&dev, &pts, ShallowConfig { kappa: 0.1, ..Default::default() });
-        let (got, st) = t.query_below_stats(1, 1, 0, false);
-        let mut got = got;
-        got.sort_unstable();
-        assert_eq!(got, brute(&pts, 1, 1, 0, false));
-        assert!(st.secondary_queries > 0, "expected the non-shallow fallback to fire");
+        // κ only sets the crossing thresholds, so both trees have the same
+        // layout: a tiny κ forces the secondary path on nearly every query,
+        // a huge one never takes it, and the two must read different pages
+        // for the same answer.
+        let [(deep, deep_io), (never, never_io)] = [0.1, 1e9].map(|kappa| {
+            let t = ShallowTree3::build(&dev, &pts, ShallowConfig { kappa, ..Default::default() });
+            let (mut got, io) = dev.measure(|| t.query_below(1, 1, 0, false));
+            got.sort_unstable();
+            (got, io)
+        });
+        assert_eq!(deep, brute(&pts, 1, 1, 0, false));
+        assert_eq!(never, deep);
+        assert_ne!(deep_io.reads, never_io.reads, "expected the non-shallow fallback to fire");
     }
 
     #[test]

@@ -40,8 +40,8 @@ fn main() {
     let table = ExternalScan::build(&dev_scan, &points);
 
     // WHERE PricePerShare - 10 * EarningsPerShare < 0  ⟺  y < 10·x.
-    let (hits, stats) = index.query_below_stats(10, 0, false);
-    let (scan_hits, scan_stats) = table.query_below(10, 0, false);
+    let (hits, io) = dev.measure(|| index.query_below(10, 0, false));
+    let (scan_hits, scan_io) = dev_scan.measure(|| table.query_below(10, 0, false));
     assert_eq!(
         {
             let mut a = hits.clone();
@@ -53,8 +53,8 @@ fn main() {
 
     println!("SELECT Name FROM Companies WHERE PricePerShare - 10*EarningsPerShare < 0;");
     println!("rows: {n}, matches: {}", hits.len());
-    println!("  Theorem 3.5 index : {:>6} IOs", stats.ios);
-    println!("  full table scan   : {:>6} IOs", scan_stats.ios);
+    println!("  Theorem 3.5 index : {:>6} IOs", io.total());
+    println!("  full table scan   : {:>6} IOs", scan_io.total());
     println!("sample answers:");
     for id in hits.iter().take(5) {
         let (name, eps, price) = &companies[*id as usize];

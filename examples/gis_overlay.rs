@@ -26,14 +26,8 @@ fn main() {
     // Survey triangle: x >= 20km, y >= 30km, x + y <= 90km.
     let survey: Simplex<2> =
         Simplex::new(vec![([-1, 0], -20_000), ([0, -1], -30_000), ([1, 1], 90_000)]);
-    let (inside, stats) = tree.query_simplex_stats(&survey);
-    println!(
-        "triangular survey area: {} sites inside, {} IOs ({} nodes, {} whole subtrees)",
-        inside.len(),
-        stats.ios,
-        stats.nodes_visited,
-        stats.subtrees_reported
-    );
+    let (inside, io) = dev.measure(|| tree.query_simplex(&survey));
+    println!("triangular survey area: {} sites inside, {} IOs", inside.len(), io.total());
     let brute = sites.iter().filter(|p| survey.contains_point(p)).count();
     assert_eq!(inside.len(), brute);
 
@@ -44,11 +38,11 @@ fn main() {
     let dev3 = Device::new(DeviceConfig::new(4096, 0));
     let tree3 = PartitionTree::build(&dev3, &sites3, PTreeConfig::default());
     let plane: HyperplaneD<3> = HyperplaneD::new([10_000, 5, -2]); // 10·z = ...
-    let (below, st3) = tree3.query_halfspace_stats(&plane, false);
+    let (below, io3) = dev3.measure(|| tree3.query_halfspace(&plane, false));
     println!(
         "3D linear constraint: {} sites below the inclined plane, {} IOs",
         below.len(),
-        st3.ios
+        io3.total()
     );
     let brute3 = sites3.iter().filter(|p| plane.strictly_below(p)).count();
     assert_eq!(below.len(), brute3);

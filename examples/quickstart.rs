@@ -27,15 +27,8 @@ fn main() {
     // Query: report all points with y <= 3x - 1_000_000_000 (strictly below
     // the line y = 3x - 10^9).
     let (m, c) = (3i64, -1_000_000_000i64);
-    let (result, stats) = index.query_below_stats(m, c, false);
-    println!(
-        "query y < {m}·x + {c}: {} points reported in {} IOs \
-         ({} clusterings visited, {} clusters read)",
-        result.len(),
-        stats.ios,
-        stats.clusterings_visited,
-        stats.clusters_read
-    );
+    let (result, io) = dev.measure(|| index.query_below(m, c, false));
+    println!("query y < {m}·x + {c}: {} points reported in {} IOs", result.len(), io.total());
 
     // Verify against a scan.
     let brute =

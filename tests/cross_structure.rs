@@ -52,10 +52,10 @@ fn all_2d_structures_agree() {
             let t = [0usize, 5, 100, 600][q as usize % 4];
             let (m, c) = halfplane_with_selectivity(&pts, t, 40, q);
             for inclusive in [false, true] {
-                let want = sorted(sc.query_below(m, c, inclusive).0);
+                let want = sorted(sc.query_below(m, c, inclusive));
                 assert_eq!(sorted(hs.query_below(m, c, inclusive)), want, "{dist:?} hs2d");
-                assert_eq!(sorted(kd.query_below(m, c, inclusive).0), want, "{dist:?} kd");
-                assert_eq!(sorted(rt.query_below(m, c, inclusive).0), want, "{dist:?} rtree");
+                assert_eq!(sorted(kd.query_below(m, c, inclusive)), want, "{dist:?} kd");
+                assert_eq!(sorted(rt.query_below(m, c, inclusive)), want, "{dist:?} rtree");
                 let h = HyperplaneD::new([c, m]);
                 assert_eq!(sorted(pt.query_halfspace(&h, inclusive)), want, "{dist:?} ptree");
                 assert_eq!(sorted(ph.query_halfspace(&h, inclusive)), want, "{dist:?} ptree-hs");
@@ -99,7 +99,7 @@ fn all_3d_structures_agree() {
                 assert_eq!(sorted(hs.query_below(u, v, w, inclusive)), want, "{dist:?} hs3d");
                 assert_eq!(sorted(hy.query_below(u, v, w, inclusive)), want, "{dist:?} hybrid");
                 assert_eq!(sorted(sh.query_below(u, v, w, inclusive)), want, "{dist:?} shallow");
-                assert_eq!(sorted(s3.query_below(u, v, w, inclusive).0), want, "{dist:?} scan3");
+                assert_eq!(sorted(s3.query_below(u, v, w, inclusive)), want, "{dist:?} scan3");
                 let h = HyperplaneD::new([w, u, v]);
                 assert_eq!(sorted(pt.query_halfspace(&h, inclusive)), want, "{dist:?} ptree3");
             }
@@ -192,7 +192,7 @@ fn differential_oracle_2d_500_mixed_queries() {
         let q = Query::Halfplane { m, c, inclusive };
         // The linear-scan reference, cross-checked against brute force.
         let mut want: Vec<u64> =
-            sc.query_below(m, c, inclusive).0.iter().map(|&i| i as u64).collect();
+            sc.query_below(m, c, inclusive).iter().map(|&i| i as u64).collect();
         want.sort_unstable();
         let brute: Vec<u64> = pts
             .iter()

@@ -12,10 +12,10 @@ fn query_io_counts_are_deterministic() {
     let dev = Device::new(DeviceConfig::new(512, 0));
     let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
     let (m, c) = halfplane_with_selectivity(&pts, 100, 30, 2);
-    let (r1, s1) = hs.query_below_stats(m, c, false);
-    let (r2, s2) = hs.query_below_stats(m, c, false);
+    let (r1, s1) = dev.measure(|| hs.query_below(m, c, false));
+    let (r2, s2) = dev.measure(|| hs.query_below(m, c, false));
     assert_eq!(r1.len(), r2.len());
-    assert_eq!(s1.ios, s2.ios, "uncached queries must cost the same every time");
+    assert_eq!(s1.total(), s2.total(), "uncached queries must cost the same every time");
 }
 
 #[test]
@@ -27,18 +27,18 @@ fn cache_reduces_but_never_changes_answers() {
     let dev_warm = Device::new(DeviceConfig::new(512, 256));
     let hs_warm = HalfspaceRS2::build(&dev_warm, &pts, Hs2dConfig::default());
     let (m, c) = halfplane_with_selectivity(&pts, 150, 30, 4);
-    let (mut r_cold, s_cold) = hs_cold.query_below_stats(m, c, false);
+    let (mut r_cold, s_cold) = dev_cold.measure(|| hs_cold.query_below(m, c, false));
     // Warm the cache with one query, then measure the second.
-    let _ = hs_warm.query_below_stats(m, c, false);
-    let (mut r_warm, s_warm) = hs_warm.query_below_stats(m, c, false);
+    let _ = hs_warm.query_below(m, c, false);
+    let (mut r_warm, s_warm) = dev_warm.measure(|| hs_warm.query_below(m, c, false));
     r_cold.sort_unstable();
     r_warm.sort_unstable();
     assert_eq!(r_cold, r_warm);
     assert!(
-        s_warm.ios < s_cold.ios,
+        s_warm.total() < s_cold.total(),
         "a warm cache must absorb IOs: warm {} vs cold {}",
-        s_warm.ios,
-        s_cold.ios
+        s_warm.total(),
+        s_cold.total()
     );
 }
 

@@ -43,9 +43,9 @@ fn hs2d_small_queries_do_not_scale_with_n() {
         let mut worst = 0u64;
         for q in 0..8u64 {
             let (m, c) = halfplane_with_selectivity(&pts, b, 40, q);
-            let (res, st) = hs.query_below_stats(m, c, false);
+            let (res, io) = dev.measure(|| hs.query_below(m, c, false));
             assert_eq!(res.len(), b);
-            worst = worst.max(st.ios);
+            worst = worst.max(io.total());
         }
         ios.push(worst);
     }
@@ -118,14 +118,14 @@ fn adversarial_separation_holds() {
     let hs = HalfspaceRS2::build(&dev, &pts, Hs2dConfig::default());
     let dev_kd = Device::new(DeviceConfig::new(page, 0));
     let kd = ExternalKdTree::build(&dev_kd, &pts);
-    let (r1, s1) = hs.query_below_stats(1, -1, false);
-    let (r2, s2) = kd.query_below(1, -1, false);
+    let (r1, s1) = dev.measure(|| hs.query_below(1, -1, false));
+    let (r2, s2) = dev_kd.measure(|| kd.query_below(1, -1, false));
     assert!(r1.is_empty() && r2.is_empty());
     assert!(
-        s1.ios * 10 <= s2.ios,
+        s1.total() * 10 <= s2.total(),
         "expected ≥10x separation, got hs2d {} vs kd {}",
-        s1.ios,
-        s2.ios
+        s1.total(),
+        s2.total()
     );
 }
 

@@ -16,20 +16,23 @@
 //! id map that repeats an id or names one past the point count. So is a
 //! shard manifest whose 2D or 3D id maps repeat an id across two shards
 //! or name one past the point count, and a sharded catalog whose shard
-//! directories were swapped or replaced by a shard of other kinds.
+//! directories were swapped or replaced by a shard of other kinds. So are
+//! checksummed kd-tree and R-tree node pages that no query can walk: a
+//! cycle, a shared child, a child or leaf range past the end of its file,
+//! leaves that miss a point, a path deeper than 64, a bad leaf tag.
 
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use lcrs::baselines::{ExternalScan, ExternalScan3};
+use lcrs::baselines::{ExternalKdTree, ExternalScan, ExternalScan3, StrRTree};
 use lcrs::engine::{
-    load_index, IndexSet, LiftedIndex, LiveIndex, RangeIndex, ShardConfig, ShardedIndexSet,
+    load_index, IndexSet, LiftedIndex, LiveIndex, Query, RangeIndex, ShardConfig, ShardedIndexSet,
     SnapshotCatalog, LIVE_MANIFEST, SHARD_MANIFEST,
 };
 use lcrs::extmem::{
-    Device, DeviceConfig, DeviceHandle, MetaReader, MetaWriter, PageId, SnapshotError, TempDir,
-    VecFile,
+    Device, DeviceConfig, DeviceHandle, IoStats, MetaReader, MetaWriter, PageId, SnapshotError,
+    TempDir, VecFile,
 };
 use lcrs::geom::plane3::Plane3;
 use lcrs::halfspace::dynamic::{
@@ -737,4 +740,194 @@ fn shard_catalog_of_other_kinds_is_typed_at_open() {
         std::fs::copy(file.path(), shard1.join(file.file_name())).unwrap();
     }
     expect_meta_error("a shard of other kinds", ShardedIndexSet::from_catalog(dir.path(), 0));
+}
+
+/// A kd-tree or R-tree over 1200 points on 256-byte pages whose device is
+/// not frozen yet: node fields can still be rewritten with `write_page`,
+/// so a corrupted tree still passes every snapshot checksum.
+struct TreeUnderTest {
+    kind: &'static str,
+    dev: Device,
+    tree: Box<dyn RangeIndex>,
+    /// Node record size, first page and length of the node file.
+    node_bytes: usize,
+    first: u64,
+    nodes: usize,
+    /// Records in the point file.
+    points: usize,
+    root: usize,
+}
+
+/// `(byte offset, width)` of the node fields the corruptions rewrite
+/// (little-endian, as `Record` stores integers).
+const KD_LEFT: (usize, usize) = (32, 4);
+const KD_RIGHT: (usize, usize) = (36, 4);
+const KD_PTS_OFF: (usize, usize) = (40, 8);
+const KD_PTS_LEN: (usize, usize) = (48, 8);
+const R_START: (usize, usize) = (32, 8);
+const R_COUNT: (usize, usize) = (40, 4);
+const R_LEAF: (usize, usize) = (44, 1);
+
+impl TreeUnderTest {
+    fn build(kind: &'static str) -> TreeUnderTest {
+        let dev = Device::new(DeviceConfig::new(256, 0));
+        let pts = points2(Dist2::Uniform, 1200, 1 << 16, 17);
+        let (tree, node_bytes): (Box<dyn RangeIndex>, usize) = match kind {
+            "kdtree" => (Box::new(ExternalKdTree::build(&dev, &pts)), 72),
+            _ => (Box::new(StrRTree::build(&dev, &pts)), 45),
+        };
+        // Both metadata layouts open with the node file, then the point
+        // file; the R-tree's root index follows.
+        let mut r = MetaReader::from_bytes(tree_meta(tree.as_ref())).unwrap();
+        let (first, nodes) = (r.u64().unwrap(), r.usize().unwrap());
+        let (_, points) = (r.u64().unwrap(), r.usize().unwrap());
+        let root = if kind == "rtree" { r.usize().unwrap() } else { 0 };
+        TreeUnderTest { kind, dev, tree, node_bytes, first, nodes, points, root }
+    }
+
+    fn locate(&self, node: usize) -> (PageId, usize) {
+        let per = 256 / self.node_bytes;
+        (PageId(self.first + (node / per) as u64), node % per * self.node_bytes)
+    }
+
+    fn field(&self, node: usize, (at, width): (usize, usize)) -> usize {
+        let (page, off) = self.locate(node);
+        let mut v = [0u8; 8];
+        self.dev.read_page(page, |b| v[..width].copy_from_slice(&b[off + at..][..width]));
+        u64::from_le_bytes(v) as usize
+    }
+
+    fn set(&self, node: usize, (at, width): (usize, usize), v: usize) {
+        let (page, off) = self.locate(node);
+        let bytes = (v as u64).to_le_bytes();
+        self.dev.write_page(page, |b| b[off + at..][..width].copy_from_slice(&bytes[..width]));
+    }
+
+    /// A leaf a query can reach: follow first children from the root.
+    fn reachable_leaf(&self) -> usize {
+        let mut i = self.root;
+        if self.kind == "kdtree" {
+            while self.field(i, KD_LEFT) != 0 {
+                i = self.field(i, KD_LEFT);
+            }
+        } else {
+            while self.field(i, R_LEAF) == 0 {
+                i = self.field(i, R_START);
+            }
+        }
+        i
+    }
+
+    /// Freeze the pages into a snapshot under `dir` and load the tree back
+    /// through `load_index` on an 8-page cache.
+    fn reopen(&self, dir: &TempDir) -> Result<(Device, Box<dyn RangeIndex>), SnapshotError> {
+        let path = dir.file(&format!("{}.pages", self.kind));
+        self.dev.freeze_to_path(&path).unwrap();
+        let re = Device::open_snapshot(&path, 8)?;
+        let mut r = MetaReader::from_bytes(tree_meta(self.tree.as_ref()))?;
+        let tree = load_index(self.kind, &re, &mut r)?;
+        Ok((re, tree))
+    }
+}
+
+fn tree_meta(tree: &dyn RangeIndex) -> Vec<u8> {
+    let mut w = MetaWriter::new();
+    tree.save_meta(&mut w);
+    w.into_bytes()
+}
+
+/// A kd-tree or R-tree whose node pages are correctly checksummed but
+/// describe no tree a query can walk must fail `load_index` with a typed
+/// error. Unchecked, a cycle makes a query recurse until the stack
+/// overflows (an abort no `catch_unwind` contains), and a child or point
+/// range past the end of its file panics in `VecFile`'s bounds asserts.
+/// A path deeper than any `build` makes is refused too, before a long
+/// enough one could overflow the query's recursion. The load-time walk
+/// runs on a fork, so the intact tree reopens with zeroed stats and an
+/// empty cache.
+#[test]
+fn checksummed_tree_cycles_and_ranges_are_typed_at_load() {
+    let dir = TempDir::new("lcrs-corrupt-trees");
+    let queries: Vec<Query> = [(0, 0), (3, 5000), (-7, -20_000)]
+        .map(|(m, c)| Query::Halfplane { m, c, inclusive: true })
+        .into();
+    for kind in ["kdtree", "rtree"] {
+        let t = TreeUnderTest::build(kind);
+        let want: Vec<Vec<u64>> = queries.iter().map(|q| t.tree.execute(q)).collect();
+        let (re, tree) = t.reopen(&dir).unwrap_or_else(|e| panic!("intact {kind}: {e}"));
+        assert_eq!((re.stats(), re.cached_pages()), (IoStats::default(), 0), "{kind}");
+        assert_eq!(queries.iter().map(|q| tree.execute(q)).collect::<Vec<_>>(), want, "{kind}");
+    }
+
+    // (kind, corruption, what the error must name, the corruption)
+    let corruptions: [(&str, &str, &str, fn(&TreeUnderTest)); 13] = [
+        ("kdtree", "a self-cycle", "node 1 is reached twice", |t| {
+            let l = t.field(0, KD_LEFT);
+            t.set(l, KD_LEFT, l);
+        }),
+        ("kdtree", "a child past the end", "node 0 has children", |t| t.set(0, KD_RIGHT, t.nodes)),
+        ("kdtree", "a shared child", "reached twice", |t| t.set(0, KD_RIGHT, t.field(0, KD_LEFT))),
+        ("kdtree", "a leaf past the points", "holds points 1200+", |t| {
+            t.set(t.reachable_leaf(), KD_PTS_OFF, t.points)
+        }),
+        ("kdtree", "leaves that miss a point", "hold 1199 points", |t| {
+            let leaf = t.reachable_leaf();
+            t.set(leaf, KD_PTS_LEN, t.field(leaf, KD_PTS_LEN) - 1)
+        }),
+        ("kdtree", "a path 65 deep", "deeper than 64", |t| {
+            // Nodes 0..=64 chain through their left children; each right
+            // child is a distinct leaf among nodes 65..129.
+            assert!(t.nodes > 129);
+            for i in 0..64 {
+                t.set(i, KD_LEFT, i + 1);
+                t.set(i, KD_RIGHT, 65 + i);
+                t.set(65 + i, KD_LEFT, 0);
+                t.set(65 + i, KD_RIGHT, 0);
+            }
+        }),
+        ("rtree", "a self-cycle", "reached twice", |t| {
+            t.set(t.root, R_START, t.root);
+            t.set(t.root, R_COUNT, 1);
+        }),
+        ("rtree", "a child past the end", "spans", |t| t.set(t.root, R_START, t.nodes)),
+        ("rtree", "a shared child", "reached twice", |t| {
+            let c = t.field(t.root, R_START);
+            t.set(c + 1, R_START, t.field(c, R_START));
+            t.set(c + 1, R_COUNT, t.field(c, R_COUNT));
+        }),
+        ("rtree", "a leaf past the points", "spans 1200+", |t| {
+            t.set(t.reachable_leaf(), R_START, t.points)
+        }),
+        ("rtree", "leaves that miss a point", "hold 1199 points", |t| {
+            let leaf = t.reachable_leaf();
+            t.set(leaf, R_COUNT, t.field(leaf, R_COUNT) - 1)
+        }),
+        ("rtree", "a leaf tag of 2", "is tagged 2", |t| t.set(t.reachable_leaf(), R_LEAF, 2)),
+        ("rtree", "a path 67 deep", "deeper than 64", |t| {
+            // The root's one child starts a chain of one-child nodes
+            // 0..65 that ends in a leaf holding every point.
+            assert!(t.root > 65);
+            t.set(t.root, R_START, 0);
+            t.set(t.root, R_COUNT, 1);
+            for i in 0..65 {
+                t.set(i, R_LEAF, 0);
+                t.set(i, R_START, i + 1);
+                t.set(i, R_COUNT, 1);
+            }
+            t.set(65, R_LEAF, 1);
+            t.set(65, R_START, 0);
+            t.set(65, R_COUNT, t.points);
+        }),
+    ];
+    for (kind, what, names, corrupt) in corruptions {
+        let t = TreeUnderTest::build(kind);
+        corrupt(&t);
+        match t.reopen(&dir) {
+            Err(SnapshotError::Meta { detail, .. }) => {
+                assert!(detail.contains(names), "{kind}, {what}: {detail}")
+            }
+            Err(e) => panic!("{kind}, {what}: expected a metadata error, got {e}"),
+            Ok(_) => panic!("{kind}, {what}: the corrupted tree loaded"),
+        }
+    }
 }
