@@ -4,11 +4,12 @@
 # is a strict superset of `cargo test -q` (root package included), so
 # tier-1 failure detection is covered without running the root suites
 # twice. The rest extends coverage to every bench/example target (and
-# runs every example), the end-to-end benchmark's build and unit tests,
-# the engine smoke experiments (each emitting a machine-readable
-# BENCH_<name>.json), a read-IO regression gate against the committed
-# BENCH_baseline.json, a formatting gate, a zero-warning rustdoc gate,
-# and a zero-warning clippy sweep.
+# runs every example), the end-to-end benchmark's build, unit tests and
+# one short traced run of each of its workloads, the engine smoke
+# experiments (each emitting a machine-readable BENCH_<name>.json), a
+# read-IO regression gate against the committed BENCH_baseline.json, a
+# formatting gate, a zero-warning rustdoc gate, and a zero-warning
+# clippy sweep.
 #
 # Usage:
 #   ./ci.sh                    run every gate
@@ -69,6 +70,20 @@ stage examples         run_examples
 # the benchmark run.
 stage perfbench-build  cargo build --release --offline --manifest-path perfbench/Cargo.toml
 stage perfbench-test   cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+# Run every benchmark workload once, short and traced. Each run checks
+# every answer, and that its traced pass reproduces the untraced pass's
+# page reads and hits, and exits non-zero otherwise; run records go to the
+# gitignored .bench_out/.
+perfbench_smoke() {
+    local w
+    for w in serve-mixed shard-batch live-churn; do
+        echo "[ci] perfbench $w"
+        cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed 1 --seconds 1 --trace 1 || return 1
+    done
+}
+stage perfbench-smoke  perfbench_smoke
 
 # Smoke-run the engine experiments end to end; each asserts its own
 # differential invariants (see the bench headers) and writes

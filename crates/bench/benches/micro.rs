@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lcrs_extmem::btree::BPlusTree;
-use lcrs_extmem::{Device, DeviceConfig};
+use lcrs_extmem::{Device, DeviceConfig, PageId, TempDir};
 use lcrs_geom::envelope::LowerEnvelope;
 use lcrs_geom::level::level_vertices;
 use lcrs_geom::line2::Line2;
@@ -117,9 +117,51 @@ fn bench_queries(c: &mut Criterion) {
     });
 }
 
+/// One page access through a scope: its lock, its LRU and, on a reopened
+/// store, the page's frame (hit) or one `pread` (miss). Each iteration is
+/// one access to the next page of a cycle over `pages` pages, warmed once;
+/// the check after each cell pins that it timed only hits or only misses.
+fn bench_page_path(c: &mut Criterion) {
+    const PAGE: usize = 1024;
+    let cell = |c: &mut Criterion, name: &str, dev: &Device, pages: u64, hits: bool| {
+        for p in 0..pages {
+            dev.read_page(PageId(p), |b| b[0]);
+        }
+        let before = dev.stats();
+        let mut next = 0u64;
+        c.bench_function(name, |bch| {
+            bch.iter(|| {
+                let p = next;
+                next = (next + 1) % pages;
+                dev.read_page(PageId(p), |b| b[0])
+            })
+        });
+        let d = dev.stats().since(before);
+        let wrong = if hits { d.reads } else { d.cache_hits };
+        assert!(d.total() + d.cache_hits > 0 && wrong == 0, "{name} timed a mixed stream: {d:?}");
+    };
+    let frozen = |cache_pages: usize, pages: u64| {
+        let dev = Device::new(DeviceConfig::new(PAGE, cache_pages));
+        dev.alloc_pages(pages as usize);
+        dev.freeze();
+        dev
+    };
+    cell(c, "page_hit_mem_cache32", &frozen(32, 32), 32, true);
+    cell(c, "page_hit_mem_cache1m_res4096", &frozen(1 << 20, 4096), 4096, true);
+    // 33 pages cycled through a 32-page LRU: every access evicts the page
+    // read next.
+    cell(c, "page_miss_mem_cache32", &frozen(32, 33), 33, false);
+
+    let dir = TempDir::new("lcrs-micro-page-path");
+    let path = dir.file("p.pages");
+    frozen(0, 33).freeze_to_path(&path).unwrap();
+    cell(c, "page_hit_file_cache32", &Device::open_snapshot(&path, 32).unwrap(), 32, true);
+    cell(c, "page_miss_file_cache32", &Device::open_snapshot(&path, 32).unwrap(), 33, false);
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_predicates, bench_envelope, bench_level_walk, bench_btree, bench_hull3, bench_queries
+    targets = bench_predicates, bench_envelope, bench_level_walk, bench_btree, bench_hull3, bench_queries, bench_page_path
 }
 criterion_main!(benches);

@@ -14,11 +14,13 @@
 //! read-only, file-backed store — same handles, same fork semantics, same
 //! IO accounting, so an index built once can serve queries from any number
 //! of later processes without rebuilding. Each scope keeps the bytes of its
-//! resident file-backed pages in *frames* (DESIGN.md §13): a cache hit is
-//! served from its frame with no syscall, a miss is one `pread`, so preads
-//! issued equal the model's read IOs.
+//! resident file-backed pages in *frames* (DESIGN.md §13), one per resident
+//! page, in the page's LRU slot: a cache hit is served from its frame with no
+//! syscall, a miss is one `pread`, so preads issued equal the model's read
+//! IOs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -169,28 +171,70 @@ impl Store {
 /// held stays valid until the closure returns.
 type Frame = Arc<[u8]>;
 
-/// Per-scope mutable state: the LRU cache, the IO counters, and the frames
-/// that hold the bytes of resident file-backed pages. One of these exists
-/// per [`DeviceHandle`] scope, so readers never contend on it.
+/// A page as a scope's LRU knows it: (store id, page id), so a scope
+/// spanning several stores never conflates their pages.
+type PageKey = (u64, PageId);
+
+/// Multiply-rotate hashing for [`PageKey`]s, in place of std's SipHash:
+/// each `write_u64` adds its word and multiplies by an odd constant, and
+/// `finish` rotates the product's well-mixed high bits down to the low bits
+/// the map takes its bucket from (low product bits depend only on low key
+/// bits, so page ids a power of two apart would share a bucket). The keys
+/// are store ids the process assigns and page ids checked against the store
+/// before they reach the map, which holds at most `cache_pages` of them, so
+/// SipHash's resistance to crafted colliding keys is not needed here.
+#[derive(Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// End of the recency list.
+const NIL: usize = usize::MAX;
+
+/// One resident page of a scope: its key, its neighbours in the recency
+/// list (indices into the slab), and, for a file-backed page, its frame.
+/// Memory-backed pages have no frame: their bytes are in RAM already.
+struct Slot {
+    key: PageKey,
+    /// The next more recently used slot, or [`NIL`] at the head.
+    prev: usize,
+    /// The next less recently used slot, or [`NIL`] at the tail.
+    next: usize,
+    frame: Option<Frame>,
+}
+
+/// Per-scope mutable state: the IO counters and a clean LRU cache (pages
+/// are write-through, so eviction never writes) whose slots also hold the
+/// frames of resident file-backed pages. One of these exists per
+/// [`DeviceHandle`] scope, so readers never contend on it.
+///
+/// Every resident page has one slot in `slots`, found through `index` and
+/// linked into a list from the most recently used page (`head`) to the
+/// least (`tail`). A hit is one map probe and a relink; a miss at capacity
+/// reuses the tail slot, whose page is the least recently touched — the
+/// victim a scan for the oldest use would pick, so IO counts are
+/// deterministic. Slots are never freed one by one: the slab only grows to
+/// `cache_pages` and empties on [`DeviceHandle::clear_cache`].
 struct HandleState {
     stats: IoStats,
-    /// Clean LRU cache: pages are write-through, so eviction never writes.
-    /// `cache` maps a resident page (keyed by store id + page id, so a
-    /// scope spanning several stores never conflates their pages) to its
-    /// last-use tick; `by_tick` is the exact inverse (ticks are unique),
-    /// kept ordered so the LRU victim is always the first entry. Promotion
-    /// and eviction are O(log cache) — the batch engine runs with caches
-    /// of thousands of pages, where a per-access linear scan would distort
-    /// wall-clock measurements.
-    cache: HashMap<(u64, PageId), u64>,
-    by_tick: BTreeMap<u64, (u64, PageId)>,
-    tick: u64,
-    /// The frame of every resident page of a file-backed store, keyed as
-    /// in `cache`. A page enters `frames` when its miss is accounted and
-    /// leaves when the LRU evicts it or the cache is cleared, so a hit is
-    /// served with no syscall. Memory-backed pages have no frame: their
-    /// bytes are in RAM already.
-    frames: HashMap<(u64, PageId), Frame>,
+    index: HashMap<PageKey, usize, BuildHasherDefault<PageKeyHasher>>,
+    slots: Vec<Slot>,
+    head: usize,
+    tail: usize,
     /// Unshared frames for the next misses: at most `cache_pages` of them
     /// (one for an uncached scope), so a warm scope allocates nothing.
     spare: Vec<Frame>,
@@ -200,56 +244,97 @@ impl HandleState {
     fn new() -> Self {
         HandleState {
             stats: IoStats::default(),
-            cache: HashMap::new(),
-            by_tick: BTreeMap::new(),
-            tick: 0,
-            frames: HashMap::new(),
+            index: HashMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
             spare: Vec::new(),
         }
     }
 
-    fn touch(&mut self, cache_pages: usize, key: (u64, PageId)) {
-        self.tick += 1;
-        let tick = self.tick;
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].prev = NIL;
+        self.slots[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Make a resident page the most recently used one; its slot, or
+    /// `None` if `key` is not resident.
+    fn promote(&mut self, key: PageKey) -> Option<usize> {
+        let i = *self.index.get(&key)?;
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+        Some(i)
+    }
+
+    /// Make a page that is not resident the most recently used one,
+    /// evicting the least recently used page (and recycling its frame) if
+    /// the scope already holds `cache_pages`. Returns the page's slot, with
+    /// no frame, or `None` in an uncached scope.
+    fn insert(&mut self, cache_pages: usize, key: PageKey) -> Option<usize> {
         if cache_pages == 0 {
-            return;
+            return None;
         }
-        if let Some(t) = self.cache.get_mut(&key) {
-            self.by_tick.remove(t);
-            *t = tick;
-            self.by_tick.insert(tick, key);
-            return;
-        }
-        if self.cache.len() >= cache_pages {
-            // Evict the least recently used page: the smallest tick. This
-            // picks the same victim a full scan would (ticks are unique),
-            // so IO counts are deterministic. A file-backed victim's frame
-            // goes with it.
-            if let Some((_, victim)) = self.by_tick.pop_first() {
-                self.cache.remove(&victim);
-                if !self.frames.is_empty() {
-                    if let Some(frame) = self.frames.remove(&victim) {
-                        recycle(&mut self.spare, cache_pages, frame);
-                    }
-                }
+        let i = if self.slots.len() >= cache_pages {
+            let i = self.tail;
+            self.unlink(i);
+            let victim = &mut self.slots[i];
+            self.index.remove(&victim.key);
+            victim.key = key;
+            if let Some(frame) = victim.frame.take() {
+                recycle(&mut self.spare, cache_pages, frame);
             }
-        }
-        self.cache.insert(key, tick);
-        self.by_tick.insert(tick, key);
-    }
-
-    fn account_read(&mut self, cache_pages: usize, key: (u64, PageId)) {
-        if cache_pages > 0 && self.cache.contains_key(&key) {
-            self.stats.cache_hits += 1;
+            i
         } else {
-            self.stats.reads += 1;
-        }
-        self.touch(cache_pages, key);
+            self.slots.push(Slot { key, prev: NIL, next: NIL, frame: None });
+            self.slots.len() - 1
+        };
+        self.index.insert(key, i);
+        self.push_front(i);
+        Some(i)
     }
 
-    fn account_write(&mut self, cache_pages: usize, key: (u64, PageId)) {
+    /// If `key` is resident, charge a hit and make it the most recently
+    /// used page; its slot.
+    fn hit(&mut self, key: PageKey) -> Option<usize> {
+        let i = self.promote(key)?;
+        self.stats.cache_hits += 1;
+        Some(i)
+    }
+
+    /// Charge a read of `key` — a hit if it is resident, else a read IO —
+    /// and make it the most recently used page. Returns its slot, or
+    /// `None` in an uncached scope.
+    fn account_read(&mut self, cache_pages: usize, key: PageKey) -> Option<usize> {
+        self.hit(key).or_else(|| {
+            self.stats.reads += 1;
+            self.insert(cache_pages, key)
+        })
+    }
+
+    fn account_write(&mut self, cache_pages: usize, key: PageKey) {
         self.stats.writes += 1;
-        self.touch(cache_pages, key);
+        if self.promote(key).is_none() {
+            self.insert(cache_pages, key);
+        }
     }
 }
 
@@ -427,10 +512,10 @@ impl DeviceHandle {
         let cache_pages = self.store.cfg.cache_pages;
         let key = (self.store.id, id);
         let mut state = self.state.lock().unwrap();
-        let mut frame = if let Some(frame) = state.frames.get(&key).cloned() {
-            state.account_read(cache_pages, key);
+        let mut frame = if let Some(i) = state.hit(key) {
+            let frame = state.slots[i].frame.clone();
             drop(state);
-            frame
+            frame.expect("a resident file-backed page holds its frame")
         } else {
             // The pread runs outside the scope lock, so a failed read
             // panics before any counter or LRU change and poisons nothing.
@@ -442,12 +527,11 @@ impl DeviceHandle {
             };
             sf.read_page_into(id.0, Arc::get_mut(&mut frame).expect("spare frames are unshared"));
             let mut state = self.state.lock().unwrap();
-            state.account_read(cache_pages, key);
-            if cache_pages > 0 {
+            if let Some(i) = state.account_read(cache_pages, key) {
                 let state = &mut *state;
                 // Another reader of this scope may have loaded the page
                 // meanwhile; keep one frame.
-                if let Some(old) = state.frames.insert(key, Arc::clone(&frame)) {
+                if let Some(old) = state.slots[i].frame.replace(Arc::clone(&frame)) {
                     recycle(&mut state.spare, cache_pages, old);
                 }
             }
@@ -497,17 +581,17 @@ impl DeviceHandle {
     /// without touching the counters. Used to measure cold-cache queries.
     pub fn clear_cache(&self) {
         let mut state = self.state.lock().unwrap();
-        let HandleState { cache, by_tick, frames, spare, .. } = &mut *state;
-        cache.clear();
-        by_tick.clear();
-        for (_, frame) in frames.drain() {
+        let HandleState { index, slots, head, tail, spare, .. } = &mut *state;
+        index.clear();
+        for frame in slots.drain(..).filter_map(|slot| slot.frame) {
             recycle(spare, self.store.cfg.cache_pages, frame);
         }
+        (*head, *tail) = (NIL, NIL);
     }
 
     /// Number of pages currently resident in this scope's cache.
     pub fn cached_pages(&self) -> usize {
-        self.state.lock().unwrap().cache.len()
+        self.state.lock().unwrap().slots.len()
     }
 }
 
@@ -1105,8 +1189,9 @@ mod tests {
             let d = re.stats().since(before);
             assert_eq!((d.reads, d.cache_hits), (2, 0), "round {round}");
             let state = re.state.lock().unwrap();
+            let resident = state.slots.iter().filter(|slot| slot.frame.is_some()).count();
             assert_eq!(
-                (state.frames.len(), state.spare.len()),
+                (resident, state.spare.len()),
                 (1, 1),
                 "round {round}: one resident frame and one spare, not one per access"
             );

@@ -72,13 +72,15 @@ fn get_many_pays_one_io_per_page() {
     }
 }
 
-/// Reference LRU with the pre-optimization linear-scan eviction, driven in
-/// lockstep with the device to pin that the O(log) BTreeMap eviction picks
-/// bit-identical victims (ticks are unique, so "min last-used tick" is a
-/// deterministic choice either way).
+/// Reference LRU with a linear-scan eviction of the page with the oldest
+/// last use, driven in lockstep with the device to pin that its slab LRU
+/// (a recency list whose tail is the victim) picks bit-identical victims:
+/// ticks are unique, so "min last-used tick" is a deterministic choice
+/// either way. Pages are keyed by (store id, page id), as in a scope that
+/// spans several stores.
 struct ModelLru {
     cap: usize,
-    entries: Vec<(u64, u64)>, // (page, last-used tick)
+    entries: Vec<((u64, u64), u64)>, // ((store, page), last-used tick)
     tick: u64,
     reads: u64,
     writes: u64,
@@ -90,12 +92,12 @@ impl ModelLru {
         ModelLru { cap, entries: Vec::new(), tick: 0, reads: 0, writes: 0, hits: 0 }
     }
 
-    fn touch(&mut self, page: u64) {
+    fn touch(&mut self, key: (u64, u64)) {
         self.tick += 1;
         if self.cap == 0 {
             return;
         }
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) {
             e.1 = self.tick;
             return;
         }
@@ -104,53 +106,80 @@ impl ModelLru {
                 self.entries.iter().enumerate().min_by_key(|(_, e)| e.1).map(|(i, _)| i).unwrap();
             self.entries.swap_remove(victim);
         }
-        self.entries.push((page, self.tick));
+        self.entries.push((key, self.tick));
     }
 
-    fn read(&mut self, page: u64) {
-        if self.cap > 0 && self.entries.iter().any(|e| e.0 == page) {
+    fn read(&mut self, key: (u64, u64)) {
+        if self.cap > 0 && self.entries.iter().any(|e| e.0 == key) {
             self.hits += 1;
         } else {
             self.reads += 1;
         }
-        self.touch(page);
+        self.touch(key);
     }
 
-    fn write(&mut self, page: u64) {
+    fn write(&mut self, key: (u64, u64)) {
         self.writes += 1;
-        self.touch(page);
+        self.touch(key);
+    }
+
+    fn counts(&self) -> (u64, u64, u64) {
+        (self.reads, self.writes, self.hits)
     }
 }
 
+/// A seeded LCG for the lockstep traces.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed;
+    move || {
+        s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        s >> 33
+    }
+}
+
+/// The bytes of page `p` of a lockstep test's snapshot.
+fn snapshot_page(p: u64) -> Vec<u8> {
+    (0..64u64).map(|i| (p * 7 + i * 13) as u8).collect()
+}
+
+/// A 64-byte-page snapshot of `universe` pages holding [`snapshot_page`].
+fn write_snapshot(dir: &TempDir, name: &str, universe: u64) -> std::path::PathBuf {
+    let dev = Device::new(DeviceConfig::new(64, 0));
+    dev.alloc_pages(universe as usize);
+    for p in 0..universe {
+        dev.write_page(PageId(p), |b| b.copy_from_slice(&snapshot_page(p)));
+    }
+    let path = dir.file(name);
+    dev.freeze_to_path(&path).unwrap();
+    path
+}
+
 #[test]
-fn btreemap_lru_matches_linear_scan_reference_exactly() {
+fn lru_matches_linear_scan_reference_exactly() {
     for cache_pages in [0usize, 1, 3, 17] {
         let dev = Device::new(DeviceConfig::new(64, cache_pages));
         let universe = 50u64;
         dev.alloc_pages(universe as usize);
+        let store = dev.store_id();
         let mut model = ModelLru::new(cache_pages);
-        let mut s = 0xfeed_0000 + cache_pages as u64;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s >> 33
-        };
+        let mut next = lcg(0xfeed_0000 + cache_pages as u64);
         for step in 0..4000 {
             let p = next() % universe;
             match next() % 10 {
                 0..=5 => {
-                    dev.read_page(lcrs::extmem::PageId(p), |_| ());
-                    model.read(p);
+                    dev.read_page(PageId(p), |_| ());
+                    model.read((store, p));
                 }
                 6..=7 => {
-                    dev.write_page(lcrs::extmem::PageId(p), |b| b[0] = step as u8);
-                    model.write(p);
+                    dev.write_page(PageId(p), |b| b[0] = step as u8);
+                    model.write((store, p));
                 }
                 8 => {
                     // A read, then a write: two ticks in both worlds.
-                    dev.read_page(lcrs::extmem::PageId(p), |_| ());
-                    dev.write_page(lcrs::extmem::PageId(p), |b| b[0] ^= 1);
-                    model.read(p);
-                    model.write(p);
+                    dev.read_page(PageId(p), |_| ());
+                    dev.write_page(PageId(p), |b| b[0] ^= 1);
+                    model.read((store, p));
+                    model.write((store, p));
                 }
                 _ => {
                     dev.clear_cache();
@@ -160,7 +189,7 @@ fn btreemap_lru_matches_linear_scan_reference_exactly() {
             let st = dev.stats();
             assert_eq!(
                 (st.reads, st.writes, st.cache_hits),
-                (model.reads, model.writes, model.hits),
+                model.counts(),
                 "divergence at step {step} with cache={cache_pages}"
             );
         }
@@ -175,28 +204,22 @@ fn frames_of_a_reopened_device_match_the_reference_lru_exactly() {
     // (reads, hits) stream must be the reference LRU's step by step.
     let dir = TempDir::new("lcrs-frames-model");
     let universe = 50u64;
-    let page = |p: u64| -> Vec<u8> { (0..64u64).map(|i| (p * 7 + i * 13) as u8).collect() };
-    let dev = Device::new(DeviceConfig::new(64, 0));
-    dev.alloc_pages(universe as usize);
-    for p in 0..universe {
-        dev.write_page(PageId(p), |b| b.copy_from_slice(&page(p)));
-    }
-    let path = dir.file("model.pages");
-    dev.freeze_to_path(&path).unwrap();
+    let path = write_snapshot(&dir, "model.pages", universe);
     for cache_pages in [0usize, 1, 3, 17] {
         let re = Device::open_snapshot(&path, cache_pages).unwrap();
+        let store = re.store_id();
         let mut model = ModelLru::new(cache_pages);
-        let mut s = 0xf4a3_0000 + cache_pages as u64;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s >> 33
-        };
+        let mut next = lcg(0xf4a3_0000 + cache_pages as u64);
         for step in 0..4000 {
             let p = next() % universe;
             if next() % 10 < 9 {
                 let bytes = re.read_page(PageId(p), |b| b.to_vec());
-                assert_eq!(bytes, page(p), "page {p} at step {step} with cache={cache_pages}");
-                model.read(p);
+                assert_eq!(
+                    bytes,
+                    snapshot_page(p),
+                    "page {p} at step {step} with cache={cache_pages}"
+                );
+                model.read((store, p));
             } else {
                 re.clear_cache();
                 model.entries.clear();
@@ -208,6 +231,64 @@ fn frames_of_a_reopened_device_match_the_reference_lru_exactly() {
                 "divergence at step {step} with cache={cache_pages}"
             );
         }
+    }
+}
+
+#[test]
+fn one_scope_over_two_stores_matches_the_reference_lru_exactly() {
+    // One `scoped_to` scope spans a store still in its build phase (read
+    // and written) and a reopened snapshot (read through frames), so both
+    // stores' pages, with equal page ids, share one LRU budget: the pages
+    // of one store evict the other's, and an evicted snapshot page's frame
+    // is recycled for the next miss of either kind.
+    let dir = TempDir::new("lcrs-two-store-model");
+    let universe = 40u64;
+    let path = write_snapshot(&dir, "two.pages", universe);
+    for cache_pages in [0usize, 1, 3, 17] {
+        let built = Device::new(DeviceConfig::new(64, cache_pages));
+        built.alloc_pages(universe as usize);
+        let mut host = vec![vec![0u8; 64]; universe as usize];
+        let reopened = Device::open_snapshot(&path, cache_pages).unwrap();
+        let view = (*reopened).scoped_to(&built);
+        let (built_id, snap_id) = (built.store_id(), reopened.store_id());
+        let mut model = ModelLru::new(cache_pages);
+        let mut next = lcg(0x2570_0000 + cache_pages as u64);
+        for step in 0..6000 {
+            let p = next() % universe;
+            let at = format!("page {p} at step {step} with cache={cache_pages}");
+            match next() % 16 {
+                0..=5 => {
+                    let bytes = view.read_page(PageId(p), |b| b.to_vec());
+                    assert_eq!(bytes, snapshot_page(p), "snapshot {at}");
+                    model.read((snap_id, p));
+                }
+                6..=10 => {
+                    let bytes = built.read_page(PageId(p), |b| b.to_vec());
+                    assert_eq!(bytes, host[p as usize], "built {at}");
+                    model.read((built_id, p));
+                }
+                11..=14 => {
+                    let v = (next() & 0xff) as u8;
+                    built.write_page(PageId(p), |b| b[step % 64] = v);
+                    host[p as usize][step % 64] = v;
+                    model.write((built_id, p));
+                }
+                _ => {
+                    if next().is_multiple_of(2) {
+                        built.clear_cache();
+                    } else {
+                        view.clear_cache();
+                    }
+                    model.entries.clear();
+                }
+            }
+            let st = built.stats();
+            assert_eq!((st.reads, st.writes, st.cache_hits), model.counts(), "divergence at {at}");
+            assert_eq!(view.stats(), st, "the view accounts into the shared scope");
+            assert_eq!(built.cached_pages(), model.entries.len(), "residency at {at}");
+            assert!(built.cached_pages() <= cache_pages, "over budget at {at}");
+        }
+        assert_eq!(reopened.stats().total(), 0, "the snapshot's own scope stays untouched");
     }
 }
 
