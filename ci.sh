@@ -3,8 +3,9 @@
 # `cargo build --release && cargo test -q`; `cargo test --workspace -q`
 # is a strict superset of `cargo test -q` (root package included), so
 # tier-1 failure detection is covered without running the root suites
-# twice. The rest extends coverage to every bench/example target (and
-# runs every example), the end-to-end benchmark's build, unit tests and
+# twice. The rest extends coverage to the engine's thread pool pinned to
+# one core, every bench/example target (and runs every example), the
+# end-to-end benchmark's build, unit tests and
 # one short traced run of each of its workloads, the engine smoke
 # experiments (each emitting a machine-readable BENCH_<name>.json), a
 # read-IO regression gate against the committed BENCH_baseline.json, a
@@ -50,6 +51,17 @@ skip() {
 
 stage build            cargo build --release
 stage test             cargo test --workspace -q
+
+# The engine's thread pool on one core: under `taskset`,
+# `available_parallelism()` is 1, so every fan-out runs on the calling
+# thread alone, a path a multi-core host never takes. Reuses the `test`
+# stage's build; skipped visibly when the container lacks `taskset`.
+if command -v taskset >/dev/null 2>&1; then
+    stage one-core taskset -c 0 cargo test -q --test engine_shard --test engine_parallel \
+        --test prop_shard
+else
+    skip one-core "taskset not installed"
+fi
 stage build-targets    cargo build --release --benches --examples --workspace
 
 # Run every example end to end: each checks its answers against brute

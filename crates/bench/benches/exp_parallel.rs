@@ -6,6 +6,9 @@
 //! The device is frozen after construction, so workers read the page store
 //! lock-free; each chunk is a contiguous, locality-ordered piece of the
 //! schedule run against its own forked device-handle scope (own warm LRU).
+//! The chunks share the engine's bounded pool, so a `wN` column is N
+//! chunks on at most `min(N, available_parallelism)` threads (the calling
+//! thread one of them): on a 2-core host, `w8` is 8 chunks on 2 threads.
 //! Per-cell invariants asserted on every run: per-chunk IO deltas sum
 //! exactly to the aggregate, and per-query reported counts match the
 //! one-thread run (full bit-identity of answers is pinned by

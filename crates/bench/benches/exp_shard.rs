@@ -7,6 +7,9 @@
 //! * sharded answers, as the gather emits them, are bit-identical to the
 //!   unsharded `IndexSet`'s in canonical order at every S, and per-shard
 //!   IO deltas sum exactly to the aggregate;
+//! * the pooled `execute_parallel` reports exactly what the sequential
+//!   `execute` does: every outcome (per-query IOs included), per-shard
+//!   totals, fan-out, aggregate and answers;
 //! * S=1 reproduces the unsharded planner's read-IO total exactly
 //!   (identity routing — one shard IS the unsharded set);
 //! * on the zipf and sweep halfplane workloads the mean shards-touched
@@ -110,6 +113,16 @@ fn main() {
             assert_eq!(run.attributed_total(), run.total, "per-query deltas must sum exactly");
             assert_eq!(run.unsupported(), 0);
 
+            // The sequential reference: the pool changes no report field.
+            let t = Instant::now();
+            let seq = sharded.execute(queries, true);
+            let seq_wall = t.elapsed().as_secs_f64();
+            assert_eq!(run.outcomes, seq.outcomes, "{workload} S={s}: per-query outcomes");
+            assert_eq!(run.per_shard, seq.per_shard, "{workload} S={s}: per-shard totals");
+            assert_eq!(run.fanout, seq.fanout, "{workload} S={s}: fan-out");
+            assert_eq!(run.total, seq.total, "{workload} S={s}: aggregate");
+            assert_eq!(run.answers, seq.answers, "{workload} S={s}: answers");
+
             // Differential gate: sharded answers == unsharded answers,
             // the sharded ones compared raw (the gather emits them in
             // canonical order).
@@ -143,6 +156,7 @@ fn main() {
                 format!("{:.2}", run.mean_fanout()),
                 format!("{hist:?}"),
                 format!("{:.1}", wall * 1e3),
+                format!("{:.1}", seq_wall * 1e3),
             ]);
             report
                 .cell(format!("{workload}/S{s}"))
@@ -150,19 +164,20 @@ fn main() {
                 .metric("read_ios", run.reads() as f64)
                 .metric("mean_fanout", run.mean_fanout())
                 .metric("wall_s", wall)
+                .metric("seq_wall_s", seq_wall)
                 .report_wall(Duration::from_secs_f64(wall));
         }
     }
     print_table(
         "Scatter-gather vs shard count (answers pinned identical to unsharded)",
-        &["workload/S", "queries", "reads", "mean_fanout", "fanout_histogram", "wall_ms"],
+        &["workload/S", "queries", "reads", "mean_fanout", "fanout_histogram", "wall_ms", "seq_ms"],
         &rows,
     );
 
     println!(
         "\nGates: answers bit-identical to the unsharded planner on all workloads and every S; \
-         S=1 IO == unsharded on every workload; zipf/sweep mean fan-out at S=8 < 8; \
-         per-shard deltas sum exactly."
+         pooled reports == sequential reports; S=1 IO == unsharded on every workload; \
+         zipf/sweep mean fan-out at S=8 < 8; per-shard deltas sum exactly."
     );
     if smoke {
         report.write_default();

@@ -1,6 +1,6 @@
 //! The batch executor: locality ordering + warm cache + per-query IO
-//! attribution, on the calling thread or cut into chunks across worker
-//! threads (DESIGN.md §7, §8).
+//! attribution, on the calling thread or cut into chunks run by the
+//! engine's bounded thread pool (DESIGN.md §7, §8).
 //!
 //! It is the one executor: the planner, the sharded set and the query
 //! server all run their batches through it. Answers never depend on how
@@ -8,6 +8,15 @@
 //! which pages, and every chunk's IOs are measured and checked on its
 //! own scope, so the per-query deltas sum exactly to the aggregate no
 //! matter how many threads ran.
+//!
+//! `fan_out` is the engine's one fan-out: at most
+//! [`std::thread::available_parallelism`] threads, the calling thread
+//! one of them, claim items from a shared counter.
+
+use std::ops::Range;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use lcrs_extmem::IoDelta;
 
@@ -36,7 +45,7 @@ pub enum QueryStatus {
 }
 
 /// Outcome of one query within a batch, in submission order.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryOutcome {
     /// Index of the query in the submitted batch.
     pub query: usize,
@@ -109,40 +118,76 @@ impl BatchReport {
     }
 }
 
-/// Run `f(0)..f(n)` and return the results in index order: a lone item
-/// on the calling thread, two or more each on its own scoped thread. The
-/// one fan-out under the executor's chunks and the sharded set's shards.
-pub(crate) fn fan_out<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n).map(|i| scope.spawn(move || f(i))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-            .collect()
-    })
+/// The host's parallelism ([`std::thread::available_parallelism`], 1 when
+/// unknown), read once per process: std re-reads `/proc` and the cgroup
+/// files on every call.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// `order` cut into exactly `min(parts, len)` contiguous pieces whose
-/// sizes differ by at most one (the first `len % parts` pieces hold the
-/// extra query).
-fn cut(order: &[usize], parts: usize) -> Vec<Vec<usize>> {
-    let parts = parts.min(order.len());
+/// Run `f(0)..f(n)` on `min(n, cores())` threads, the calling thread one
+/// of them, and return the results in index order. Each thread claims the
+/// next unclaimed index until none is left, so items are started in index
+/// order: a caller that wants its longest items started first lists them
+/// first. No thread waits on another's item; a panicking item reaches the
+/// caller with its payload once the other threads have run out of items.
+/// The engine's one fan-out: under the executor's chunks and under both
+/// halves of the sharded set's scatter-gather.
+pub(crate) fn fan_out<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let threads = n.min(cores());
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    // The counter only hands out indices; results travel back through
+    // the joins, so it publishes nothing and `Relaxed` suffices.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let mut runs = vec![claim()];
+        for helper in helpers {
+            runs.push(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        for (i, r) in runs.into_iter().flatten() {
+            slots[i] = Some(r);
+        }
+    });
+    slots.into_iter().map(|r| r.expect("every index is claimed exactly once")).collect()
+}
+
+/// `0..len` cut into exactly `min(parts, len)` contiguous ranges whose
+/// sizes differ by at most one (the first `len % parts` ranges hold the
+/// extra item).
+pub(crate) fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.min(len);
     if parts == 0 {
         return Vec::new();
     }
-    let (base, extra) = (order.len() / parts, order.len() % parts);
-    let mut chunks = Vec::with_capacity(parts);
+    let (base, extra) = (len / parts, len % parts);
     let mut start = 0;
-    for c in 0..parts {
-        let len = base + usize::from(c < extra);
-        chunks.push(order[start..start + len].to_vec());
-        start += len;
-    }
-    chunks
+    (0..parts)
+        .map(|c| {
+            let range = start..start + base + usize::from(c < extra);
+            start = range.end;
+            range
+        })
+        .collect()
+}
+
+/// `order` cut into [`even_ranges`] pieces.
+fn cut(order: &[usize], parts: usize) -> Vec<Vec<usize>> {
+    even_ranges(order.len(), parts).into_iter().map(|r| order[r].to_vec()).collect()
 }
 
 /// One chunk's run on one handle scope: outcomes in execution order,
@@ -203,9 +248,13 @@ fn run_chunk(
 /// With [`Self::workers`] above 1 the schedule is cut into contiguous
 /// near-even chunks (each keeps the locality the schedule created), and
 /// every chunk runs in order on its own [`RangeIndex::fork_reader`] clone
-/// — its own warm LRU, its own exactly attributed counters — on its own
-/// thread. A batch cut into one chunk runs on the calling thread against
-/// the index's own handle: no thread, no fork.
+/// — its own cold-started LRU, its own exactly attributed counters. The
+/// chunks share the engine's bounded pool: at most
+/// [`std::thread::available_parallelism`] threads, the calling thread
+/// included, each claiming the next chunk. Chunk c runs on fork c
+/// whichever thread claims it, so counts never depend on the core count.
+/// A batch cut into one chunk runs on the calling thread against the
+/// index's own handle: no thread, no fork.
 pub struct BatchExecutor<'a> {
     index: &'a dyn RangeIndex,
     workers: usize,
@@ -218,7 +267,10 @@ impl<'a> BatchExecutor<'a> {
     }
 
     /// Cut the schedule into up to `workers` chunks (at least 1; default
-    /// 1), each run on its own thread when there are two or more.
+    /// 1), each on its own handle fork when there are two or more. The
+    /// chunks run on at most `min(chunks, available_parallelism)` threads,
+    /// the calling thread one of them, so `workers` sets how the batch is
+    /// cut and never how many threads start.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -299,6 +351,96 @@ impl<'a> BatchExecutor<'a> {
             per_worker,
             total,
             answers: self.keep_answers.then_some(answers),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::thread::{self, ThreadId};
+
+    use super::{cores, fan_out};
+
+    /// Item counts up to 64, so no run asks a one-thread-per-item fan-out
+    /// for many threads.
+    const SIZES: [usize; 6] = [0, 1, 2, 3, 17, 64];
+
+    #[derive(Debug, PartialEq)]
+    struct ItemPanic(usize);
+
+    /// `fan_out(n, f)`, where `f` also learns whether it runs on the
+    /// calling thread. On a pool of two or more threads, items on the
+    /// calling thread wait until an item has started on another thread
+    /// and vice versa, so both kinds of thread run items whatever the
+    /// scheduler does. That cannot deadlock: the other threads hold at
+    /// most `threads − 1 < n` items while they wait, so one is left for
+    /// the caller, and the caller holds one while it waits.
+    fn fan_out_both_sides<R: Send>(n: usize, f: impl Fn(usize, bool) -> R + Sync) -> Vec<R> {
+        let caller = thread::current().id();
+        let pooled = n.min(cores()) >= 2;
+        let (on_caller, on_other) = (AtomicBool::new(false), AtomicBool::new(false));
+        fan_out(n, |i| {
+            let mine = thread::current().id() == caller;
+            let (me, other) = if mine { (&on_caller, &on_other) } else { (&on_other, &on_caller) };
+            me.store(true, Ordering::SeqCst);
+            while pooled && !other.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            f(i, mine)
+        })
+    }
+
+    #[test]
+    fn fan_out_runs_every_item_once_in_index_order_on_at_most_cores_threads() {
+        let available = thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(cores(), available);
+        for n in SIZES {
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let out = fan_out_both_sides(n, |i, _| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                (i, thread::current().id())
+            });
+            let order: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "n={n}: results in index order");
+            for (i, r) in runs.iter().enumerate() {
+                assert_eq!(r.load(Ordering::Relaxed), 1, "n={n}: item {i} runs exactly once");
+            }
+            let threads: HashSet<ThreadId> = out.iter().map(|&(_, t)| t).collect();
+            assert!(
+                threads.len() <= n.min(available),
+                "n={n}: {} threads on {available} cores",
+                threads.len()
+            );
+            if n == 1 {
+                assert_eq!(out[0].1, thread::current().id(), "a lone item runs on the caller");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_with_its_payload() {
+        for n in SIZES.into_iter().filter(|&n| n > 0) {
+            // An item on the calling thread panics; then, where the pool
+            // has other threads, one on another thread.
+            for on_caller in [true, false].into_iter().take(if n.min(cores()) >= 2 { 2 } else { 1 })
+            {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    fan_out_both_sides(n, |i, mine| {
+                        if mine == on_caller {
+                            panic_any(ItemPanic(i));
+                        }
+                        i
+                    })
+                }));
+                let payload = caught.expect_err("the item's panic reaches the caller");
+                assert!(
+                    payload.downcast_ref::<ItemPanic>().is_some(),
+                    "n={n} on_caller={on_caller}: the item's own payload"
+                );
+            }
         }
     }
 }

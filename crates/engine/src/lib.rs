@@ -25,7 +25,8 @@
 //!   against a warm LRU cache, and reports per-query and aggregate IO
 //!   against the one-at-a-time cold baseline. With
 //!   [`BatchExecutor::workers`] it cuts the schedule into contiguous
-//!   chunks across OS threads (DESIGN.md §8), each chunk on its own
+//!   chunks run by a pool of at most `available_parallelism` threads
+//!   (DESIGN.md §8), each chunk on its own
 //!   [`lcrs_extmem::DeviceHandle`] fork (own warm LRU, exactly attributed
 //!   per-chunk IO); a lone chunk runs on the calling thread;
 //! * [`SnapshotCatalog`] — build-once/serve-many (DESIGN.md §9): persist
@@ -45,8 +46,8 @@
 //!   cuts ([`lcrs_halfspace::partition`]), each shard a full calibrated
 //!   [`IndexSet`] on its own devices with its own sub-catalog; queries
 //!   route only to the shards whose region they can intersect
-//!   (conservative, no false negatives), scatter-gather across shard
-//!   threads, and merge to the canonical answer order with exact per-shard
+//!   (conservative, no false negatives), scatter-gather on the same
+//!   bounded pool, and merge to the canonical answer order with exact per-shard
 //!   IO attribution and a fan-out-aware cost model;
 //! * [`LiveIndex`] — live-update serving (DESIGN.md §12): an LSM-style
 //!   mutable tier over the leveled logarithmic-method core

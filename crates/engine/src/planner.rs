@@ -23,8 +23,8 @@
 //! * **Execution** composes with the rest of the engine: each routed
 //!   sub-batch runs through the [`crate::BatchExecutor`]'s locality
 //!   schedule on a warm cache, on the calling thread
-//!   ([`IndexSet::execute_plan`]) or cut into chunks across worker
-//!   threads ([`IndexSet::execute_parallel_plan`]), and per-query
+//!   ([`IndexSet::execute_plan`]) or cut into chunks on the engine's
+//!   bounded pool ([`IndexSet::execute_parallel_plan`]), and per-query
 //!   [`IoDelta`] attribution still sums exactly to the aggregate.
 //!
 //! Alternative routing policies — always-scan ([`IndexSet::scan_plan`]),
@@ -343,10 +343,12 @@ impl IndexSet {
     }
 
     /// [`Self::execute_plan`] with each sub-batch cut into up to `workers`
-    /// chunks of its locality schedule, each on its own thread and handle
-    /// fork ([`BatchExecutor::workers`]) — the full plan → locality order
-    /// → chunks composition. A group of one chunk runs on the calling
-    /// thread.
+    /// chunks of its locality schedule, each on its own handle fork
+    /// ([`BatchExecutor::workers`]) — the full plan → locality order →
+    /// chunks composition. A group's chunks run on the engine's bounded
+    /// pool: at most `min(chunks, available_parallelism)` threads, the
+    /// calling thread one of them. A group of one chunk runs on the
+    /// calling thread.
     pub fn execute_parallel_plan(
         &self,
         queries: &[Query],

@@ -207,7 +207,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     /// Thread-per-core windows under the default [`WindowPolicy`].
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = crate::batch::cores();
         ServeConfig { policy: WindowPolicy::default(), workers }
     }
 }

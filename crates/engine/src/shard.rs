@@ -18,18 +18,23 @@
 //!   count/sum/top-k reduce to their halfplane constraint.
 //! * **Execute** — each routed sub-batch runs through the shard's own
 //!   planner ([`IndexSet::execute_parallel_plan`]), shards one after
-//!   another or, with [`ShardedIndexSet::execute_parallel`], each active
-//!   shard on its own OS thread (a lone active shard stays on the calling
-//!   thread) and the executor's chunks *within* each shard — shards live
-//!   on disjoint devices, so concurrency never changes counts.
+//!   another or, with [`ShardedIndexSet::execute_parallel`], on the
+//!   engine's bounded pool: at most `available_parallelism` threads, the
+//!   calling thread one of them, claim the active shards longest
+//!   sub-batch first (ties by shard index), and the executor's chunks
+//!   *within* each shard share the same bound — shards live on disjoint
+//!   devices, so concurrency never changes counts.
 //! * **Merge** — query by query, per-shard answers translate back to
-//!   global ids in the canonical order. Global ids are dense in `[0, N)`
-//!   and shards disjoint, so a report answer (halfplane, halfspace, disk)
-//!   sets its ids in one N-bit map and drains it in ascending order:
-//!   O(t + N/64), no sort. k-NN ranks by exact carry-aware `(distance²,
-//!   id)` ([`lcrs_geom::lift::dist2_carry`]) and top-k by exact `i128`
-//!   `(key, id)`, both keyed from the shard's own copy of each point and
-//!   truncated to `k`; count/sum scalars sum across the disjoint shards
+//!   global ids in the canonical order; `execute_parallel` merges
+//!   contiguous query ranges, one per active shard, on the same pool and
+//!   concatenates them in submission order. Global ids are dense in
+//!   `[0, N)` and shards disjoint, so a report answer (halfplane,
+//!   halfspace, disk) sets its ids in its range's N-bit map and drains it
+//!   in ascending order: O(t + N/64), no sort. k-NN ranks by exact
+//!   carry-aware `(distance², id)` ([`lcrs_geom::lift::dist2_carry`])
+//!   and top-k by exact `i128` `(key, id)`, both keyed from the shard's
+//!   own copy of each point and truncated to `k`; count/sum scalars sum
+//!   across the disjoint shards
 //!   (zero-synthesized when routing pruned every shard). Per-shard
 //!   [`IoDelta`]s sum *exactly* to the aggregate (each is a sum of the
 //!   executor's runtime-checked chunk totals).
@@ -44,6 +49,8 @@
 //! routing (no region pruning — so IO totals reproduce the unsharded
 //! planner exactly, pinned by the differential suite).
 
+use std::cmp::Reverse;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use lcrs_extmem::{
@@ -53,7 +60,7 @@ use lcrs_geom::lift::dist2_carry;
 use lcrs_halfspace::partition::{partition2, partition3, Partition2, Partition3};
 use lcrs_halfspace::{ShardRegion2, ShardRegion3};
 
-use crate::batch::{fan_out, QueryOutcome, QueryStatus};
+use crate::batch::{even_ranges, fan_out, QueryOutcome, QueryStatus};
 use crate::catalog::SnapshotCatalog;
 use crate::planner::{IndexSet, PlanReport};
 use crate::query::{decode_sum, encode_sum, Query};
@@ -92,7 +99,7 @@ struct Shard {
 }
 
 /// IO accounting of one shard's routed sub-batch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardReport {
     /// Shard index in `0..shards`.
     pub shard: usize,
@@ -373,20 +380,24 @@ impl ShardedIndexSet {
             .sum()
     }
 
-    /// Scatter-gather execution, shards sequentially in index order (the
-    /// deterministic reference; [`Self::execute_parallel`] must match it
-    /// bit-for-bit on answers and counts).
+    /// Scatter-gather execution, every shard and every merge on the
+    /// calling thread, one after another (the deterministic reference;
+    /// [`Self::execute_parallel`] must match it bit-for-bit on answers and
+    /// counts).
     pub fn execute(&self, queries: &[Query], keep_answers: bool) -> ShardedReport {
         self.run(queries, keep_answers, false, 1)
     }
 
-    /// Scatter-gather execution with every routed shard on its own OS
-    /// thread (a lone routed shard runs on the calling thread), each
-    /// shard's groups cut into up to `workers` executor chunks
-    /// ([`IndexSet::execute_parallel_plan`]). Shards live on disjoint
-    /// devices, so answers and IO counts are identical to
-    /// [`Self::execute`] (pinned by the suite); freeze first for
-    /// lock-free reads.
+    /// Scatter-gather execution on the engine's bounded pool: at most
+    /// `min(active shards, available_parallelism)` threads, the calling
+    /// thread one of them, claim the routed shards longest sub-batch
+    /// first (ties by shard index), each shard's groups cut into up to
+    /// `workers` executor chunks ([`IndexSet::execute_parallel_plan`]).
+    /// The merge then runs on the same pool over contiguous query ranges,
+    /// one per active shard, concatenated in submission order. Shards
+    /// live on disjoint devices, so answers and every outcome, per-shard
+    /// and aggregate IO count are identical to [`Self::execute`] (pinned
+    /// by the suite); freeze first for lock-free reads.
     pub fn execute_parallel(
         &self,
         queries: &[Query],
@@ -403,21 +414,37 @@ impl ShardedIndexSet {
         concurrent: bool,
         workers: usize,
     ) -> ShardedReport {
-        // Route. Unsupported query classes (`None`) never reach a shard.
-        let routes: Vec<Option<Vec<usize>>> =
-            queries.iter().map(|q| self.supports(q).then(|| self.shards_intersecting(q))).collect();
-        let fanout: Vec<usize> = routes.iter().map(|r| r.as_ref().map_or(0, Vec::len)).collect();
+        // Route. Each routed query records, per shard, its position in
+        // that shard's sub-batch; unsupported classes (`None`) never reach
+        // a shard.
         let mut subs: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (qi, route) in routes.iter().enumerate() {
-            for &s in route.iter().flatten() {
-                subs[s].push(qi);
-            }
-        }
+        let routes: Vec<Option<Vec<(usize, usize)>>> = queries
+            .iter()
+            .enumerate()
+            .map(|(qi, q)| {
+                self.supports(q).then(|| {
+                    self.shards_intersecting(q)
+                        .into_iter()
+                        .map(|s| {
+                            subs[s].push(qi);
+                            (s, subs[s].len() - 1)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let fanout: Vec<usize> = routes.iter().map(|r| r.as_ref().map_or(0, Vec::len)).collect();
 
         // Scatter: execute each non-empty sub-batch through the shard's
-        // own planner. Answers are always collected internally — the
-        // gather step needs them for id translation and the k-NN merge.
-        let exec = |s: usize| -> PlanReport {
+        // own planner, the longest sub-batch claimed first (ties by shard
+        // index) so that a long shard never starts last. Answers are
+        // always collected internally — the gather step needs them for id
+        // translation and the k-NN merge.
+        let mut active: Vec<usize> =
+            (0..self.shards.len()).filter(|&s| !subs[s].is_empty()).collect();
+        active.sort_by_key(|&s| (Reverse(subs[s].len()), s));
+        let reports = each(concurrent, active.len(), |i| {
+            let s = active[i];
             let set = &self.shards[s].set;
             let sub: Vec<Query> = subs[s].iter().map(|&qi| queries[qi]).collect();
             let plan = set.plan(&sub);
@@ -427,38 +454,69 @@ impl ShardedIndexSet {
                 "shard {s}: routed queries must be supported by the shard set"
             );
             set.execute_parallel_plan(&sub, &plan, workers, true)
-        };
-        let active: Vec<usize> = (0..self.shards.len()).filter(|&s| !subs[s].is_empty()).collect();
-        let reports: Vec<PlanReport> = if concurrent {
-            fan_out(active.len(), |i| exec(active[i]))
-        } else {
-            active.iter().map(|&s| exec(s)).collect()
-        };
+        });
 
-        // Per-shard totals, and each active shard's report by shard index.
-        let mut by_shard: Vec<Option<&PlanReport>> = vec![None; self.shards.len()];
-        let mut per_shard = Vec::with_capacity(reports.len());
-        let mut total = IoDelta::default();
-        for (&s, report) in active.iter().zip(&reports) {
+        // Each report filed under its shard, and per-shard totals ascending.
+        let mut by_shard: Vec<Option<PlanReport>> = vec![None; self.shards.len()];
+        for (&s, report) in active.iter().zip(reports) {
             by_shard[s] = Some(report);
-            per_shard.push(ShardReport { shard: s, queries: subs[s].len(), io: report.total });
-            total += report.total;
         }
+        let per_shard: Vec<ShardReport> = by_shard
+            .iter()
+            .enumerate()
+            .filter_map(|(s, report)| {
+                let io = report.as_ref()?.total;
+                Some(ShardReport { shard: s, queries: subs[s].len(), io })
+            })
+            .collect();
+        let total = per_shard.iter().map(|r| r.io).sum();
 
-        // Gather, query by query. Sub-batches fill in submission order, so
-        // a query sits at the same position in each of its shards'
-        // sub-batches and one cursor per shard finds its outcome and local
-        // answer. Deltas sum across the shards, and so do count/sum
-        // scalars: shards are disjoint, so the sums are exact.
-        let n2: usize = self.shards.iter().map(|s| s.ids2.len()).sum();
-        let n3: usize = self.shards.iter().map(|s| s.ids3.len()).sum();
-        let mut bitmap = vec![0u64; n2.max(n3).div_ceil(64)];
-        let mut cursor = vec![0usize; self.shards.len()];
-        let mut parts: Vec<(&Shard, &[u64])> = Vec::with_capacity(self.shards.len());
+        // Gather over contiguous query ranges, one per active shard: the
+        // merge grows with the shards that answered, and with at least as
+        // many ranges as threads one heavy range does not hold up the
+        // rest. Ranges concatenate back in submission order.
+        let ranges = even_ranges(queries.len(), active.len().max(1));
+        let merged = each(concurrent, ranges.len(), |r| {
+            self.gather(queries, &routes, &by_shard, ranges[r].clone(), keep_answers)
+        });
         let mut outcomes = Vec::with_capacity(queries.len());
         let mut answers: Vec<Vec<u64>> =
             Vec::with_capacity(if keep_answers { queries.len() } else { 0 });
-        for (qi, q) in queries.iter().enumerate() {
+        for (range_outcomes, range_answers) in merged {
+            outcomes.extend(range_outcomes);
+            answers.extend(range_answers);
+        }
+
+        ShardedReport {
+            outcomes,
+            per_shard,
+            total,
+            answers: keep_answers.then_some(answers),
+            fanout,
+        }
+    }
+
+    /// The merged outcomes of the queries in `range`, and their answers
+    /// when kept, in submission order. A query's routed (shard, position)
+    /// pairs find its outcome and local answer in each shard's report.
+    /// Deltas sum across the shards, and so do count/sum scalars: shards
+    /// are disjoint, so the sums are exact.
+    fn gather(
+        &self,
+        queries: &[Query],
+        routes: &[Option<Vec<(usize, usize)>>],
+        by_shard: &[Option<PlanReport>],
+        range: Range<usize>,
+        keep_answers: bool,
+    ) -> (Vec<QueryOutcome>, Vec<Vec<u64>>) {
+        let n2: usize = self.shards.iter().map(|s| s.ids2.len()).sum();
+        let n3: usize = self.shards.iter().map(|s| s.ids3.len()).sum();
+        let mut bitmap = vec![0u64; n2.max(n3).div_ceil(64)];
+        let mut parts: Vec<(&Shard, &[u64])> = Vec::with_capacity(self.shards.len());
+        let mut outcomes = Vec::with_capacity(range.len());
+        let mut answers: Vec<Vec<u64>> =
+            Vec::with_capacity(if keep_answers { range.len() } else { 0 });
+        for qi in range {
             let Some(route) = &routes[qi] else {
                 outcomes.push(QueryOutcome {
                     query: qi,
@@ -473,10 +531,8 @@ impl ShardedIndexSet {
             };
             let mut io = IoDelta::default();
             parts.clear();
-            for &s in route {
-                let report = by_shard[s].expect("a routed shard ran its sub-batch");
-                let pos = cursor[s];
-                cursor[s] += 1;
+            for &(s, pos) in route {
+                let report = by_shard[s].as_ref().expect("a routed shard ran its sub-batch");
                 let outcome = &report.outcomes[pos];
                 assert_eq!(outcome.query, pos, "shard {s}: sub-batch outcomes out of order");
                 assert_eq!(
@@ -493,7 +549,7 @@ impl ShardedIndexSet {
             // (distance², id) for k-NN and (key, id) for top-k, truncated
             // to k; aggregates re-encode their summed scalars (zero when
             // routing pruned every shard).
-            let ids = match *q {
+            let ids = match queries[qi] {
                 Query::Halfplane { .. } | Query::Disk { .. } => drain_sorted(
                     &mut bitmap[..n2.div_ceil(64)],
                     parts.iter().map(|&(sh, local)| (&sh.ids2[..], local)),
@@ -522,14 +578,7 @@ impl ShardedIndexSet {
                 answers.push(ids);
             }
         }
-
-        ShardedReport {
-            outcomes,
-            per_shard,
-            total,
-            answers: keep_answers.then_some(answers),
-            fanout,
-        }
+        (outcomes, answers)
     }
 
     /// Where a sharded catalog keeps its manifest.
@@ -649,6 +698,16 @@ impl ShardedIndexSet {
             groups: self.shards.iter().map(|s| s.ids3.clone()).collect(),
             regions: self.shards.iter().map(|s| s.region3.clone()).collect(),
         }
+    }
+}
+
+/// `f(0)..f(n)` in index order: on the engine's bounded pool when
+/// `concurrent`, else one after another on the calling thread.
+fn each<R: Send>(concurrent: bool, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if concurrent {
+        fan_out(n, f)
+    } else {
+        (0..n).map(f).collect()
     }
 }
 

@@ -16,8 +16,9 @@
 //!   routing — one shard is the unsharded set);
 //! * per-shard `IoDelta`s sum exactly to the aggregate, which sums
 //!   exactly over per-query deltas (the PR 3 attribution invariant);
-//! * shard-level concurrency (one thread per shard, disjoint devices)
-//!   never changes answers or IO counts;
+//! * shard-level concurrency (the engine's bounded pool over shards and
+//!   merge ranges, disjoint devices) never changes a report: answers,
+//!   every outcome, per-shard totals, fan-out and the aggregate;
 //! * geometric routing actually prunes: on the narrow shard-stressing
 //!   workload the mean shards-touched at S=8 is strictly below 8, while a
 //!   broad all-points query fans out to every shard;
@@ -149,10 +150,21 @@ fn parallel_scatter_gather_matches_sequential() {
     for (ti, &s) in SHARD_COUNTS.iter().enumerate() {
         let sharded = &st.tiers[ti];
         let sequential = sharded.execute(&st.queries, true);
-        // One thread per shard, within-shard execution sequential: shards
-        // live on disjoint devices, so answers AND counts are identical.
+        // Shards and merge ranges on the pool, within-shard execution
+        // sequential: shards live on disjoint devices, so the whole report
+        // is identical, every per-query delta included.
         let concurrent = sharded.execute_parallel(&st.queries, 1, true);
         check_report(&st, s, &concurrent, "parallel");
+        assert!(
+            concurrent.per_shard.windows(2).all(|w| w[0].shard < w[1].shard),
+            "S={s}: per_shard strictly ascending by shard"
+        );
+        assert_eq!(
+            concurrent.outcomes, sequential.outcomes,
+            "S={s}: (query, status, reported, io)"
+        );
+        assert_eq!(concurrent.per_shard, sequential.per_shard, "S={s}: per-shard reports");
+        assert_eq!(concurrent.fanout, sequential.fanout, "S={s}: fan-out");
         assert_eq!(concurrent.total, sequential.total, "S={s}: shard concurrency is IO-neutral");
         assert_eq!(concurrent.answers, sequential.answers, "S={s}");
         // Within-shard parallel workers on top: answers still identical

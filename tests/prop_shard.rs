@@ -16,7 +16,9 @@
 //!   and a 3D scan answers all seven query classes exactly as brute
 //!   force does, in canonical order and without re-sorting, including
 //!   k above n, centers at the `i64` extremes, empty and all-points
-//!   halfplanes, and aggregates that routing prunes to zero shards.
+//!   halfplanes, and aggregates that routing prunes to zero shards; and
+//!   `execute_parallel` reports exactly what `execute` does on prefixes
+//!   of that batch, the empty one included.
 
 use lcrs::baselines::{ExternalScan, ExternalScan3};
 use lcrs::engine::{IndexSet, Query, QueryStatus, ShardConfig, ShardedIndexSet};
@@ -232,6 +234,22 @@ proptest! {
                 prop_assert_eq!(&answers[qi], &want[qi], "S={} {:?}", s, q);
                 prop_assert_eq!(report.outcomes[qi].status, QueryStatus::Ok);
                 prop_assert_eq!(report.outcomes[qi].reported, want[qi].len());
+            }
+            // The pooled path on prefixes: merge ranges with no query, a
+            // lone query, and fan-out-0 aggregates (queries 12 and 13).
+            for len in [0, 1, 2, 15, 16] {
+                let seq = sharded.execute(&queries[..len], true);
+                let par = sharded.execute_parallel(&queries[..len], 1, true);
+                prop_assert_eq!(&seq.answers.as_ref().unwrap()[..], &want[..len], "S={} len={}", s, len);
+                prop_assert!(
+                    par.per_shard.windows(2).all(|w| w[0].shard < w[1].shard),
+                    "S={} len={}: per_shard strictly ascending", s, len
+                );
+                prop_assert_eq!(&par.outcomes, &seq.outcomes, "S={} len={}", s, len);
+                prop_assert_eq!(&par.per_shard, &seq.per_shard, "S={} len={}", s, len);
+                prop_assert_eq!(&par.fanout, &seq.fanout, "S={} len={}", s, len);
+                prop_assert_eq!(par.total, seq.total, "S={} len={}", s, len);
+                prop_assert_eq!(&par.answers, &seq.answers, "S={} len={}", s, len);
             }
         }
     }
