@@ -472,9 +472,10 @@ impl ShardedIndexSet {
         let total = per_shard.iter().map(|r| r.io).sum();
 
         // Gather over contiguous query ranges, one per active shard: the
-        // merge grows with the shards that answered, and with at least as
-        // many ranges as threads one heavy range does not hold up the
-        // rest. Ranges concatenate back in submission order.
+        // merge grows with the shards that answered, and where shards
+        // outnumber cores, ranges outnumber threads, so one heavy range
+        // does not hold up the rest. Ranges concatenate back in
+        // submission order.
         let ranges = even_ranges(queries.len(), active.len().max(1));
         let merged = each(concurrent, ranges.len(), |r| {
             self.gather(queries, &routes, &by_shard, ranges[r].clone(), keep_answers)
