@@ -20,7 +20,7 @@ use lcrs::extmem::{
 use lcrs::geom::point::PointD;
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
-use lcrs::halfspace::ptree::PTreeConfig;
+use lcrs::halfspace::ptree::{PTreeConfig, Partitioner};
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
 use lcrs::halfspace::{DynamicHalfspace2, PartitionTree};
 use lcrs::workloads::{halfplane_batch, halfspace3_batch, knn_batch, points2, points3, BatchShape};
@@ -498,4 +498,58 @@ fn reloaded_index_forks_stay_cold_and_independent() {
         IoStats::default(),
         "fork IOs must not land on the reloaded primary scope"
     );
+}
+
+/// The bytes the partition-tree family writes: the 2D partition tree
+/// (kd and ham-sandwich), the hybrid tree and the shallow tree, each on a
+/// fresh device at two page sizes over fixed seeded points, added to a
+/// catalog. The constants are (length, FNV-1a) of each entry's `.pages`
+/// and `.meta` as older builds wrote them, so a change to the node layout,
+/// the build order of the attached structures or the metadata fails here.
+#[test]
+fn partition_tree_family_bytes_are_pinned() {
+    let fingerprint = |path: std::path::PathBuf| {
+        let bytes = std::fs::read(&path).unwrap();
+        (bytes.len(), lcrs::extmem::snapshot::fnv1a64(&bytes))
+    };
+    let pts2: Vec<PointD<2>> = points2(Dist2::Clustered, 1500, 1 << 16, 29)
+        .into_iter()
+        .map(|(x, y)| PointD::new([x, y]))
+        .collect();
+    let pts3 = points3(Dist3::Uniform, 700, 1 << 12, 31);
+    let dir = TempDir::new("lcrs-ptree-bytes");
+    let mut cat = SnapshotCatalog::create(dir.path()).unwrap();
+    let mut got = Vec::new();
+    for page in [256usize, 1024] {
+        for name in ["kd", "ham", "hybrid", "shallow"] {
+            let dev = Device::new(DeviceConfig::new(page, 0));
+            let ham = PTreeConfig { partitioner: Partitioner::HamSandwich, ..Default::default() };
+            let index: Box<dyn RangeIndex> = match name {
+                "kd" => Box::new(PartitionTree::<2>::build(&dev, &pts2, PTreeConfig::default())),
+                "ham" => Box::new(PartitionTree::<2>::build(&dev, &pts2, ham)),
+                "hybrid" => Box::new(HybridTree3::build(&dev, &pts3, HybridConfig::default())),
+                _ => Box::new(ShallowTree3::build(&dev, &pts3, ShallowConfig::default())),
+            };
+            dev.freeze();
+            let label = format!("{name}-{page}");
+            cat.add(&label, &*index).unwrap();
+            got.push((
+                label.clone(),
+                fingerprint(dir.file(&format!("{label}.pages"))),
+                fingerprint(dir.file(&format!("{label}.meta"))),
+            ));
+        }
+    }
+    let want: [(&str, (usize, u64), (usize, u64)); 8] = [
+        ("kd-256", (55480, 12078289966157227352), (105, 11154826345529561162)),
+        ("ham-256", (55744, 17929309991359313674), (105, 2244038402368986776)),
+        ("hybrid-256", (86104, 11165141237821301759), (9907, 12917416229515599818)),
+        ("shallow-256", (302584, 1641599343281498629), (5381, 12946972454251669071)),
+        ("kd-1024", (36160, 9014885704854893665), (105, 2938046693170378579)),
+        ("ham-1024", (36160, 4194629346103028494), (105, 839141100484710940)),
+        ("hybrid-1024", (204376, 7434132931289626780), (2467, 736308047960700515)),
+        ("shallow-1024", (87760, 10427054646360438628), (773, 5247272600475813896)),
+    ];
+    let want: Vec<_> = want.iter().map(|&(l, p, m)| (l.to_string(), p, m)).collect();
+    assert_eq!(got, want);
 }
