@@ -108,6 +108,7 @@ stage bench-live       cargo bench -q -p lcrs-bench --bench exp_live -- --smoke
 stage bench-reopen     cargo bench -q -p lcrs-bench --bench exp_reopen -- --smoke
 stage bench-serve      cargo bench -q -p lcrs-bench --bench exp_serve -- --smoke
 stage bench-lift       cargo bench -q -p lcrs-bench --bench exp_lift -- --smoke
+stage bench-t1-tradeoff cargo bench -q -p lcrs-bench --bench exp_t1_tradeoff -- --smoke
 
 # Read-IO regression gate: smoke read counts are deterministic (seeded
 # workloads, pinned cache geometry); wall-clock is recorded in every

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Benches whose smoke runs are gated against the baseline, in ci.sh order.
-pub const GATED_BENCHES: [&str; 8] = [
+pub const GATED_BENCHES: [&str; 9] = [
     "exp_batched",
     "exp_parallel",
     "exp_planner",
@@ -31,6 +31,7 @@ pub const GATED_BENCHES: [&str; 8] = [
     "exp_reopen",
     "exp_serve",
     "exp_lift",
+    "exp_t1_tradeoff",
 ];
 
 /// The committed baseline file at the repo root.
