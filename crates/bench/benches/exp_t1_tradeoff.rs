@@ -84,7 +84,7 @@ fn main() {
     }
     for a in [1.25f64, 1.5, 2.0] {
         let dev = Device::new(DeviceConfig::new(page, 0));
-        let t = HybridTree3::build(&dev, &pts, HybridConfig { a, ..Default::default() });
+        let t = HybridTree3::build(&dev, &pts, HybridConfig { a });
         let pages = t.pages();
         run(
             &format!("hybrid a={a}"),

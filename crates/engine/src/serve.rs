@@ -36,7 +36,7 @@
 //! refills near `u64::MAX`, window deadlines at the end of virtual time,
 //! and `Duration`→ns conversions are each pinned by unit tests.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use lcrs_extmem::IoDelta;
@@ -295,9 +295,11 @@ pub struct MetricsSnapshot {
     pub queries_rejected: u64,
     /// Aggregate read IOs.
     pub read_ios: u64,
-    /// Median measured window execution latency (ns; 0 with no windows).
+    /// Median measured window execution latency over the latest 4096
+    /// windows (ns; 0 with no windows).
     pub window_wall_p50_ns: u64,
-    /// 99th-percentile measured window execution latency (ns).
+    /// 99th-percentile measured window execution latency over the latest
+    /// 4096 windows (ns).
     pub window_wall_p99_ns: u64,
     /// Per-tenant counters, ascending by tenant.
     pub tenants: Vec<TenantMetrics>,
@@ -309,16 +311,20 @@ pub fn saturating_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Percentile over raw u64 samples: nearest-rank on a sorted copy, the
-/// sample of rank ⌈p/100 · n⌉ (at least 1).
-fn percentile_ns(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
+/// Window walls a [`QueryServer`] keeps for its latency percentiles: the
+/// latest ones, in a fixed ring, so a long-lived server's memory and its
+/// [`QueryServer::metrics`] cost stay bounded.
+const WALL_SAMPLES: usize = 4096;
+
+/// Percentile over sorted u64 samples: nearest-rank, the sample of rank
+/// ⌈p/100 · n⌉ (at least 1).
+fn percentile_ns(sorted: &[u64], p: f64) -> u64 {
+    debug_assert!(sorted.is_sorted(), "samples must be sorted");
+    if sorted.is_empty() {
         return 0;
     }
-    let mut s = samples.to_vec();
-    s.sort_unstable();
-    let rank = ((p / 100.0) * s.len() as f64).ceil() as usize;
-    s[rank.clamp(1, s.len()) - 1]
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// A pending (admitted, not yet executed) arrival.
@@ -338,7 +344,8 @@ pub struct QueryServer {
     queries_served: u64,
     queries_rejected: u64,
     read_ios: u64,
-    window_walls: Vec<u64>,
+    /// The latest [`WALL_SAMPLES`] window walls, oldest first.
+    window_walls: VecDeque<u64>,
     tenants: BTreeMap<TenantId, TenantMetrics>,
 }
 
@@ -355,7 +362,7 @@ impl QueryServer {
             queries_served: 0,
             queries_rejected: 0,
             read_ios: 0,
-            window_walls: Vec::new(),
+            window_walls: VecDeque::with_capacity(WALL_SAMPLES),
             tenants: BTreeMap::new(),
         }
     }
@@ -493,13 +500,15 @@ impl QueryServer {
 
     /// A pull-style snapshot of the cumulative counters.
     pub fn metrics(&self) -> MetricsSnapshot {
+        let mut walls: Vec<u64> = self.window_walls.iter().copied().collect();
+        walls.sort_unstable();
         MetricsSnapshot {
             windows_served: self.windows_served,
             queries_served: self.queries_served,
             queries_rejected: self.queries_rejected,
             read_ios: self.read_ios,
-            window_wall_p50_ns: percentile_ns(&self.window_walls, 50.0),
-            window_wall_p99_ns: percentile_ns(&self.window_walls, 99.0),
+            window_wall_p50_ns: percentile_ns(&walls, 50.0),
+            window_wall_p99_ns: percentile_ns(&walls, 99.0),
             tenants: self.tenants.values().copied().collect(),
         }
     }
@@ -562,7 +571,10 @@ impl QueryServer {
         self.windows_served += 1;
         self.queries_served += batch.len() as u64;
         self.read_ios += rep.total.reads;
-        self.window_walls.push(wall_ns);
+        if self.window_walls.len() == WALL_SAMPLES {
+            self.window_walls.pop_front();
+        }
+        self.window_walls.push_back(wall_ns);
         WindowSummary { seq, open_ns, close_ns, queries: batch.len(), io: rep.total, wall_ns }
     }
 }
@@ -625,6 +637,28 @@ mod tests {
     }
 
     #[test]
+    fn window_walls_keep_the_latest_4096() {
+        let dev = lcrs_extmem::Device::new(lcrs_extmem::DeviceConfig::new(4096, 0));
+        let pts: Vec<(i64, i64)> = (0..64).map(|i| (i, 2 * i - 40)).collect();
+        let mut set = IndexSet::new();
+        set.add(Box::new(lcrs_baselines::ExternalScan::build(&dev, &pts)));
+        let policy = WindowPolicy { max_wait_ns: 1_000_000, max_queries: 1 };
+        let mut server = QueryServer::new(set, ServeConfig { policy, workers: 1 });
+        let arrivals: Vec<Arrival> = (0..5000u64)
+            .map(|i| Arrival {
+                at_ns: i,
+                tenant: 0,
+                query: Query::Halfplane { m: 1, c: i as i64 % 50, inclusive: false },
+            })
+            .collect();
+        server.run_trace(&arrivals, false);
+        let m = server.metrics();
+        assert_eq!(m.windows_served, 5000);
+        assert_eq!(server.window_walls.len(), WALL_SAMPLES);
+        assert!(m.window_wall_p50_ns <= m.window_wall_p99_ns, "{m:?}");
+    }
+
+    #[test]
     fn percentile_handles_edges() {
         assert_eq!(percentile_ns(&[], 99.0), 0);
         assert_eq!(percentile_ns(&[7], 50.0), 7);
@@ -635,6 +669,6 @@ mod tests {
         // Nearest-rank on an even count: the p50 of two samples is the
         // lower one (rank ⌈0.5 · 2⌉ = 1), not the upper.
         assert_eq!(percentile_ns(&[10, 20], 50.0), 10);
-        assert_eq!(percentile_ns(&[20, 10], 99.0), 20);
+        assert_eq!(percentile_ns(&[10, 20], 99.0), 20);
     }
 }

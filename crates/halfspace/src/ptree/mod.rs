@@ -19,8 +19,16 @@
 //!
 //! The same tree answers simplex (convex-region) queries — the paper's
 //! Remark (i) — via conservative box/region classification.
+//!
+//! This module also owns the layout the Section 6 trees
+//! ([`crate::tradeoff`]) are built on: the node record, the builder
+//! `lay_out`, the kd splitter, the subtree-points reader and the
+//! load-time walk `verify`. Those trees store one `u32` after each node
+//! record, naming what is attached there.
 
 pub mod hamsandwich;
+
+use std::ops::Range;
 
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
 use lcrs_geom::point::{Aabb, BoxSide, HyperplaneD, PointD, Simplex, SimplexSide};
@@ -29,7 +37,7 @@ use crate::cost::{CostHint, CostShape};
 
 /// On-disk node record.
 #[derive(Debug, Clone, Copy)]
-struct NodeRec<const D: usize> {
+pub(crate) struct NodeRec<const D: usize> {
     lo: [i64; D],
     hi: [i64; D],
     /// First child node index; 0 children ⇒ leaf.
@@ -38,6 +46,23 @@ struct NodeRec<const D: usize> {
     /// Subtree point range (DFS-contiguous) in the points file.
     pts_off: u64,
     pts_len: u64,
+}
+
+impl<const D: usize> NodeRec<D> {
+    /// The bounding box of the subtree's points.
+    pub(crate) fn cell(&self) -> Aabb<D> {
+        Aabb { lo: self.lo, hi: self.hi }
+    }
+
+    /// The subtree's range in the points file.
+    pub(crate) fn pts(&self) -> Range<usize> {
+        self.pts_off as usize..(self.pts_off + self.pts_len) as usize
+    }
+
+    /// The child block in the node file (empty for a leaf).
+    pub(crate) fn children(&self) -> Range<usize> {
+        self.child_start as usize..self.child_start as usize + self.child_count as usize
+    }
 }
 
 impl<const D: usize> Record for NodeRec<D> {
@@ -63,7 +88,184 @@ impl<const D: usize> Record for NodeRec<D> {
 }
 
 /// Point record: (coords, input index).
-type PtRec<const D: usize> = ([i64; D], u32);
+pub(crate) type PtRec<const D: usize> = ([i64; D], u32);
+
+/// Child ranges of a node's points (reordering them), or `None` for a leaf.
+pub(crate) type Split<'a, const D: usize> =
+    dyn FnMut(&mut [PtRec<D>]) -> Option<Vec<Range<usize>>> + 'a;
+
+/// Lay out a tree over `items`. The root is node 0, each node's children
+/// form one contiguous block in creation order, and the points go out in
+/// DFS order, so every subtree's points are contiguous. `attach(points,
+/// children)` runs once a node's subtree is laid out (a leaf as soon as it
+/// is reached, an internal node after its last child) with the subtree's
+/// points in DFS order and its child count; its result is stored with the
+/// node.
+pub(crate) fn lay_out<const D: usize, A>(
+    items: &mut [PtRec<D>],
+    split: &mut Split<'_, D>,
+    attach: &mut dyn FnMut(&[PtRec<D>], usize) -> A,
+) -> (Vec<(NodeRec<D>, A)>, Vec<PtRec<D>>) {
+    #[allow(clippy::type_complexity)]
+    fn place<const D: usize, A>(
+        items: &mut [PtRec<D>],
+        ni: usize,
+        nodes: &mut Vec<Option<(NodeRec<D>, A)>>,
+        pts: &mut Vec<PtRec<D>>,
+        split: &mut Split<'_, D>,
+        attach: &mut dyn FnMut(&[PtRec<D>], usize) -> A,
+    ) {
+        let (lo, hi) = bbox(items);
+        let pts_off = pts.len();
+        let (child_start, child_count) = match split(items) {
+            None => {
+                pts.extend_from_slice(items);
+                (0, 0)
+            }
+            Some(ranges) => {
+                let start = nodes.len();
+                nodes.resize_with(start + ranges.len(), || None);
+                for (k, r) in ranges.iter().enumerate() {
+                    place(&mut items[r.clone()], start + k, nodes, pts, split, attach);
+                }
+                (start, ranges.len())
+            }
+        };
+        let node = NodeRec {
+            lo,
+            hi,
+            child_start: child_start as u64,
+            child_count: child_count as u32,
+            pts_off: pts_off as u64,
+            pts_len: (pts.len() - pts_off) as u64,
+        };
+        nodes[ni] = Some((node, attach(&pts[pts_off..], child_count)));
+    }
+
+    let mut nodes = Vec::new();
+    let mut pts = Vec::with_capacity(items.len());
+    if !items.is_empty() {
+        nodes.push(None);
+        place(items, 0, &mut nodes, &mut pts, split, attach);
+    }
+    (nodes.into_iter().map(|n| n.expect("every node is placed")).collect(), pts)
+}
+
+fn bbox<const D: usize>(items: &[PtRec<D>]) -> ([i64; D], [i64; D]) {
+    let mut lo = items[0].0;
+    let mut hi = items[0].0;
+    for (c, _) in &items[1..] {
+        for i in 0..D {
+            lo[i] = lo[i].min(c[i]);
+            hi[i] = hi[i].max(c[i]);
+        }
+    }
+    (lo, hi)
+}
+
+/// Balanced kd ranges: `splits` rounds of median halvings, cycling the
+/// axes from x; a range of one point is not split further.
+pub(crate) fn kd_split<const D: usize>(items: &mut [PtRec<D>], splits: usize) -> Vec<Range<usize>> {
+    let mut ranges: Vec<Range<usize>> = std::iter::once(0..items.len()).collect();
+    for round in 0..splits {
+        let mut next = Vec::with_capacity(2 * ranges.len());
+        for r in ranges {
+            if r.len() <= 1 {
+                next.push(r);
+                continue;
+            }
+            let mid = r.len() / 2;
+            items[r.clone()].select_nth_unstable_by_key(mid, |(c, id)| (c[round % D], *id));
+            next.extend([r.start..r.start + mid, r.start + mid..r.end]);
+        }
+        ranges = next;
+    }
+    ranges
+}
+
+/// Read `node`'s subtree points, one IO per page.
+pub(crate) fn read_points<const D: usize>(
+    points: &VecFile<PtRec<D>>,
+    node: &NodeRec<D>,
+) -> Vec<PtRec<D>> {
+    let mut buf = Vec::with_capacity(node.pts_len as usize);
+    points.read_range(node.pts(), &mut buf);
+    buf
+}
+
+/// Deepest root-to-leaf path [`verify`] accepts; `build` makes trees of
+/// depth O(log n), far shallower.
+const MAX_DEPTH: usize = 64;
+
+/// Read the node pages once, on a throwaway fork so no scope's stats,
+/// cache or frames move, and walk the tree from the root without
+/// recursion, checking what a query relies on: every child block lies
+/// inside the node file, no node is reached twice (no cycle, no shared
+/// child), no path is deeper than `MAX_DEPTH`, every point range lies
+/// inside the point file, the root holds points `0..n` and each node's
+/// children tile its range in order. `node` reads the node out of a
+/// record, and `attached(i, record)` checks what node `i` carries once
+/// its ranges hold.
+pub(crate) fn verify<const D: usize, R: Record>(
+    nodes: &VecFile<R>,
+    points: &VecFile<PtRec<D>>,
+    n: usize,
+    node: impl Fn(&R) -> NodeRec<D>,
+    mut attached: impl FnMut(usize, &R) -> Result<(), String>,
+) -> Result<(), String> {
+    if n == 0 {
+        return Ok(()); // queries never read a node
+    }
+    let recs = nodes.with_handle(&nodes.device().fork()).read_all();
+    let Some(root) = recs.first().map(&node) else {
+        return Err(format!("{n} points but no root node"));
+    };
+    let in_file = |ni: usize, v: &NodeRec<D>| {
+        let (off, len) = (v.pts_off, v.pts_len);
+        match off.checked_add(len) {
+            Some(end) if end <= points.len() as u64 => Ok(()),
+            _ => Err(format!("node {ni} holds points {off}+{len} of {}", points.len())),
+        }
+    };
+    in_file(0, &root)?;
+    if (root.pts_off, root.pts_len) != (0, n as u64) {
+        return Err(format!("the root holds points {}+{}, not 0+{n}", root.pts_off, root.pts_len));
+    }
+    let mut seen = vec![false; recs.len()];
+    seen[0] = true;
+    let mut stack = vec![(0usize, 1usize)];
+    while let Some((ni, depth)) = stack.pop() {
+        if depth > MAX_DEPTH {
+            return Err(format!("node {ni} lies deeper than {MAX_DEPTH} levels"));
+        }
+        let v = node(&recs[ni]);
+        let (start, count) = (v.child_start, u64::from(v.child_count));
+        if start.checked_add(count).is_none_or(|end| end > recs.len() as u64) {
+            return Err(format!("node {ni} has children {start}+{count} of {}", recs.len()));
+        }
+        // The children tile the node's range in order: each starts where
+        // the one before it ends, the first at the node's start.
+        let mut at = v.pts_off;
+        for ci in v.children() {
+            if std::mem::replace(&mut seen[ci], true) {
+                return Err(format!("node {ci} is reached twice"));
+            }
+            let c = node(&recs[ci]);
+            in_file(ci, &c)?;
+            if c.pts_off != at {
+                return Err(format!("node {ci} starts at point {}, not {at}", c.pts_off));
+            }
+            at += c.pts_len;
+        }
+        if count > 0 && at != v.pts_off + v.pts_len {
+            let end = v.pts_off + v.pts_len;
+            return Err(format!("the children of node {ni} end at point {at}, not {end}"));
+        }
+        attached(ni, &recs[ni])?;
+        stack.extend(v.children().rev().map(|ci| (ci, depth + 1)));
+    }
+    Ok(())
+}
 
 /// Which balanced partition a node uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,31 +273,27 @@ pub enum Partitioner {
     /// Cyclic median kd-splits into 2^(D·s) boxes.
     KdMedian,
     /// Willard ham-sandwich 4-way partition (D = 2 only); nodes larger than
-    /// the cutoff, or degenerate ones, fall back to kd.
+    /// `HS_CUTOFF` points, or degenerate ones, fall back to kd.
     HamSandwich,
 }
 
-/// Construction parameters.
+/// Node size above which HamSandwich falls back to kd (median-level walks
+/// on huge nodes are expensive; see DESIGN.md §3.4).
+const HS_CUTOFF: usize = 1 << 15;
+
+/// Construction parameters. Leaves hold up to B points.
 #[derive(Debug, Clone, Copy)]
 pub struct PTreeConfig {
     pub partitioner: Partitioner,
-    /// Target fanout (0 ⇒ min(4·B, n_v), rounded down to a power of 2^D).
+    /// Target fanout (0 ⇒ 4·B). A node of n_v points caps its target at
+    /// ⌈n_v / B⌉ (and raises it to at least 2), then splits into up to
+    /// 2^(D·s) cells for the largest s ≥ 1 with 2^(D·s) ≤ target.
     pub fanout: usize,
-    /// Leaf capacity (0 ⇒ B points).
-    pub leaf_capacity: usize,
-    /// Node size above which HamSandwich falls back to kd (median-level
-    /// walks on huge nodes are expensive; see DESIGN.md §3.4).
-    pub hs_cutoff: usize,
 }
 
 impl Default for PTreeConfig {
     fn default() -> Self {
-        PTreeConfig {
-            partitioner: Partitioner::KdMedian,
-            fanout: 0,
-            leaf_capacity: 0,
-            hs_cutoff: 1 << 15,
-        }
+        PTreeConfig { partitioner: Partitioner::KdMedian, fanout: 0 }
     }
 }
 
@@ -124,151 +322,43 @@ impl<const D: usize> PartitionTree<D> {
             );
         }
         let b_pts = dev.records_per_page(<PtRec<D> as Record>::SIZE);
-        let leaf_cap = if cfg.leaf_capacity > 0 { cfg.leaf_capacity } else { b_pts }.max(1);
-
+        let target = if cfg.fanout > 0 { cfg.fanout } else { 4 * b_pts };
+        let kd = |items: &mut [PtRec<D>]| {
+            let target = target.min(items.len().div_ceil(b_pts)).max(2);
+            // Depth: largest s with 2^(D·s) ≤ target, at least one split.
+            let mut depth = 1usize;
+            while (1usize << ((depth + 1) * D.min(20))) <= target {
+                depth += 1;
+            }
+            kd_split(items, depth * D)
+        };
         let mut items: Vec<PtRec<D>> =
             points.iter().enumerate().map(|(i, p)| (p.c, i as u32)).collect();
-        let mut nodes: Vec<NodeRec<D>> = Vec::new();
-        let mut pts_out: Vec<PtRec<D>> = Vec::with_capacity(items.len());
-        if !items.is_empty() {
-            nodes.push(NodeRec {
-                lo: [0; D],
-                hi: [0; D],
-                child_start: 0,
-                child_count: 0,
-                pts_off: 0,
-                pts_len: 0,
-            });
-            Self::build_node(&mut items, 0, &mut nodes, &mut pts_out, &cfg, leaf_cap, b_pts);
-        }
+        let (nodes, pts) = lay_out(
+            &mut items,
+            &mut |items| {
+                (items.len() > b_pts).then(|| match cfg.partitioner {
+                    Partitioner::HamSandwich if D == 2 && items.len() <= HS_CUTOFF => {
+                        Self::ham_sandwich_ranges(items).unwrap_or_else(|| kd(items))
+                    }
+                    _ => kd(items),
+                })
+            },
+            &mut |_, _| (),
+        );
+        let nodes: Vec<NodeRec<D>> = nodes.into_iter().map(|(node, ())| node).collect();
         PartitionTree {
             dev: dev.clone(),
             nodes: VecFile::from_slice(dev, &nodes),
-            points: VecFile::from_slice(dev, &pts_out),
+            points: VecFile::from_slice(dev, &pts),
             n: points.len(),
             pages_at_build_end: dev.pages_allocated(),
         }
     }
 
-    fn bbox(items: &[PtRec<D>]) -> ([i64; D], [i64; D]) {
-        let mut lo = items[0].0;
-        let mut hi = items[0].0;
-        for (c, _) in &items[1..] {
-            for i in 0..D {
-                lo[i] = lo[i].min(c[i]);
-                hi[i] = hi[i].max(c[i]);
-            }
-        }
-        (lo, hi)
-    }
-
-    /// Recursively build node `ni` over `items`; appends points in DFS
-    /// order to `pts_out`.
-    fn build_node(
-        items: &mut [PtRec<D>],
-        ni: usize,
-        nodes: &mut Vec<NodeRec<D>>,
-        pts_out: &mut Vec<PtRec<D>>,
-        cfg: &PTreeConfig,
-        leaf_cap: usize,
-        b_pts: usize,
-    ) {
-        let (lo, hi) = Self::bbox(items);
-        let pts_off = pts_out.len() as u64;
-        if items.len() <= leaf_cap {
-            pts_out.extend_from_slice(items);
-            nodes[ni] = NodeRec {
-                lo,
-                hi,
-                child_start: 0,
-                child_count: 0,
-                pts_off,
-                pts_len: items.len() as u64,
-            };
-            return;
-        }
-        // Partition into balanced ranges.
-        let ranges: Vec<std::ops::Range<usize>> = match cfg.partitioner {
-            Partitioner::HamSandwich if D == 2 && items.len() <= cfg.hs_cutoff => {
-                match Self::ham_sandwich_ranges(items) {
-                    Some(r) => r,
-                    None => Self::kd_ranges(items, cfg, leaf_cap, b_pts),
-                }
-            }
-            _ => Self::kd_ranges(items, cfg, leaf_cap, b_pts),
-        };
-        let child_start = nodes.len() as u64;
-        let child_count = ranges.len() as u32;
-        for _ in 0..ranges.len() {
-            nodes.push(NodeRec {
-                lo: [0; D],
-                hi: [0; D],
-                child_start: 0,
-                child_count: 0,
-                pts_off: 0,
-                pts_len: 0,
-            });
-        }
-        for (k, r) in ranges.iter().enumerate() {
-            Self::build_node(
-                &mut items[r.clone()],
-                child_start as usize + k,
-                nodes,
-                pts_out,
-                cfg,
-                leaf_cap,
-                b_pts,
-            );
-        }
-        let pts_len = pts_out.len() as u64 - pts_off;
-        nodes[ni] = NodeRec { lo, hi, child_start, child_count, pts_off, pts_len };
-    }
-
-    /// Balanced kd ranges: r = 2^(D·s) ≤ min(fanout, n_v), median splits
-    /// cycling through the axes.
-    fn kd_ranges(
-        items: &mut [PtRec<D>],
-        cfg: &PTreeConfig,
-        leaf_cap: usize,
-        b_pts: usize,
-    ) -> Vec<std::ops::Range<usize>> {
-        let target = if cfg.fanout > 0 { cfg.fanout } else { 4 * b_pts };
-        let target = target.min(items.len().div_ceil(leaf_cap)).max(2);
-        // Depth: largest s with 2^(D·s) ≤ target, at least one split.
-        let mut depth = 1usize;
-        while (1usize << ((depth + 1) * D.min(20))) <= target {
-            depth += 1;
-        }
-        let splits = depth * D; // binary splits, cycling axes
-        let mut ranges = Vec::new();
-        Self::halve(items, 0, splits, 0, &mut ranges);
-        ranges
-    }
-
-    fn halve(
-        items: &mut [PtRec<D>],
-        base: usize,
-        splits_left: usize,
-        axis: usize,
-        out: &mut Vec<std::ops::Range<usize>>,
-    ) {
-        if splits_left == 0 || items.len() <= 1 {
-            if !items.is_empty() {
-                out.push(base..base + items.len());
-            }
-            return;
-        }
-        let mid = items.len() / 2;
-        items.select_nth_unstable_by_key(mid, |(c, id)| (c[axis], *id));
-        let (left, right) = items.split_at_mut(mid);
-        let next_axis = (axis + 1) % D;
-        Self::halve(left, base, splits_left - 1, next_axis, out);
-        Self::halve(right, base + mid, splits_left - 1, next_axis, out);
-    }
-
     /// Willard 4-way ranges (D == 2): lexicographic median split, then a
     /// ham-sandwich cut of the two halves.
-    fn ham_sandwich_ranges(items: &mut [PtRec<D>]) -> Option<Vec<std::ops::Range<usize>>> {
+    fn ham_sandwich_ranges(items: &mut [PtRec<D>]) -> Option<Vec<Range<usize>>> {
         debug_assert_eq!(D, 2);
         items.sort_unstable_by_key(|(c, id)| (c[0], c[1], *id));
         let half = items.len() / 2;
@@ -345,19 +435,24 @@ impl<const D: usize> PartitionTree<D> {
         w.u64(self.pages_at_build_end);
     }
 
-    /// Rebuild from metadata written by [`Self::save`].
+    /// Rebuild from metadata written by [`Self::save`]. A node layout a
+    /// query could not walk (see `verify`) is a [`SnapshotError::Meta`],
+    /// never a panic or a stack overflow at a later query.
     pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<PartitionTree<D>, SnapshotError> {
         let d = r.usize()?;
         if d != D {
             return Err(r.error(format!("dimension mismatch: saved {d}, loading {D}")));
         }
-        Ok(PartitionTree {
+        let tree = PartitionTree {
             dev: h.clone(),
             nodes: VecFile::load(h, r)?,
             points: VecFile::load(h, r)?,
             n: r.usize()?,
             pages_at_build_end: r.u64()?,
-        })
+        };
+        verify(&tree.nodes, &tree.points, tree.n, |&node| node, |_, _| Ok(()))
+            .map_err(|detail| r.error(detail))?;
+        Ok(tree)
     }
 
     pub fn num_nodes(&self) -> usize {
@@ -412,29 +507,22 @@ impl<const D: usize> PartitionTree<D> {
 
     fn count_visit(&self, ni: usize, h: &HyperplaneD<D>, inclusive: bool, count: &mut u64) {
         let node = self.nodes.get(ni);
-        let cell = Aabb { lo: node.lo, hi: node.hi };
-        match h.classify_box(&cell) {
+        match h.classify_box(&node.cell()) {
             BoxSide::FullyAbove if !inclusive => {}
             BoxSide::FullyBelow => {
                 *count += node.pts_len;
             }
+            _ if node.children().is_empty() => {
+                for (c, _) in read_points(&self.points, &node) {
+                    let s = h.slack(&PointD::new(c));
+                    if if inclusive { s >= 0 } else { s > 0 } {
+                        *count += 1;
+                    }
+                }
+            }
             _ => {
-                if node.child_count == 0 {
-                    let mut buf: Vec<PtRec<D>> = Vec::with_capacity(node.pts_len as usize);
-                    self.points.read_range(
-                        node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
-                        &mut buf,
-                    );
-                    for (c, _) in buf {
-                        let s = h.slack(&PointD::new(c));
-                        if if inclusive { s >= 0 } else { s > 0 } {
-                            *count += 1;
-                        }
-                    }
-                } else {
-                    for k in 0..node.child_count as usize {
-                        self.count_visit(node.child_start as usize + k, h, inclusive, count);
-                    }
+                for ci in node.children() {
+                    self.count_visit(ci, h, inclusive, count);
                 }
             }
         }
@@ -466,37 +554,24 @@ impl<const D: usize> PartitionTree<D> {
         test: &mut dyn FnMut(&PointD<D>) -> bool,
     ) {
         let node = self.nodes.get(ni);
-        let cell = Aabb { lo: node.lo, hi: node.hi };
-        match classify(&cell) {
+        match classify(&node.cell()) {
             Visit::Skip => {}
             Visit::ReportAll => {
-                self.report_range(node.pts_off, node.pts_len, out);
+                out.extend(read_points(&self.points, &node).into_iter().map(|(_, id)| id));
             }
-            Visit::Recurse => {
-                if node.child_count == 0 {
-                    let mut buf: Vec<PtRec<D>> = Vec::with_capacity(node.pts_len as usize);
-                    self.points.read_range(
-                        node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
-                        &mut buf,
-                    );
-                    for (c, id) in buf {
-                        if test(&PointD::new(c)) {
-                            out.push(id);
-                        }
-                    }
-                } else {
-                    for k in 0..node.child_count as usize {
-                        self.visit(node.child_start as usize + k, out, classify, test);
+            Visit::Recurse if node.children().is_empty() => {
+                for (c, id) in read_points(&self.points, &node) {
+                    if test(&PointD::new(c)) {
+                        out.push(id);
                     }
                 }
             }
+            Visit::Recurse => {
+                for ci in node.children() {
+                    self.visit(ci, out, classify, test);
+                }
+            }
         }
-    }
-
-    fn report_range(&self, off: u64, len: u64, out: &mut Vec<u32>) {
-        let mut buf: Vec<PtRec<D>> = Vec::with_capacity(len as usize);
-        self.points.read_range(off as usize..(off + len) as usize, &mut buf);
-        out.extend(buf.into_iter().map(|(_, id)| id));
     }
 }
 

@@ -1,259 +1,196 @@
 //! Space/query trade-offs in R³ (Section 6).
 //!
-//! * [`HybridTree3`] (Theorem 6.1): a partition tree whose recursion stops
-//!   at N_v ≤ B^a; each leaf stores its points in a Section 4 structure.
+//! Both trees are the Section 5 partition tree ([`crate::ptree`]) laid
+//! out by the same builder, with one `u32` stored after each node record
+//! that names what is attached there. Each internal node splits its points
+//! by three median halvings (x, y, z) into up to 8 children.
+//!
+//! * [`HybridTree3`] (Theorem 6.1): the recursion stops at N_v ≤ B^a; each
+//!   leaf's index names its Section 4 structure over the leaf's points.
 //!   Space O(n log₂ B)-ish, queries O((n/B^{a-1})^{2/3+ε} + t) expected.
-//! * [`ShallowTree3`] (Theorem 6.3): a partition tree where every internal
-//!   node carries a *secondary* plain partition tree over its whole subtree;
-//!   when a query plane crosses more than κ·log₂ r_v child cells, it is not
-//!   shallow at this node — at least a constant fraction of the subtree lies
-//!   below it — and the secondary structure reports the subtree in O(t_v)
-//!   IOs. Space O(n log_B n), queries O(n^ε + t) for the paper's partitions
-//!   (measured for our substituted partitioner, DESIGN.md §3.4/3.5).
+//! * [`ShallowTree3`] (Theorem 6.3): leaves hold B points, and each
+//!   internal node's index names a *secondary* plain partition tree over
+//!   its whole subtree and a crossing threshold; when a query plane
+//!   crosses more than κ·log₂ r_v child cells, it is not shallow at this
+//!   node — at least a constant fraction of the subtree lies below it —
+//!   and the secondary structure reports the subtree in O(t_v) IOs. Space
+//!   O(n log_B n), queries O(n^ε + t) for the paper's partitions (measured
+//!   for our substituted partitioner, DESIGN.md §3.4/3.5).
 
 use lcrs_extmem::{DeviceHandle, MetaReader, MetaWriter, Record, SnapshotError, VecFile};
-use lcrs_geom::point::{Aabb, BoxSide, HyperplaneD, PointD};
+use lcrs_geom::point::{BoxSide, HyperplaneD, PointD};
 
 use crate::cost::{CostHint, CostShape};
 use crate::hs3d::{HalfspaceRS3, Hs3dConfig};
-use crate::ptree::{PTreeConfig, PartitionTree, Partitioner};
+use crate::ptree::{
+    kd_split, lay_out, read_points, verify, NodeRec, PTreeConfig, PartitionTree, PtRec,
+};
 
-/// Node record shared by both trees (3D cells).
-#[derive(Debug, Clone, Copy)]
-struct Node3 {
-    lo: [i64; 3],
-    hi: [i64; 3],
-    child_start: u64,
-    child_count: u32,
-    pts_off: u64,
-    pts_len: u64,
-    /// Hybrid: leaf-structure index; Shallow: secondary-structure index
-    /// (`u32::MAX` = none).
-    aux: u32,
+/// A node and the index of what is attached there (`NONE` for nothing).
+type Node = (NodeRec<3>, u32);
+const NONE: u32 = u32::MAX;
+
+/// Median halvings per internal node: 8 children.
+const SPLITS: usize = 3;
+
+/// The layout both trees share: the node file, the DFS-ordered point file
+/// and the counts.
+struct Layout {
+    dev: DeviceHandle,
+    nodes: VecFile<Node>,
+    points: VecFile<PtRec<3>>,
+    n: usize,
+    pages_at_build_end: u64,
 }
 
-impl Record for Node3 {
-    const SIZE: usize = 48 + 28 + 4;
-    fn store(&self, buf: &mut [u8]) {
-        self.lo.store(buf);
-        self.hi.store(&mut buf[24..]);
-        self.child_start.store(&mut buf[48..]);
-        self.child_count.store(&mut buf[56..]);
-        self.pts_off.store(&mut buf[60..]);
-        self.pts_len.store(&mut buf[68..]);
-        self.aux.store(&mut buf[76..]);
-    }
-    fn load(buf: &[u8]) -> Self {
-        Node3 {
-            lo: <[i64; 3]>::load(buf),
-            hi: <[i64; 3]>::load(&buf[24..]),
-            child_start: u64::load(&buf[48..]),
-            child_count: u32::load(&buf[56..]),
-            pts_off: u64::load(&buf[60..]),
-            pts_len: u64::load(&buf[68..]),
-            aux: u32::load(&buf[76..]),
+impl Layout {
+    /// Lay out `points` with leaves of at most `leaf` points;
+    /// `attach(subtree points, children)` builds what a node carries (see
+    /// [`lay_out`]) and returns its index.
+    fn build(
+        dev: &DeviceHandle,
+        points: &[(i64, i64, i64)],
+        leaf: usize,
+        attach: &mut dyn FnMut(&[PtRec<3>], usize) -> u32,
+    ) -> Layout {
+        let mut items: Vec<PtRec<3>> =
+            points.iter().enumerate().map(|(i, &(x, y, z))| ([x, y, z], i as u32)).collect();
+        let (nodes, pts) = lay_out(
+            &mut items,
+            &mut |items| (items.len() > leaf).then(|| kd_split(items, SPLITS)),
+            attach,
+        );
+        Layout {
+            dev: dev.clone(),
+            nodes: VecFile::from_slice(dev, &nodes),
+            points: VecFile::from_slice(dev, &pts),
+            n: points.len(),
+            pages_at_build_end: dev.pages_allocated(),
         }
     }
-}
 
-type PtRec3 = ([i64; 3], u32);
-const NOAUX: u32 = u32::MAX;
-
-fn bbox3(items: &[PtRec3]) -> ([i64; 3], [i64; 3]) {
-    let mut lo = items[0].0;
-    let mut hi = items[0].0;
-    for (c, _) in &items[1..] {
-        for i in 0..3 {
-            lo[i] = lo[i].min(c[i]);
-            hi[i] = hi[i].max(c[i]);
+    fn with_handle(&self, h: &DeviceHandle) -> Layout {
+        Layout {
+            dev: h.clone(),
+            nodes: self.nodes.with_handle(h),
+            points: self.points.with_handle(h),
+            n: self.n,
+            pages_at_build_end: self.pages_at_build_end,
         }
     }
-    (lo, hi)
-}
 
-/// Balanced kd ranges over 3D records (median splits cycling axes).
-fn kd_ranges3(items: &mut [PtRec3], fanout: usize) -> Vec<std::ops::Range<usize>> {
-    let mut splits = 1usize;
-    while (1usize << (splits + 1)) <= fanout && splits < 20 {
-        splits += 1;
+    /// Write the layout's metadata around the attached structures' (which
+    /// `attached` writes).
+    fn save(&self, w: &mut MetaWriter, attached: impl FnOnce(&mut MetaWriter)) {
+        self.nodes.save(w);
+        self.points.save(w);
+        attached(w);
+        w.usize(self.n);
+        w.u64(self.pages_at_build_end);
     }
-    let mut out = Vec::new();
-    fn halve(
-        items: &mut [PtRec3],
-        base: usize,
-        splits_left: usize,
-        axis: usize,
-        out: &mut Vec<std::ops::Range<usize>>,
-    ) {
-        if splits_left == 0 || items.len() <= 1 {
-            if !items.is_empty() {
-                out.push(base..base + items.len());
-            }
-            return;
+
+    /// Read what [`Self::save`] wrote, the attached structures through
+    /// `attached`.
+    fn load<A>(
+        h: &DeviceHandle,
+        r: &mut MetaReader,
+        attached: impl FnOnce(&mut MetaReader) -> Result<A, SnapshotError>,
+    ) -> Result<(Layout, A), SnapshotError> {
+        let nodes = VecFile::load(h, r)?;
+        let points = VecFile::load(h, r)?;
+        let a = attached(r)?;
+        let tree =
+            Layout { dev: h.clone(), nodes, points, n: r.usize()?, pages_at_build_end: r.u64()? };
+        Ok((tree, a))
+    }
+
+    /// Walk the layout once ([`verify`]), also checking that every node a
+    /// query hands to an attached structure (the leaves if `at_leaves`,
+    /// else the internal nodes) names one of the structures, whose
+    /// lengths are `lens`, of its own point count.
+    fn verify(&self, what: &str, at_leaves: bool, lens: &[usize]) -> Result<(), String> {
+        verify(
+            &self.nodes,
+            &self.points,
+            self.n,
+            |&(node, _)| node,
+            |i, &(node, ix)| {
+                let pts = node.pts().len();
+                match lens.get(ix as usize) {
+                    _ if node.children().is_empty() != at_leaves => Ok(()),
+                    None => Err(format!("node {i} names {what} {ix} of {}", lens.len())),
+                    Some(&len) if len != pts => {
+                        Err(format!("node {i} holds {pts} points but its {what} {ix} holds {len}"))
+                    }
+                    Some(_) => Ok(()),
+                }
+            },
+        )
+    }
+
+    /// Append the input ids of `local`, ids into `node`'s subtree in DFS
+    /// order (as an attached structure built over it reports them).
+    fn map_local(&self, node: &NodeRec<3>, local: Vec<u32>, out: &mut Vec<u32>) {
+        if !local.is_empty() {
+            let buf = read_points(&self.points, node);
+            out.extend(local.into_iter().map(|j| buf[j as usize].1));
         }
-        let mid = items.len() / 2;
-        items.select_nth_unstable_by_key(mid, |(c, id)| (c[axis], *id));
-        let (l, r) = items.split_at_mut(mid);
-        halve(l, base, splits_left - 1, (axis + 1) % 3, out);
-        halve(r, base + mid, splits_left - 1, (axis + 1) % 3, out);
     }
-    halve(items, 0, splits, 0, &mut out);
-    out
 }
 
 // ---------------------------------------------------------------------------
 // Theorem 6.1: hybrid tree.
 // ---------------------------------------------------------------------------
 
-/// Configuration for [`HybridTree3`].
+/// Configuration for [`HybridTree3`]. Leaves are one-copy Section 4
+/// structures (`Hs3dConfig { copies: 1, ..Hs3dConfig::default() }`).
 #[derive(Debug, Clone, Copy)]
 pub struct HybridConfig {
     /// Recursion stops at N_v ≤ B^a (paper's a > 1).
     pub a: f64,
-    /// Internal fanout (0 ⇒ 8).
-    pub fanout: usize,
-    /// Parameters of the leaf Section 4 structures.
-    pub hs3: Hs3dConfig,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
-        HybridConfig { a: 1.5, fanout: 8, hs3: Hs3dConfig { copies: 1, ..Default::default() } }
+        HybridConfig { a: 1.5 }
     }
 }
 
 /// The Theorem 6.1 structure.
 pub struct HybridTree3 {
-    dev: DeviceHandle,
-    nodes: VecFile<Node3>,
-    points: VecFile<PtRec3>,
+    tree: Layout,
     leaves: Vec<HalfspaceRS3>,
-    n: usize,
-    pages_at_build_end: u64,
 }
 
 impl HybridTree3 {
     pub fn build(dev: &DeviceHandle, points: &[(i64, i64, i64)], cfg: HybridConfig) -> HybridTree3 {
-        let b = dev.records_per_page(<PtRec3 as Record>::SIZE);
+        let b = dev.records_per_page(<PtRec<3> as Record>::SIZE);
         let threshold = ((b as f64).powf(cfg.a).ceil() as usize).max(2 * b).max(16);
-        let fanout = if cfg.fanout > 0 { cfg.fanout } else { 8 };
-        let mut items: Vec<PtRec3> =
-            points.iter().enumerate().map(|(i, &(x, y, z))| ([x, y, z], i as u32)).collect();
-        let mut nodes: Vec<Node3> = Vec::new();
-        let mut dfs: Vec<PtRec3> = Vec::with_capacity(items.len());
+        let hs3 = Hs3dConfig { copies: 1, ..Hs3dConfig::default() };
         let mut leaves: Vec<HalfspaceRS3> = Vec::new();
-
-        fn build_node(
-            dev: &DeviceHandle,
-            items: &mut [PtRec3],
-            ni: usize,
-            nodes: &mut Vec<Node3>,
-            dfs: &mut Vec<PtRec3>,
-            leaves: &mut Vec<HalfspaceRS3>,
-            threshold: usize,
-            fanout: usize,
-            hs3: Hs3dConfig,
-        ) {
-            let (lo, hi) = bbox3(items);
-            let pts_off = dfs.len() as u64;
-            if items.len() <= threshold {
-                // Leaf: a Section 4 structure over the subset.
-                let subset: Vec<(i64, i64, i64)> =
-                    items.iter().map(|(c, _)| (c[0], c[1], c[2])).collect();
-                let hs = HalfspaceRS3::build(dev, &subset, hs3);
-                let aux = leaves.len() as u32;
-                leaves.push(hs);
-                dfs.extend_from_slice(items);
-                nodes[ni] = Node3 {
-                    lo,
-                    hi,
-                    child_start: 0,
-                    child_count: 0,
-                    pts_off,
-                    pts_len: items.len() as u64,
-                    aux,
-                };
-                return;
+        let tree = Layout::build(dev, points, threshold, &mut |pts, children| {
+            if children > 0 {
+                return NONE;
             }
-            let ranges = kd_ranges3(items, fanout);
-            let child_start = nodes.len() as u64;
-            for _ in 0..ranges.len() {
-                nodes.push(Node3 {
-                    lo: [0; 3],
-                    hi: [0; 3],
-                    child_start: 0,
-                    child_count: 0,
-                    pts_off: 0,
-                    pts_len: 0,
-                    aux: NOAUX,
-                });
-            }
-            for (k, r) in ranges.iter().enumerate() {
-                build_node(
-                    dev,
-                    &mut items[r.clone()],
-                    child_start as usize + k,
-                    nodes,
-                    dfs,
-                    leaves,
-                    threshold,
-                    fanout,
-                    hs3,
-                );
-            }
-            nodes[ni] = Node3 {
-                lo,
-                hi,
-                child_start,
-                child_count: ranges.len() as u32,
-                pts_off,
-                pts_len: dfs.len() as u64 - pts_off,
-                aux: NOAUX,
-            };
-        }
-
-        if !items.is_empty() {
-            nodes.push(Node3 {
-                lo: [0; 3],
-                hi: [0; 3],
-                child_start: 0,
-                child_count: 0,
-                pts_off: 0,
-                pts_len: 0,
-                aux: NOAUX,
-            });
-            build_node(
-                dev,
-                &mut items,
-                0,
-                &mut nodes,
-                &mut dfs,
-                &mut leaves,
-                threshold,
-                fanout,
-                cfg.hs3,
-            );
-        }
-        HybridTree3 {
-            dev: dev.clone(),
-            nodes: VecFile::from_slice(dev, &nodes),
-            points: VecFile::from_slice(dev, &dfs),
-            leaves,
-            n: points.len(),
-            pages_at_build_end: dev.pages_allocated(),
-        }
+            // Leaf: a Section 4 structure over the subset.
+            let subset: Vec<(i64, i64, i64)> =
+                pts.iter().map(|(c, _)| (c[0], c[1], c[2])).collect();
+            leaves.push(HalfspaceRS3::build(dev, &subset, hs3));
+            leaves.len() as u32 - 1
+        });
+        HybridTree3 { tree, leaves }
     }
 
     pub fn len(&self) -> usize {
-        self.n
+        self.tree.n
     }
 
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.tree.n == 0
     }
 
     pub fn pages(&self) -> u64 {
-        self.pages_at_build_end
+        self.tree.pages_at_build_end
     }
 
     /// The Theorem 6.1 hybrid-tree query bound — a shallow partition-tree
@@ -265,65 +202,52 @@ impl HybridTree3 {
 
     /// The device this structure lives on (for scoped IO measurement).
     pub fn device(&self) -> &DeviceHandle {
-        &self.dev
+        &self.tree.dev
     }
 
     /// The same on-disk structure viewed through `h` (own cache + stats).
     pub fn with_handle(&self, h: &DeviceHandle) -> HybridTree3 {
         HybridTree3 {
-            dev: h.clone(),
-            nodes: self.nodes.with_handle(h),
-            points: self.points.with_handle(h),
+            tree: self.tree.with_handle(h),
             leaves: self.leaves.iter().map(|l| l.with_handle(h)).collect(),
-            n: self.n,
-            pages_at_build_end: self.pages_at_build_end,
         }
     }
 
     /// A reader clone on a fresh handle scope over the same pages — each
     /// parallel worker calls this to get its own LRU and IO attribution.
     pub fn fork_reader(&self) -> HybridTree3 {
-        self.with_handle(&self.dev.fork())
+        self.with_handle(&self.tree.dev.fork())
     }
 
     /// Serialize the tree's metadata, recursing into every leaf's
     /// Section 4 structure; page data is captured by
     /// [`lcrs_extmem::Device::freeze_to_path`].
     pub fn save(&self, w: &mut MetaWriter) {
-        self.nodes.save(w);
-        self.points.save(w);
-        w.seq(self.leaves.len());
-        for l in &self.leaves {
-            l.save(w);
-        }
-        w.usize(self.n);
-        w.u64(self.pages_at_build_end);
+        self.tree.save(w, |w| {
+            w.seq(self.leaves.len());
+            for l in &self.leaves {
+                l.save(w);
+            }
+        });
     }
 
-    /// Rebuild from metadata written by [`Self::save`].
+    /// Rebuild from metadata written by [`Self::save`]. A layout a query
+    /// could not walk, or a leaf whose index names no structure of its
+    /// point count, is a [`SnapshotError::Meta`].
     pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<HybridTree3, SnapshotError> {
-        let nodes = VecFile::load(h, r)?;
-        let points = VecFile::load(h, r)?;
-        let n_leaves = r.seq()?;
-        let mut leaves = Vec::with_capacity(n_leaves);
-        for _ in 0..n_leaves {
-            leaves.push(HalfspaceRS3::load(h, r)?);
-        }
-        Ok(HybridTree3 {
-            dev: h.clone(),
-            nodes,
-            points,
-            leaves,
-            n: r.usize()?,
-            pages_at_build_end: r.u64()?,
-        })
+        let (tree, leaves) = Layout::load(h, r, |r| {
+            (0..r.seq()?).map(|_| HalfspaceRS3::load(h, r)).collect::<Result<Vec<_>, _>>()
+        })?;
+        let lens: Vec<usize> = leaves.iter().map(HalfspaceRS3::len).collect();
+        tree.verify("leaf structure", true, &lens).map_err(|detail| r.error(detail))?;
+        Ok(HybridTree3 { tree, leaves })
     }
 
     /// Report points strictly below `z = u·x + v·y + w` (`inclusive` adds
     /// points on it).
     pub fn query_below(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
-        if self.n > 0 {
+        if self.tree.n > 0 {
             let h: HyperplaneD<3> = HyperplaneD::new([w, u, v]);
             self.visit(0, &h, u, v, w, inclusive, &mut out);
         }
@@ -340,35 +264,20 @@ impl HybridTree3 {
         inclusive: bool,
         out: &mut Vec<u32>,
     ) {
-        let node = self.nodes.get(ni);
-        let cell = Aabb { lo: node.lo, hi: node.hi };
-        match h.classify_box(&cell) {
+        let (node, leaf) = self.tree.nodes.get(ni);
+        match h.classify_box(&node.cell()) {
             BoxSide::FullyAbove if !inclusive => {}
             BoxSide::FullyBelow => {
-                let mut buf: Vec<PtRec3> = Vec::with_capacity(node.pts_len as usize);
-                self.points.read_range(
-                    node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
-                    &mut buf,
-                );
-                out.extend(buf.into_iter().map(|(_, id)| id));
+                out.extend(read_points(&self.tree.points, &node).into_iter().map(|(_, id)| id));
+            }
+            // Leaf: delegate to the Section 4 structure.
+            _ if node.children().is_empty() => {
+                let local = self.leaves[leaf as usize].query_below(u, v, w, inclusive);
+                self.tree.map_local(&node, local, out);
             }
             _ => {
-                if node.child_count > 0 {
-                    for k in 0..node.child_count as usize {
-                        self.visit(node.child_start as usize + k, h, u, v, w, inclusive, out);
-                    }
-                } else {
-                    // Leaf: delegate to the Section 4 structure, then remap
-                    // local ids through the DFS range.
-                    let local = self.leaves[node.aux as usize].query_below(u, v, w, inclusive);
-                    if !local.is_empty() {
-                        let mut buf: Vec<PtRec3> = Vec::with_capacity(node.pts_len as usize);
-                        self.points.read_range(
-                            node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
-                            &mut buf,
-                        );
-                        out.extend(local.into_iter().map(|j| buf[j as usize].1));
-                    }
+                for ci in node.children() {
+                    self.visit(ci, h, u, v, w, inclusive, out);
                 }
             }
         }
@@ -379,33 +288,25 @@ impl HybridTree3 {
 // Theorem 6.3: shallow-style tree with secondary structures.
 // ---------------------------------------------------------------------------
 
-/// Configuration for [`ShallowTree3`].
+/// Configuration for [`ShallowTree3`]. Leaves hold B points.
 #[derive(Debug, Clone, Copy)]
 pub struct ShallowConfig {
     /// Crossing threshold multiplier κ: more than ⌈κ·log₂ r_v⌉ crossed
     /// children ⇒ the plane is treated as non-shallow at v.
     pub kappa: f64,
-    /// Internal fanout (0 ⇒ 8).
-    pub fanout: usize,
-    /// Leaf capacity (0 ⇒ B).
-    pub leaf_capacity: usize,
 }
 
 impl Default for ShallowConfig {
     fn default() -> Self {
-        ShallowConfig { kappa: 2.0, fanout: 8, leaf_capacity: 0 }
+        ShallowConfig { kappa: 2.0 }
     }
 }
 
 /// The Theorem 6.3 structure.
 pub struct ShallowTree3 {
-    dev: DeviceHandle,
-    nodes: VecFile<Node3>,
-    points: VecFile<PtRec3>,
+    tree: Layout,
     secondaries: Vec<PartitionTree<3>>,
     threshold: Vec<usize>,
-    n: usize,
-    pages_at_build_end: u64,
 }
 
 impl ShallowTree3 {
@@ -414,142 +315,35 @@ impl ShallowTree3 {
         points: &[(i64, i64, i64)],
         cfg: ShallowConfig,
     ) -> ShallowTree3 {
-        let b = dev.records_per_page(<PtRec3 as Record>::SIZE);
-        let leaf_cap = if cfg.leaf_capacity > 0 { cfg.leaf_capacity } else { b }.max(1);
-        let fanout = if cfg.fanout > 0 { cfg.fanout } else { 8 };
+        let b = dev.records_per_page(<PtRec<3> as Record>::SIZE);
         let kappa = cfg.kappa.max(0.1);
-        let mut items: Vec<PtRec3> =
-            points.iter().enumerate().map(|(i, &(x, y, z))| ([x, y, z], i as u32)).collect();
-        let mut nodes: Vec<Node3> = Vec::new();
-        let mut dfs: Vec<PtRec3> = Vec::with_capacity(items.len());
         let mut secondaries: Vec<PartitionTree<3>> = Vec::new();
         let mut threshold: Vec<usize> = Vec::new();
-
-        #[allow(clippy::too_many_arguments)]
-        fn build_node(
-            dev: &DeviceHandle,
-            items: &mut [PtRec3],
-            ni: usize,
-            nodes: &mut Vec<Node3>,
-            dfs: &mut Vec<PtRec3>,
-            secondaries: &mut Vec<PartitionTree<3>>,
-            threshold: &mut Vec<usize>,
-            leaf_cap: usize,
-            fanout: usize,
-            kappa: f64,
-        ) {
-            let (lo, hi) = bbox3(items);
-            let pts_off = dfs.len() as u64;
-            if items.len() <= leaf_cap {
-                dfs.extend_from_slice(items);
-                nodes[ni] = Node3 {
-                    lo,
-                    hi,
-                    child_start: 0,
-                    child_count: 0,
-                    pts_off,
-                    pts_len: items.len() as u64,
-                    aux: NOAUX,
-                };
-                return;
+        let tree = Layout::build(dev, points, b, &mut |pts, children| {
+            if children == 0 {
+                return NONE;
             }
             // Secondary non-shallow structure over the whole subtree, built
             // on the DFS-ordered subset so reported local ids map straight
             // into the DFS range.
-            let ranges = kd_ranges3(items, fanout);
-            let child_start = nodes.len() as u64;
-            for _ in 0..ranges.len() {
-                nodes.push(Node3 {
-                    lo: [0; 3],
-                    hi: [0; 3],
-                    child_start: 0,
-                    child_count: 0,
-                    pts_off: 0,
-                    pts_len: 0,
-                    aux: NOAUX,
-                });
-            }
-            for (k, r) in ranges.iter().enumerate() {
-                build_node(
-                    dev,
-                    &mut items[r.clone()],
-                    child_start as usize + k,
-                    nodes,
-                    dfs,
-                    secondaries,
-                    threshold,
-                    leaf_cap,
-                    fanout,
-                    kappa,
-                );
-            }
-            let pts_len = dfs.len() as u64 - pts_off;
-            let subset: Vec<PointD<3>> =
-                dfs[pts_off as usize..].iter().map(|(c, _)| PointD::new(*c)).collect();
-            let sec = PartitionTree::build(
-                dev,
-                &subset,
-                PTreeConfig { partitioner: Partitioner::KdMedian, ..Default::default() },
-            );
-            let aux = secondaries.len() as u32;
-            secondaries.push(sec);
-            let r_v = ranges.len().max(2);
-            threshold.push((kappa * (r_v as f64).log2()).ceil() as usize);
-            nodes[ni] = Node3 {
-                lo,
-                hi,
-                child_start,
-                child_count: ranges.len() as u32,
-                pts_off,
-                pts_len,
-                aux,
-            };
-        }
-
-        if !items.is_empty() {
-            nodes.push(Node3 {
-                lo: [0; 3],
-                hi: [0; 3],
-                child_start: 0,
-                child_count: 0,
-                pts_off: 0,
-                pts_len: 0,
-                aux: NOAUX,
-            });
-            build_node(
-                dev,
-                &mut items,
-                0,
-                &mut nodes,
-                &mut dfs,
-                &mut secondaries,
-                &mut threshold,
-                leaf_cap,
-                fanout,
-                kappa,
-            );
-        }
-        ShallowTree3 {
-            dev: dev.clone(),
-            nodes: VecFile::from_slice(dev, &nodes),
-            points: VecFile::from_slice(dev, &dfs),
-            secondaries,
-            threshold,
-            n: points.len(),
-            pages_at_build_end: dev.pages_allocated(),
-        }
+            let subset: Vec<PointD<3>> = pts.iter().map(|(c, _)| PointD::new(*c)).collect();
+            secondaries.push(PartitionTree::build(dev, &subset, PTreeConfig::default()));
+            threshold.push((kappa * (children.max(2) as f64).log2()).ceil() as usize);
+            secondaries.len() as u32 - 1
+        });
+        ShallowTree3 { tree, secondaries, threshold }
     }
 
     pub fn len(&self) -> usize {
-        self.n
+        self.tree.n
     }
 
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.tree.n == 0
     }
 
     pub fn pages(&self) -> u64 {
-        self.pages_at_build_end
+        self.tree.pages_at_build_end
     }
 
     /// The Theorem 6.3 shallow-tree query bound — O(n^(2/3+δ) + t/B) from
@@ -560,95 +354,77 @@ impl ShallowTree3 {
 
     /// The device this structure lives on (for scoped IO measurement).
     pub fn device(&self) -> &DeviceHandle {
-        &self.dev
+        &self.tree.dev
     }
 
     /// The same on-disk structure viewed through `h` (own cache + stats).
     pub fn with_handle(&self, h: &DeviceHandle) -> ShallowTree3 {
         ShallowTree3 {
-            dev: h.clone(),
-            nodes: self.nodes.with_handle(h),
-            points: self.points.with_handle(h),
+            tree: self.tree.with_handle(h),
             secondaries: self.secondaries.iter().map(|t| t.with_handle(h)).collect(),
             threshold: self.threshold.clone(),
-            n: self.n,
-            pages_at_build_end: self.pages_at_build_end,
         }
     }
 
     /// A reader clone on a fresh handle scope over the same pages — each
     /// parallel worker calls this to get its own LRU and IO attribution.
     pub fn fork_reader(&self) -> ShallowTree3 {
-        self.with_handle(&self.dev.fork())
+        self.with_handle(&self.tree.dev.fork())
     }
 
     /// Serialize the tree's metadata, recursing into every secondary
     /// partition tree; page data is captured by
     /// [`lcrs_extmem::Device::freeze_to_path`].
     pub fn save(&self, w: &mut MetaWriter) {
-        self.nodes.save(w);
-        self.points.save(w);
-        w.seq(self.secondaries.len());
-        for s in &self.secondaries {
-            s.save(w);
-        }
-        w.seq(self.threshold.len());
-        for &t in &self.threshold {
-            w.usize(t);
-        }
-        w.usize(self.n);
-        w.u64(self.pages_at_build_end);
+        self.tree.save(w, |w| {
+            w.seq(self.secondaries.len());
+            for s in &self.secondaries {
+                s.save(w);
+            }
+            w.seq(self.threshold.len());
+            for &t in &self.threshold {
+                w.usize(t);
+            }
+        });
     }
 
-    /// Rebuild from metadata written by [`Self::save`].
+    /// Rebuild from metadata written by [`Self::save`]. A layout a query
+    /// could not walk, or an internal node whose index names no secondary
+    /// of its point count, is a [`SnapshotError::Meta`].
     pub fn load(h: &DeviceHandle, r: &mut MetaReader) -> Result<ShallowTree3, SnapshotError> {
-        let nodes = VecFile::load(h, r)?;
-        let points = VecFile::load(h, r)?;
-        let n_secondaries = r.seq()?;
-        let mut secondaries = Vec::with_capacity(n_secondaries);
-        for _ in 0..n_secondaries {
-            secondaries.push(PartitionTree::<3>::load(h, r)?);
-        }
-        let n_thresholds = r.seq()?;
-        let mut threshold = Vec::with_capacity(n_thresholds);
-        for _ in 0..n_thresholds {
-            threshold.push(r.usize()?);
-        }
-        if threshold.len() != secondaries.len() {
-            return Err(r.error("secondaries and thresholds must be parallel"));
-        }
-        Ok(ShallowTree3 {
-            dev: h.clone(),
-            nodes,
-            points,
-            secondaries,
-            threshold,
-            n: r.usize()?,
-            pages_at_build_end: r.u64()?,
-        })
+        let (tree, (secondaries, threshold)) = Layout::load(h, r, |r| {
+            let secondaries = (0..r.seq()?)
+                .map(|_| PartitionTree::<3>::load(h, r))
+                .collect::<Result<Vec<_>, _>>()?;
+            let threshold = (0..r.seq()?).map(|_| r.usize()).collect::<Result<Vec<_>, _>>()?;
+            if threshold.len() != secondaries.len() {
+                return Err(r.error("secondaries and thresholds must be parallel"));
+            }
+            Ok((secondaries, threshold))
+        })?;
+        let lens: Vec<usize> = secondaries.iter().map(PartitionTree::len).collect();
+        tree.verify("secondary", false, &lens).map_err(|detail| r.error(detail))?;
+        Ok(ShallowTree3 { tree, secondaries, threshold })
     }
 
     pub fn query_below(&self, u: i64, v: i64, w: i64, inclusive: bool) -> Vec<u32> {
         let mut out = Vec::new();
-        if self.n > 0 {
+        if self.tree.n > 0 {
             let h: HyperplaneD<3> = HyperplaneD::new([w, u, v]);
             self.visit(0, &h, inclusive, &mut out);
         }
         out
     }
 
-    fn report_range(
+    fn report(
         &self,
-        off: u64,
-        len: u64,
+        node: &NodeRec<3>,
         h: &HyperplaneD<3>,
         filter: bool,
         inclusive: bool,
         out: &mut Vec<u32>,
     ) {
-        let mut buf: Vec<PtRec3> = Vec::with_capacity(len as usize);
-        self.points.read_range(off as usize..(off + len) as usize, &mut buf);
-        for (c, id) in buf {
+        for (c, id) in read_points(&self.tree.points, node) {
             if !filter || {
                 let s = h.slack(&PointD::new(c));
                 if inclusive {
@@ -663,51 +439,42 @@ impl ShallowTree3 {
     }
 
     fn visit(&self, ni: usize, h: &HyperplaneD<3>, inclusive: bool, out: &mut Vec<u32>) {
-        let node = self.nodes.get(ni);
-        let cell = Aabb { lo: node.lo, hi: node.hi };
-        match h.classify_box(&cell) {
+        let (node, sec) = self.tree.nodes.get(ni);
+        match h.classify_box(&node.cell()) {
             BoxSide::FullyAbove if !inclusive => return,
             BoxSide::FullyBelow => {
-                self.report_range(node.pts_off, node.pts_len, h, false, inclusive, out);
+                self.report(&node, h, false, inclusive, out);
                 return;
             }
             _ => {}
         }
-        if node.child_count == 0 {
-            self.report_range(node.pts_off, node.pts_len, h, true, inclusive, out);
+        if node.children().is_empty() {
+            self.report(&node, h, true, inclusive, out);
             return;
         }
         // Count crossed children first (their descriptors share pages, so
         // this is O(1) IOs per node).
         let mut crossed: Vec<usize> = Vec::new();
         let mut below: Vec<usize> = Vec::new();
-        for k in 0..node.child_count as usize {
-            let ci = node.child_start as usize + k;
-            let c = self.nodes.get(ci);
-            match h.classify_box(&Aabb { lo: c.lo, hi: c.hi }) {
+        for ci in node.children() {
+            let (c, _) = self.tree.nodes.get(ci);
+            match h.classify_box(&c.cell()) {
                 BoxSide::FullyBelow => below.push(ci),
                 BoxSide::FullyAbove if !inclusive => {}
                 _ => crossed.push(ci),
             }
         }
-        if crossed.len() > self.threshold[node.aux as usize] {
+        if crossed.len() > self.threshold[sec as usize] {
             // Not shallow at this node: answer with the secondary structure
             // (its input was the DFS slice, so local id j ↔ pts_off + j,
             // and the id is read back from the DFS file).
-            let local = self.secondaries[node.aux as usize].query_halfspace(h, inclusive);
-            if !local.is_empty() {
-                let mut buf: Vec<PtRec3> = Vec::with_capacity(node.pts_len as usize);
-                self.points.read_range(
-                    node.pts_off as usize..(node.pts_off + node.pts_len) as usize,
-                    &mut buf,
-                );
-                out.extend(local.into_iter().map(|j| buf[j as usize].1));
-            }
+            let local = self.secondaries[sec as usize].query_halfspace(h, inclusive);
+            self.tree.map_local(&node, local, out);
             return;
         }
         for ci in below {
-            let c = self.nodes.get(ci);
-            self.report_range(c.pts_off, c.pts_len, h, false, inclusive, out);
+            let (c, _) = self.tree.nodes.get(ci);
+            self.report(&c, h, false, inclusive, out);
         }
         for ci in crossed {
             self.visit(ci, h, inclusive, out);
@@ -772,7 +539,7 @@ mod tests {
         let dev = Device::new(DeviceConfig::new(512, 0));
         let pts = pseudo3(600, 5, 50_000);
         for a in [1.2f64, 1.8] {
-            let t = HybridTree3::build(&dev, &pts, HybridConfig { a, ..Default::default() });
+            let t = HybridTree3::build(&dev, &pts, HybridConfig { a });
             let mut got = t.query_below(3, -2, 1000, false);
             got.sort_unstable();
             assert_eq!(got, brute(&pts, 3, -2, 1000, false), "a={a}");
@@ -808,7 +575,7 @@ mod tests {
         // a huge one never takes it, and the two must read different pages
         // for the same answer.
         let [(deep, deep_io), (never, never_io)] = [0.1, 1e9].map(|kappa| {
-            let t = ShallowTree3::build(&dev, &pts, ShallowConfig { kappa, ..Default::default() });
+            let t = ShallowTree3::build(&dev, &pts, ShallowConfig { kappa });
             let (mut got, io) = dev.measure(|| t.query_below(1, 1, 0, false));
             got.sort_unstable();
             (got, io)

@@ -35,13 +35,15 @@ use lcrs::extmem::{
     TempDir, VecFile,
 };
 use lcrs::geom::plane3::Plane3;
+use lcrs::geom::point::PointD;
 use lcrs::halfspace::dynamic::{
     load_level, load_points, load_tombstones, save_level, save_points, save_tombstones,
 };
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
+use lcrs::halfspace::ptree::PTreeConfig;
 use lcrs::halfspace::tradeoff::{HybridConfig, HybridTree3, ShallowConfig, ShallowTree3};
-use lcrs::halfspace::{DynamicHalfspace2, Partition2, Partition3};
+use lcrs::halfspace::{DynamicHalfspace2, Partition2, Partition3, PartitionTree};
 use lcrs::workloads::{points2, points3, Dist2, Dist3};
 
 /// Byte offsets of the page-snapshot header (DESIGN.md §9).
@@ -742,18 +744,22 @@ fn shard_catalog_of_other_kinds_is_typed_at_open() {
     expect_meta_error("a shard of other kinds", ShardedIndexSet::from_catalog(dir.path(), 0));
 }
 
-/// A kd-tree or R-tree over 1200 points on 256-byte pages whose device is
+/// A kd-tree, R-tree or 2D partition tree over 1200 points, or a hybrid
+/// or shallow tree over 800 3D points, on 256-byte pages whose device is
 /// not frozen yet: node fields can still be rewritten with `write_page`,
 /// so a corrupted tree still passes every snapshot checksum.
 struct TreeUnderTest {
     kind: &'static str,
     dev: Device,
     tree: Box<dyn RangeIndex>,
+    /// The metadata `reopen` loads the tree from.
+    meta: Vec<u8>,
     /// Node record size, first page and length of the node file.
     node_bytes: usize,
     first: u64,
     nodes: usize,
-    /// Records in the point file.
+    /// First page and records of the point file.
+    points_first: u64,
     points: usize,
     root: usize,
 }
@@ -767,22 +773,76 @@ const KD_PTS_LEN: (usize, usize) = (48, 8);
 const R_START: (usize, usize) = (32, 8);
 const R_COUNT: (usize, usize) = (40, 4);
 const R_LEAF: (usize, usize) = (44, 1);
+/// The partition-tree node fields after the 2D (`ptree`) or 3D (trade-off
+/// trees) cell, and the index the trade-off trees store after them.
+const P_START: usize = 0;
+const P_COUNT: usize = 1;
+const P_OFF: usize = 2;
+const P_LEN: usize = 3;
+const P_INDEX: usize = 4;
 
 impl TreeUnderTest {
     fn build(kind: &'static str) -> TreeUnderTest {
         let dev = Device::new(DeviceConfig::new(256, 0));
         let pts = points2(Dist2::Uniform, 1200, 1 << 16, 17);
+        let pts3 = points3(Dist3::Uniform, 800, 1 << 12, 19);
         let (tree, node_bytes): (Box<dyn RangeIndex>, usize) = match kind {
             "kdtree" => (Box::new(ExternalKdTree::build(&dev, &pts)), 72),
-            _ => (Box::new(StrRTree::build(&dev, &pts)), 45),
+            "rtree" => (Box::new(StrRTree::build(&dev, &pts)), 45),
+            "ptree" => {
+                let pd: Vec<PointD<2>> = pts.iter().map(|&(x, y)| PointD::new([x, y])).collect();
+                (Box::new(PartitionTree::<2>::build(&dev, &pd, PTreeConfig::default())), 60)
+            }
+            "tradeoff-hybrid" => {
+                (Box::new(HybridTree3::build(&dev, &pts3, HybridConfig::default())), 80)
+            }
+            _ => (Box::new(ShallowTree3::build(&dev, &pts3, ShallowConfig::default())), 80),
         };
-        // Both metadata layouts open with the node file, then the point
-        // file; the R-tree's root index follows.
-        let mut r = MetaReader::from_bytes(tree_meta(tree.as_ref())).unwrap();
+        // Every metadata layout opens with the node file, then the point
+        // file (the partition tree's after its dimension); the R-tree's
+        // root index follows.
+        let meta = tree_meta(tree.as_ref());
+        let mut r = MetaReader::from_bytes(meta.clone()).unwrap();
+        if kind == "ptree" {
+            r.usize().unwrap();
+        }
         let (first, nodes) = (r.u64().unwrap(), r.usize().unwrap());
-        let (_, points) = (r.u64().unwrap(), r.usize().unwrap());
+        let (points_first, points) = (r.u64().unwrap(), r.usize().unwrap());
         let root = if kind == "rtree" { r.usize().unwrap() } else { 0 };
-        TreeUnderTest { kind, dev, tree, node_bytes, first, nodes, points, root }
+        TreeUnderTest {
+            kind,
+            dev,
+            tree,
+            meta,
+            node_bytes,
+            first,
+            nodes,
+            points_first,
+            points,
+            root,
+        }
+    }
+
+    /// `(byte offset, width)` of partition-tree field `f` (`P_*`): after
+    /// the cell's two corners, child start, child count, point offset,
+    /// point length and the trade-off trees' attached index.
+    fn p(&self, f: usize) -> (usize, usize) {
+        let cell = self.node_bytes - if self.kind == "ptree" { 28 } else { 32 };
+        [(cell, 8), (cell + 8, 4), (cell + 12, 8), (cell + 20, 8), (cell + 28, 4)][f]
+    }
+
+    /// A leaf a query can reach: follow first children from the root.
+    fn reachable_p_leaf(&self) -> usize {
+        let mut i = 0;
+        while self.field(i, self.p(P_COUNT)) != 0 {
+            i = self.field(i, self.p(P_START));
+        }
+        i
+    }
+
+    /// Every leaf of a partition tree, in node order.
+    fn p_leaves(&self) -> Vec<usize> {
+        (0..self.nodes).filter(|&i| self.field(i, self.p(P_COUNT)) == 0).collect()
     }
 
     fn locate(&self, node: usize) -> (PageId, usize) {
@@ -824,7 +884,7 @@ impl TreeUnderTest {
         let path = dir.file(&format!("{}.pages", self.kind));
         self.dev.freeze_to_path(&path).unwrap();
         let re = Device::open_snapshot(&path, 8)?;
-        let mut r = MetaReader::from_bytes(tree_meta(self.tree.as_ref()))?;
+        let mut r = MetaReader::from_bytes(self.meta.clone())?;
         let tree = load_index(self.kind, &re, &mut r)?;
         Ok((re, tree))
     }
@@ -922,6 +982,133 @@ fn checksummed_tree_cycles_and_ranges_are_typed_at_load() {
     for (kind, what, names, corrupt) in corruptions {
         let t = TreeUnderTest::build(kind);
         corrupt(&t);
+        match t.reopen(&dir) {
+            Err(SnapshotError::Meta { detail, .. }) => {
+                assert!(detail.contains(names), "{kind}, {what}: {detail}")
+            }
+            Err(e) => panic!("{kind}, {what}: expected a metadata error, got {e}"),
+            Ok(_) => panic!("{kind}, {what}: the corrupted tree loaded"),
+        }
+    }
+}
+
+/// The partition tree and the two trade-off trees built on its layout get
+/// the same treatment: checksummed node pages that no query can walk fail
+/// `load_index` with a typed error naming the breach. Unchecked, a root
+/// that names itself as a child loads and then aborts the process with a
+/// stack overflow at the first query, and a leaf index past the hybrid
+/// tree's leaf structures panics there. The walk also checks what each
+/// trade-off node carries: a leaf structure (hybrid) or secondary tree
+/// (shallow) that exists and holds the node's points. The intact trees
+/// reopen cold and answer as they do in memory.
+#[test]
+fn checksummed_partition_trees_are_typed_at_load() {
+    let dir = TempDir::new("lcrs-corrupt-ptrees");
+    for kind in ["ptree", "tradeoff-hybrid", "tradeoff-shallow"] {
+        let t = TreeUnderTest::build(kind);
+        let queries: Vec<Query> = if kind == "ptree" {
+            [(0, 0), (3, 5000), (-7, -20_000)]
+                .map(|(m, c)| Query::Halfplane { m, c, inclusive: true })
+                .into()
+        } else {
+            [(1, 1, 0), (-2, 3, 500), (0, 0, -100)]
+                .map(|(u, v, w)| Query::Halfspace { u, v, w, inclusive: true })
+                .into()
+        };
+        let want: Vec<Vec<u64>> = queries.iter().map(|q| t.tree.execute(q)).collect();
+        assert!(want.iter().any(|a| !a.is_empty()), "{kind}");
+        let (re, tree) = t.reopen(&dir).unwrap_or_else(|e| panic!("intact {kind}: {e}"));
+        assert_eq!((re.stats(), re.cached_pages()), (IoStats::default(), 0), "{kind}");
+        assert_eq!(queries.iter().map(|q| tree.execute(q)).collect::<Vec<_>>(), want, "{kind}");
+    }
+
+    type Corruption = fn(&mut TreeUnderTest);
+    let every_tree: [(&str, &str, Corruption); 5] = [
+        ("a self-cycle", "node 0 is reached twice", |t| t.set(0, t.p(P_START), 0)),
+        ("a child range past the end", "node 0 has children", |t| t.set(0, t.p(P_START), t.nodes)),
+        ("a shared child", "is reached twice", |t| {
+            // The root's second child takes its first child's children.
+            let c = t.field(0, t.p(P_START));
+            assert_ne!(t.field(c, t.p(P_COUNT)), 0);
+            t.set(c + 1, t.p(P_START), t.field(c, t.p(P_START)));
+            t.set(c + 1, t.p(P_COUNT), t.field(c, t.p(P_COUNT)));
+        }),
+        ("a point range past the points file", "holds points", |t| {
+            t.set(t.reachable_p_leaf(), t.p(P_OFF), t.points)
+        }),
+        ("leaves that miss a point", "starts at point", |t| {
+            let leaf = t.reachable_p_leaf();
+            t.set(leaf, t.p(P_LEN), t.field(leaf, t.p(P_LEN)) - 1)
+        }),
+    ];
+    let mut corruptions: Vec<(&str, &str, &str, Corruption)> = Vec::new();
+    for kind in ["ptree", "tradeoff-hybrid", "tradeoff-shallow"] {
+        corruptions.extend(every_tree.iter().map(|&(what, names, f)| (kind, what, names, f)));
+    }
+    let one_tree: [(&str, &str, &str, Corruption); 7] = [
+        (
+            "ptree",
+            "a root range other than 0..n",
+            "the root holds points 0+1199, not 0+1200",
+            |t| t.set(0, t.p(P_LEN), t.points - 1),
+        ),
+        ("ptree", "a path 65 deep", "node 64 lies deeper than 64", |t| {
+            // Nodes 0..=64 chain through one child each, all holding every
+            // point, so only the depth is wrong.
+            assert!(t.nodes > 64);
+            for i in 0..=64 {
+                t.set(i, t.p(P_START), i + 1);
+                t.set(i, t.p(P_COUNT), usize::from(i < 64));
+                t.set(i, t.p(P_OFF), 0);
+                t.set(i, t.p(P_LEN), t.points);
+            }
+        }),
+        ("ptree", "no root node", "1200 points but no root node", |t| {
+            // Metadata whose node file is empty: the dimension, nodes, points, n, pages.
+            let mut r = MetaReader::from_bytes(t.meta.clone()).unwrap();
+            let (d, _, _) = (r.usize().unwrap(), r.u64().unwrap(), r.usize().unwrap());
+            let (_, _, n, pages) =
+                (r.u64().unwrap(), r.usize().unwrap(), r.usize().unwrap(), r.u64().unwrap());
+            let mut w = MetaWriter::new();
+            w.usize(d);
+            w.u64(t.first);
+            w.usize(0);
+            w.u64(t.points_first);
+            w.usize(t.points);
+            w.usize(n);
+            w.u64(pages);
+            t.meta = w.into_bytes();
+        }),
+        ("tradeoff-hybrid", "an index past the end", "names leaf structure 9999 of", |t| {
+            t.set(t.reachable_p_leaf(), t.p(P_INDEX), 9999)
+        }),
+        ("tradeoff-hybrid", "a leaf structure of another length", "its leaf structure", |t| {
+            // Point the reachable leaf at the structure of a leaf of
+            // another size.
+            let leaf = t.reachable_p_leaf();
+            let len = t.field(leaf, t.p(P_LEN));
+            let other = t.p_leaves().into_iter().find(|&l| t.field(l, t.p(P_LEN)) != len);
+            let other = other.expect("leaves of two sizes");
+            t.set(leaf, t.p(P_INDEX), t.field(other, t.p(P_INDEX)));
+        }),
+        ("tradeoff-shallow", "an index past the end", "names secondary 9999 of", |t| {
+            t.set(0, t.p(P_INDEX), 9999)
+        }),
+        (
+            "tradeoff-shallow",
+            "a secondary of another length",
+            "holds 800 points but its secondary",
+            |t| {
+                // The root takes its first child's secondary.
+                let c = t.field(0, t.p(P_START));
+                t.set(0, t.p(P_INDEX), t.field(c, t.p(P_INDEX)));
+            },
+        ),
+    ];
+    corruptions.extend(one_tree);
+    for (kind, what, names, corrupt) in corruptions {
+        let mut t = TreeUnderTest::build(kind);
+        corrupt(&mut t);
         match t.reopen(&dir) {
             Err(SnapshotError::Meta { detail, .. }) => {
                 assert!(detail.contains(names), "{kind}, {what}: {detail}")
