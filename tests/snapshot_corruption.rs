@@ -840,6 +840,25 @@ impl TreeUnderTest {
         i
     }
 
+    /// The 2D partition tree's metadata with `nodes` records in its node
+    /// file and `n` points: the dimension, the node and point files, `n`
+    /// and the page count.
+    fn ptree_meta(&self, nodes: usize, n: usize) -> Vec<u8> {
+        let mut r = MetaReader::from_bytes(self.meta.clone()).unwrap();
+        let (d, _, _) = (r.usize().unwrap(), r.u64().unwrap(), r.usize().unwrap());
+        let (_, _, _, pages) =
+            (r.u64().unwrap(), r.usize().unwrap(), r.usize().unwrap(), r.u64().unwrap());
+        let mut w = MetaWriter::new();
+        w.usize(d);
+        w.u64(self.first);
+        w.usize(nodes);
+        w.u64(self.points_first);
+        w.usize(self.points);
+        w.usize(n);
+        w.u64(pages);
+        w.into_bytes()
+    }
+
     /// Every leaf of a partition tree, in node order.
     fn p_leaves(&self) -> Vec<usize> {
         (0..self.nodes).filter(|&i| self.field(i, self.p(P_COUNT)) == 0).collect()
@@ -1023,7 +1042,7 @@ fn checksummed_partition_trees_are_typed_at_load() {
     }
 
     type Corruption = fn(&mut TreeUnderTest);
-    let every_tree: [(&str, &str, Corruption); 5] = [
+    let every_tree: [(&str, &str, Corruption); 6] = [
         ("a self-cycle", "node 0 is reached twice", |t| t.set(0, t.p(P_START), 0)),
         ("a child range past the end", "node 0 has children", |t| t.set(0, t.p(P_START), t.nodes)),
         ("a shared child", "is reached twice", |t| {
@@ -1040,12 +1059,16 @@ fn checksummed_partition_trees_are_typed_at_load() {
             let leaf = t.reachable_p_leaf();
             t.set(leaf, t.p(P_LEN), t.field(leaf, t.p(P_LEN)) - 1)
         }),
+        ("a last child that misses a point", "the children of node 0 end at point", |t| {
+            let last = t.field(0, t.p(P_START)) + t.field(0, t.p(P_COUNT)) - 1;
+            t.set(last, t.p(P_LEN), t.field(last, t.p(P_LEN)) - 1)
+        }),
     ];
     let mut corruptions: Vec<(&str, &str, &str, Corruption)> = Vec::new();
     for kind in ["ptree", "tradeoff-hybrid", "tradeoff-shallow"] {
         corruptions.extend(every_tree.iter().map(|&(what, names, f)| (kind, what, names, f)));
     }
-    let one_tree: [(&str, &str, &str, Corruption); 7] = [
+    let one_tree: [(&str, &str, &str, Corruption); 8] = [
         (
             "ptree",
             "a root range other than 0..n",
@@ -1064,20 +1087,11 @@ fn checksummed_partition_trees_are_typed_at_load() {
             }
         }),
         ("ptree", "no root node", "1200 points but no root node", |t| {
-            // Metadata whose node file is empty: the dimension, nodes, points, n, pages.
-            let mut r = MetaReader::from_bytes(t.meta.clone()).unwrap();
-            let (d, _, _) = (r.usize().unwrap(), r.u64().unwrap(), r.usize().unwrap());
-            let (_, _, n, pages) =
-                (r.u64().unwrap(), r.usize().unwrap(), r.usize().unwrap(), r.u64().unwrap());
-            let mut w = MetaWriter::new();
-            w.usize(d);
-            w.u64(t.first);
-            w.usize(0);
-            w.u64(t.points_first);
-            w.usize(t.points);
-            w.usize(n);
-            w.u64(pages);
-            t.meta = w.into_bytes();
+            t.meta = t.ptree_meta(0, t.points)
+        }),
+        ("ptree", "a root past the points file", "node 0 holds points 0+1201 of 1200", |t| {
+            t.set(0, t.p(P_LEN), t.points + 1);
+            t.meta = t.ptree_meta(t.nodes, t.points + 1);
         }),
         ("tradeoff-hybrid", "an index past the end", "names leaf structure 9999 of", |t| {
             t.set(t.reachable_p_leaf(), t.p(P_INDEX), 9999)
