@@ -115,9 +115,11 @@ impl Layout {
             self.n,
             |&(node, _)| node,
             |i, &(node, ix)| {
+                if node.children().is_empty() != at_leaves {
+                    return Ok(());
+                }
                 let pts = node.pts().len();
                 match lens.get(ix as usize) {
-                    _ if node.children().is_empty() != at_leaves => Ok(()),
                     None => Err(format!("node {i} names {what} {ix} of {}", lens.len())),
                     Some(&len) if len != pts => {
                         Err(format!("node {i} holds {pts} points but its {what} {ix} holds {len}"))

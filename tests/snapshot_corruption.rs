@@ -19,7 +19,10 @@
 //! directories were swapped or replaced by a shard of other kinds. So are
 //! checksummed kd-tree and R-tree node pages that no query can walk: a
 //! cycle, a shared child, a child or leaf range past the end of its file,
-//! leaves that miss a point, a path deeper than 64, a bad leaf tag.
+//! leaves that miss a point, a path deeper than 64, a bad leaf tag. The
+//! partition tree and the hybrid and shallow trees built on its layout get
+//! the same cases, plus children that do not tile their parent's points
+//! and attached structures that are missing or of the wrong size.
 
 use std::collections::HashSet;
 use std::path::Path;
