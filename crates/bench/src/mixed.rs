@@ -123,16 +123,16 @@ pub fn lifted_oracle(
 }
 
 /// The measured probe sample paired with [`lifted_oracle`], mirroring
-/// [`mixed_probes`] with all six legs present — the aggregate probes are
-/// what populates the dual calibration's aggregate side
-/// (`Calibration::agg_probes`), so a planner calibrated with this sample
-/// prices `Query::Count` / `Query::Sum` with the annotated-path constant.
+/// [`mixed_probes`] with all six legs present: at least 4 probes of each
+/// of the seven query classes, so `IndexSet::calibrate` fits every class
+/// a structure answers from that class's own probes.
 pub fn lifted_probes(pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)], seed: u64) -> Vec<Query> {
     lifted_oracle(pts2, pts3, (8, 4, 4, 8, 8, 8), seed)
 }
 
 /// The measured probe sample paired with [`mixed_oracle`]: a small
-/// (16 + 8 + 8)-query batch for `IndexSet::calibrate`. Keep its `seed`
+/// (16 + 8 + 8)-query batch for `IndexSet::calibrate`, at least 4 probes
+/// of each of its three classes. Keep its `seed`
 /// disjoint from the workload's so calibration never sees the gated
 /// queries (probe *order* is immaterial — each probe runs cold).
 pub fn mixed_probes(pts2: &[(i64, i64)], pts3: &[(i64, i64, i64)], seed: u64) -> Vec<Query> {
@@ -270,6 +270,7 @@ fn below2(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcrs_engine::QueryClass;
     use lcrs_workloads::{points2, points3, Dist2, Dist3};
 
     #[test]
@@ -288,6 +289,19 @@ mod tests {
         // queries hold all three classes.
         assert!(matches!(a[3], Query::Halfspace { .. }));
         assert!(matches!(a[4], Query::Knn { .. }));
+    }
+
+    #[test]
+    fn probe_samples_hold_at_least_four_probes_per_class() {
+        let pts2 = points2(Dist2::Uniform, 200, 1000, 5);
+        let pts3 = points3(Dist3::Uniform, 100, 1 << 12, 6);
+        let per_class = |probes: Vec<Query>| {
+            QueryClass::ALL.map(|class| probes.iter().filter(|q| q.class() == class).count())
+        };
+        let lifted = per_class(lifted_probes(&pts2, &pts3, 81));
+        assert!(lifted.iter().all(|&n| n >= 4), "{lifted:?}");
+        let [halfplane, halfspace, knn, ..] = per_class(mixed_probes(&pts2, &pts3, 81));
+        assert!(halfplane >= 4 && halfspace >= 4 && knn >= 4, "{halfplane} {halfspace} {knn}");
     }
 
     #[test]

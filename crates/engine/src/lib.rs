@@ -85,11 +85,11 @@ pub mod shard;
 
 pub use batch::{BatchExecutor, BatchReport, ExecMode, QueryOutcome, QueryStatus, WorkerReport};
 pub use catalog::{CatalogEntry, SnapshotCatalog, RESERVED_PREFIX};
-pub use cost::{calibrate_index, predicted_reads, Calibration};
+pub use cost::{calibrate_index, predicted_reads, Calibration, ClassFit};
 pub use lift::LiftedIndex;
 pub use live::{LiveIndex, LiveLevel, LIVE_MANIFEST};
 pub use planner::{IndexSet, Plan, PlanReport, RoutedReport, CALIBRATION_FILE};
-pub use query::{decode_sum, encode_sum, load_index, Query, RangeIndex, Unsupported};
+pub use query::{decode_sum, encode_sum, load_index, Query, QueryClass, RangeIndex, Unsupported};
 pub use serve::{
     saturating_ns, Arrival, MetricsSnapshot, QueryServer, QuotaConfig, RejectReason, ServeConfig,
     ServeOutcome, ServeReport, ServeStatus, TenantId, TenantMetrics, WindowPolicy, WindowSummary,

@@ -155,15 +155,6 @@ impl RangeIndex for LiveLevel {
         self.structure.cost_hint()
     }
 
-    fn cost_hint_for(&self, q: &Query) -> CostHint {
-        let hint = self.structure.cost_hint();
-        if q.is_aggregate() {
-            hint.as_aggregate()
-        } else {
-            hint
-        }
-    }
-
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
         match *q {
             Query::Halfplane { m, c, inclusive } => Ok(self

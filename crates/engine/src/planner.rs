@@ -12,14 +12,13 @@
 //!   support the same query class must be answer-equivalent (indexes over
 //!   one logical dataset) — the cross-structure oracle suite is what makes
 //!   that contract checkable.
-//! * **Cost** comes from [`RangeIndex::cost_hint_for`] (the paper's
-//!   asymptotic bound as a shape, flagged per query class — aggregate
-//!   count/sum queries carry [`lcrs_halfspace::cost::CostHint::aggregate`])
-//!   times a per-structure constant fitted by a measured probe pass
-//!   ([`IndexSet::calibrate`], which fits the reporting and aggregate
-//!   paths separately). Constants persist exactly through a
-//!   [`SnapshotCatalog`] ([`IndexSet::save_calibration_to_catalog`]),
-//!   so a reopened catalog plans identically without re-probing.
+//! * **Cost** comes from [`RangeIndex::cost_hint`] (the paper's
+//!   asymptotic bound as a shape) times a constant per (structure, query
+//!   class) fitted by a measured probe pass ([`IndexSet::calibrate`]; see
+//!   [`Calibration`] for the fit and its pooled fallback). Constants
+//!   persist exactly through a [`SnapshotCatalog`]
+//!   ([`IndexSet::save_calibration_to_catalog`], a versioned file), so a
+//!   reopened catalog plans identically without re-probing.
 //! * **Execution** composes with the rest of the engine: each routed
 //!   sub-batch runs through the [`crate::BatchExecutor`]'s locality
 //!   schedule on a warm cache, on the calling thread
@@ -52,6 +51,10 @@ use crate::query::{Query, RangeIndex};
 /// engine-internal [`crate::catalog::RESERVED_PREFIX`], so it can never
 /// collide with entry files).
 pub const CALIBRATION_FILE: &str = "__planner.calib";
+const CALIBRATION_MAGIC: &str = "lcrs-planner-calib";
+/// Version 1 had no header and one reporting plus one aggregate constant
+/// per structure; [`IndexSet::load_calibration`] rejects it at the magic.
+const CALIBRATION_VERSION: u64 = 2;
 
 struct Entry {
     index: Box<dyn RangeIndex>,
@@ -195,14 +198,14 @@ impl IndexSet {
     /// Predicted (calibrated) reads of answering `q` at `slot`.
     pub fn cost(&self, slot: usize, q: &Query) -> f64 {
         let e = &self.entries[slot];
-        predicted_reads(&e.index.cost_hint_for(q), &e.calib, q)
+        predicted_reads(&e.index.cost_hint(), &e.calib, q)
     }
 
-    /// The measured probe pass: fit every structure's cost constant from
-    /// the probes it supports, each executed against a cleared cache so
-    /// the fit is cold, deterministic, and independent of probe order.
-    /// Pass a deterministic sample of the expected traffic (a few dozen
-    /// queries per class is plenty — the fit is a single constant).
+    /// The measured probe pass: fit every structure's constant per query
+    /// class from the probes it supports, each executed against a cleared
+    /// cache so the fit is cold, deterministic, and independent of probe
+    /// order. Pass a deterministic sample of the expected traffic with a
+    /// few probes of every class (each constant is one class's mean).
     pub fn calibrate(&mut self, probes: &[Query]) {
         for e in &mut self.entries {
             e.calib = calibrate_index(&*e.index, probes);
@@ -213,6 +216,8 @@ impl IndexSet {
     /// for validation) so a reopened set plans identically.
     pub fn save_calibration(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
         let mut w = MetaWriter::new();
+        w.str(CALIBRATION_MAGIC);
+        w.u64(CALIBRATION_VERSION);
         w.seq(self.entries.len());
         for e in &self.entries {
             w.str(e.index.name());
@@ -221,10 +226,21 @@ impl IndexSet {
         w.write_to_path(path.as_ref())
     }
 
-    /// Inverse of [`Self::save_calibration`]; the file must describe
-    /// exactly this set (same length, same structure names in order).
+    /// Inverse of [`Self::save_calibration`]; the file must be of this
+    /// version and describe exactly this set (same length, same structure
+    /// names in order).
     pub fn load_calibration(&mut self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
         let mut r = MetaReader::open(path.as_ref())?;
+        let magic = r
+            .str()
+            .map_err(|_| r.error("not a calibration file: no magic header (version 1 has none)"))?;
+        if magic != CALIBRATION_MAGIC {
+            return Err(r.error(format!("not a calibration file (magic {magic:?})")));
+        }
+        let version = r.u64()?;
+        if version != CALIBRATION_VERSION {
+            return Err(r.error(format!("unsupported calibration version {version}")));
+        }
         let n = r.seq()?;
         if n != self.entries.len() {
             return Err(r.error(format!(
@@ -271,8 +287,7 @@ impl IndexSet {
             candidates.clear();
             for (slot, e) in self.entries.iter().enumerate() {
                 if e.index.supports(q) {
-                    candidates
-                        .push((slot, predicted_reads(&e.index.cost_hint_for(q), &e.calib, q)));
+                    candidates.push((slot, self.cost(slot, q)));
                 }
             }
             match pick(&candidates) {

@@ -69,10 +69,22 @@ impl Query {
         }
     }
 
+    /// The query's class, which calibration fits one constant per.
+    pub fn class(&self) -> QueryClass {
+        match self {
+            Query::Halfplane { .. } => QueryClass::Halfplane,
+            Query::Halfspace { .. } => QueryClass::Halfspace,
+            Query::Knn { .. } => QueryClass::Knn,
+            Query::Disk { .. } => QueryClass::Disk,
+            Query::Count { .. } => QueryClass::Count,
+            Query::Sum { .. } => QueryClass::Sum,
+            Query::TopK { .. } => QueryClass::TopK,
+        }
+    }
+
     /// `true` for the scalar-answer classes ([`Query::Count`] /
     /// [`Query::Sum`]): their answers are aggregates, not id reports, so
-    /// sharded execution merges them by summing and the planner prices
-    /// them with the separately calibrated aggregate constant.
+    /// sharded execution merges them by summing.
     pub fn is_aggregate(&self) -> bool {
         matches!(self, Query::Count { .. } | Query::Sum { .. })
     }
@@ -82,6 +94,45 @@ impl Query {
     /// comparing or merging such answers must never sort them by id.
     pub fn is_ranked(&self) -> bool {
         matches!(self, Query::Knn { .. } | Query::TopK { .. })
+    }
+}
+
+/// The seven [`Query`] classes, in the fixed order of [`Self::ALL`] that
+/// calibration tables and reports use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryClass {
+    Halfplane,
+    Halfspace,
+    Knn,
+    Disk,
+    Count,
+    Sum,
+    TopK,
+}
+
+impl QueryClass {
+    /// Every class, in order: `ALL[c as usize] == c`.
+    pub const ALL: [QueryClass; 7] = [
+        QueryClass::Halfplane,
+        QueryClass::Halfspace,
+        QueryClass::Knn,
+        QueryClass::Disk,
+        QueryClass::Count,
+        QueryClass::Sum,
+        QueryClass::TopK,
+    ];
+
+    /// Lower-case name for tables and report cells.
+    pub fn name(self) -> &'static str {
+        match self {
+            QueryClass::Halfplane => "halfplane",
+            QueryClass::Halfspace => "halfspace",
+            QueryClass::Knn => "knn",
+            QueryClass::Disk => "disk",
+            QueryClass::Count => "count",
+            QueryClass::Sum => "sum",
+            QueryClass::TopK => "topk",
+        }
     }
 }
 
@@ -148,18 +199,8 @@ pub trait RangeIndex: Send + Sync {
 
     /// The structure's self-reported asymptotic query bound (DESIGN.md
     /// §10) — the shape the [`crate::IndexSet`] planner's cost model is
-    /// seeded from before calibration fits the constant.
+    /// seeded from before calibration fits one constant per query class.
     fn cost_hint(&self) -> CostHint;
-
-    /// The hint this index would answer `q` with. Defaults to
-    /// [`Self::cost_hint`]; structures with an annotated aggregate path
-    /// override it to return [`CostHint::as_aggregate`] for
-    /// [`Query::Count`] / [`Query::Sum`], which the calibrated planner
-    /// prices with a separately fitted constant (DESIGN.md §15).
-    fn cost_hint_for(&self, q: &Query) -> CostHint {
-        let _ = q;
-        self.cost_hint()
-    }
 
     /// Answer `q`, returning reported ids, or [`Unsupported`] when
     /// `!self.supports(q)`.
@@ -252,15 +293,6 @@ impl RangeIndex for HalfspaceRS2 {
 
     fn cost_hint(&self) -> CostHint {
         HalfspaceRS2::cost_hint(self)
-    }
-
-    fn cost_hint_for(&self, q: &Query) -> CostHint {
-        let hint = HalfspaceRS2::cost_hint(self);
-        if q.is_aggregate() {
-            hint.as_aggregate()
-        } else {
-            hint
-        }
     }
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {
@@ -541,15 +573,6 @@ impl RangeIndex for ExternalKdTree {
     fn cost_hint(&self) -> CostHint {
         // k-d-B tree: the classic O(sqrt(n/B) + t/B) 2D envelope.
         CostHint::new(CostShape::RootD { d: 2 }, self.len())
-    }
-
-    fn cost_hint_for(&self, q: &Query) -> CostHint {
-        let hint = RangeIndex::cost_hint(self);
-        if q.is_aggregate() {
-            hint.as_aggregate()
-        } else {
-            hint
-        }
     }
 
     fn try_execute(&self, q: &Query) -> Result<Vec<u64>, Unsupported> {

@@ -14,9 +14,12 @@
 //! it cancels when costs are compared for one query. What remains is the
 //! structural search cost, which is what separates a scan from a
 //! logarithmic descent. Constant factors are *not* modeled here — the
-//! engine fits them per structure with a measured probe pass
-//! (`lcrs-engine`'s calibration) and multiplies them onto
-//! [`CostHint::structural_reads`].
+//! engine fits them per structure and query class with a measured probe
+//! pass (`lcrs-engine`'s calibration) and multiplies them onto
+//! [`CostHint::structural_reads`]. One hint per structure serves every
+//! class it answers; what differs between classes (an annotated count
+//! that skips leaves, a k-NN against a disk on the same lifted structure)
+//! lives in those per-class constants.
 
 /// The asymptotic shape of one structure's per-query search cost, in page
 /// reads, with the output term `t/B` omitted (common to all structures).
@@ -65,25 +68,12 @@ pub struct CostHint {
     pub shape: CostShape,
     /// Points in the structure (the `n` of the bounds).
     pub n: u64,
-    /// The query runs on an annotated aggregate path: fully-covered
-    /// canonical nodes answer from persisted subtree counts/sums without
-    /// enumerating leaves, so the output term vanishes *and* the
-    /// structural constant differs from the reporting path. The engine's
-    /// calibration fits a separate constant for hints carrying this flag.
-    pub aggregate: bool,
 }
 
 impl CostHint {
-    /// Hint for a structure with cost `shape` over `n` points (reporting
-    /// path; see [`Self::as_aggregate`]).
+    /// Hint for a structure with cost `shape` over `n` points.
     pub fn new(shape: CostShape, n: usize) -> CostHint {
-        CostHint { shape, n: n as u64, aggregate: false }
-    }
-
-    /// The same shape priced on the annotated aggregate path.
-    pub fn as_aggregate(mut self) -> CostHint {
-        self.aggregate = true;
-        self
+        CostHint { shape, n: n as u64 }
     }
 
     /// The structural (output-independent) search cost predicted by the

@@ -14,18 +14,6 @@ use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::workloads::{disk_mixed, points2, points3, Dist2, Dist3};
 use lcrs_bench::{lifted_oracle, lifted_probes};
 
-fn class(q: &Query) -> &'static str {
-    match q {
-        Query::Halfplane { .. } => "halfplane",
-        Query::Halfspace { .. } => "halfspace",
-        Query::Knn { .. } => "knn",
-        Query::Disk { .. } => "disk",
-        Query::Count { .. } => "count",
-        Query::Sum { .. } => "sum",
-        Query::TopK { .. } => "topk",
-    }
-}
-
 fn main() {
     // Simulated disk: 4 KiB pages, 128-page cache.
     let dev = Device::new(DeviceConfig::new(4096, 128));
@@ -44,15 +32,17 @@ fn main() {
     set.add(Box::new(ExternalScan3::build(&dev, &pts3)));
     println!("built {} structures over {} 2D + {} 3D points", set.len(), pts.len(), pts3.len());
 
-    // Calibrate: the probe pass fits report and aggregate constants
-    // separately (an annotated count costs a different constant per node
-    // than a full report — the dual calibration keeps both honest).
+    // Calibrate: the probe pass fits one constant per (structure, class),
+    // since one structure costs each class differently (an annotated count
+    // skips the leaves a halfplane report walks; the lift reads far more
+    // for a disk than for a k-NN).
     set.calibrate(&lifted_probes(&pts, &pts3, 10));
 
     // With the canonical probe mix the planner sends disks to the flat
-    // scan: one of the probe draws reports nearly the whole dataset, and
-    // the per-structure cost model carries no output term, so that outlier
-    // inflates the lift's fitted constant past the scan's fixed Θ(n/B).
+    // scan: one of the disk probes reports nearly the whole dataset, and
+    // the cost model carries no output term, so that outlier inflates the
+    // lift's disk constant past the scan's fixed Θ(n/B). Its k-NN constant
+    // is fitted on the k-NN probes alone, so k-NN still goes to the lift.
     let sample_disk = Query::Disk { x: 120, y: -40, r2: 90 * 90, inclusive: true };
     let routed = |set: &IndexSet, q: &Query| -> &'static str {
         let plan = set.plan(std::slice::from_ref(q));
@@ -96,7 +86,7 @@ fn main() {
             Query::TopK { .. } => format!("ranked ids {ans:?}"),
             _ => unreachable!(),
         };
-        println!("  {:>5} -> {:>9}: {}", class(q), routed, shown);
+        println!("  {:>5} -> {:>9}: {}", q.class().name(), routed, shown);
     }
 
     // A six-class mixed workload through the same planner: the routing
@@ -105,8 +95,11 @@ fn main() {
     let plan = set.plan(&queries);
     let mut table: Vec<(String, usize)> = Vec::new();
     for (qi, a) in plan.assignments.iter().enumerate() {
-        let key =
-            format!("{:>5} -> {}", class(&queries[qi]), set.structure(a.expect("routed")).name());
+        let key = format!(
+            "{:>5} -> {}",
+            queries[qi].class().name(),
+            set.structure(a.expect("routed")).name()
+        );
         match table.iter_mut().find(|(k, _)| *k == key) {
             Some((_, n)) => *n += 1,
             None => table.push((key, 1)),

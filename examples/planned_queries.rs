@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example planned_queries`
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, ExternalScan3};
-use lcrs::engine::{IndexSet, LiftedIndex, Query, SnapshotCatalog};
+use lcrs::engine::{IndexSet, LiftedIndex, Query, QueryClass, SnapshotCatalog};
 use lcrs::extmem::{Device, DeviceConfig, TempDir};
 use lcrs::halfspace::hs2d::{HalfspaceRS2, Hs2dConfig};
 use lcrs::halfspace::hs3d::{HalfspaceRS3, Hs3dConfig};
@@ -32,19 +32,28 @@ fn main() {
     set.add(Box::new(ExternalScan::build(&dev2, &pts2)));
     set.add(Box::new(ExternalScan3::build(&dev3, &pts3)));
 
-    // Calibration: a measured probe pass fits one constant per structure
-    // onto its paper bound (the shape each structure self-reports).
+    // Calibration: a measured probe pass fits one constant per (structure,
+    // query class) onto the structure's paper bound (the shape it
+    // self-reports); a class without probes takes the structure's
+    // constant pooled over all of its probes.
     let probes: Vec<Query> = mixed_probes(&pts2, &pts3, 10);
     set.calibrate(&probes);
     println!("\ncalibrated cost model ({} probes):", probes.len());
     for slot in 0..set.len() {
-        let hint = set.structure(slot).cost_hint();
-        println!(
-            "  {:>8}: shape {:?} x fitted constant {:.2}",
-            set.structure(slot).name(),
-            hint.shape,
-            set.calibration(slot).constant
-        );
+        let index = set.structure(slot);
+        for class in QueryClass::ALL {
+            let fit = set.calibration(slot).class(class);
+            if fit.probes > 0 {
+                println!(
+                    "  {:>8} {:>9}: shape {:?} x fitted constant {:.2} ({} probes)",
+                    index.name(),
+                    class.name(),
+                    index.cost_hint().shape,
+                    fit.constant,
+                    fit.probes
+                );
+            }
+        }
     }
 
     // Mixed traffic: 600 halfplane + 240 halfspace + 160 k-NN queries,

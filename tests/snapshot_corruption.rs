@@ -16,7 +16,9 @@
 //! id map that repeats an id or names one past the point count. So is a
 //! shard manifest whose 2D or 3D id maps repeat an id across two shards
 //! or name one past the point count, and a sharded catalog whose shard
-//! directories were swapped or replaced by a shard of other kinds. So are
+//! directories were swapped or replaced by a shard of other kinds, and a
+//! planner calibration file of another version or with a short or
+//! non-positive per-class table. So are
 //! checksummed kd-tree and R-tree node pages that no query can walk: a
 //! cycle, a shared child, a child or leaf range past the end of its file,
 //! leaves that miss a point, a path deeper than 64, a bad leaf tag. The
@@ -30,8 +32,8 @@ use std::sync::Arc;
 
 use lcrs::baselines::{ExternalKdTree, ExternalScan, ExternalScan3, StrRTree};
 use lcrs::engine::{
-    load_index, IndexSet, LiftedIndex, LiveIndex, Query, RangeIndex, ShardConfig, ShardedIndexSet,
-    SnapshotCatalog, LIVE_MANIFEST, SHARD_MANIFEST,
+    load_index, Calibration, ClassFit, IndexSet, LiftedIndex, LiveIndex, Query, RangeIndex,
+    ShardConfig, ShardedIndexSet, SnapshotCatalog, CALIBRATION_FILE, LIVE_MANIFEST, SHARD_MANIFEST,
 };
 use lcrs::extmem::{
     Device, DeviceConfig, DeviceHandle, IoStats, MetaReader, MetaWriter, PageId, SnapshotError,
@@ -745,6 +747,94 @@ fn shard_catalog_of_other_kinds_is_typed_at_open() {
         std::fs::copy(file.path(), shard1.join(file.file_name())).unwrap();
     }
     expect_meta_error("a shard of other kinds", ShardedIndexSet::from_catalog(dir.path(), 0));
+}
+
+/// A catalog's `__planner.calib` holds one (constant, probes) pair per
+/// structure and query class behind a magic and version 2. A correctly
+/// checksummed file in the headerless version-1 layout, of an unknown
+/// version, with a per-class table cut short, or with a constant that is
+/// not finite and positive must fail the reopen typed, both of the shard's
+/// own catalog and of the sharded catalog around it.
+#[test]
+fn corrupt_calibration_files_are_typed_at_open() {
+    let dir = TempDir::new("lcrs-corrupt-calib");
+    let pts2 = points2(Dist2::Uniform, 301, 1000, 15);
+    let pts3 = points3(Dist3::Uniform, 200, 1 << 12, 16);
+    let probes = [
+        Query::Halfplane { m: 1, c: 0, inclusive: true },
+        Query::Knn { x: 0, y: 0, k: 3 },
+        Query::Halfspace { u: 1, v: 0, w: 0, inclusive: false },
+    ];
+    save_two_shards(dir.path(), &pts2, &pts3, |h2, h3, p2, p3| {
+        let mut set = scans(h2, h3, p2, p3);
+        set.calibrate(&probes);
+        set
+    });
+    let shard0 = dir.file("shard0");
+    let path = shard0.join(CALIBRATION_FILE);
+    let reopen = || IndexSet::from_catalog(&SnapshotCatalog::open(&shard0).unwrap(), 0);
+    let fitted: Vec<Calibration> = {
+        let set = reopen().unwrap();
+        (0..set.len()).map(|slot| set.calibration(slot)).collect()
+    };
+    assert!(fitted.iter().all(|c| *c != Calibration::default()), "the shard is calibrated");
+
+    // The file with its header (none for version 1), then per structure
+    // its name and the table `table` writes.
+    let write = |header: Option<u64>, table: &dyn Fn(&mut MetaWriter, &Calibration)| {
+        let mut w = MetaWriter::new();
+        if let Some(version) = header {
+            w.str("lcrs-planner-calib");
+            w.u64(version);
+        }
+        w.seq(fitted.len());
+        for (name, calib) in ["scan", "scan3"].iter().zip(&fitted) {
+            w.str(name);
+            table(&mut w, calib);
+        }
+        w.write_to_path(&path).unwrap();
+    };
+    let pairs = |w: &mut MetaWriter, fits: &[ClassFit]| {
+        for fit in fits {
+            w.u64(fit.constant.to_bits());
+            w.u64(fit.probes);
+        }
+    };
+    let pristine = std::fs::read(&path).unwrap();
+    write(Some(2), &|w, c| c.save(w));
+    assert_eq!(std::fs::read(&path).unwrap(), pristine, "the writer must see every field");
+
+    let expect_typed = |what: &str| {
+        expect_meta_error(what, reopen());
+        expect_meta_error(what, ShardedIndexSet::from_catalog(dir.path(), 0));
+    };
+    // Version 1: one reporting and one aggregate pair per structure.
+    write(None, &|w, c| pairs(w, &[c.classes[0], c.classes[4]]));
+    expect_typed("a headerless version-1 file");
+    write(Some(3), &|w, c| c.save(w));
+    expect_typed("an unknown version");
+    write(Some(2), &|w, c| {
+        w.seq(c.classes.len() - 1);
+        pairs(w, &c.classes[1..]);
+    });
+    expect_typed("a table declaring six classes");
+    write(Some(2), &|w, c| {
+        w.seq(c.classes.len());
+        pairs(w, &c.classes[1..]);
+    });
+    expect_typed("a table that ends after six classes");
+    for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+        write(Some(2), &|w, c| {
+            let mut c = *c;
+            c.classes[3].constant = bad;
+            c.save(w);
+        });
+        expect_typed(&format!("a constant of {bad}"));
+    }
+
+    std::fs::write(&path, &pristine).unwrap();
+    assert_eq!(reopen().unwrap().calibration(1), fitted[1]);
+    assert!(ShardedIndexSet::from_catalog(dir.path(), 0).is_ok());
 }
 
 /// A kd-tree, R-tree or 2D partition tree over 1200 points, or a hybrid
